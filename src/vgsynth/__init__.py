@@ -15,8 +15,8 @@ from .evaluate import (EvalReport, FeatureRow, LogisticClassifier,
                        chronological_split, extract_features, roc_auc,
                        run_experiment, score, train_classifier)
 from .generate import (SyntheticSequence, WalkConfig, derive_seed, downsample,
-                       dtw_distance, generate_sequence, next_node, next_value,
-                       vrp_generate)
+                       dtw_distance, dtw_distances, generate_sequence,
+                       next_node, next_value, vrp_generate)
 from .graphs import (GraphNode, MultiGraph, VisibilityGraph, build_hvg,
                      build_multigraph, build_nvg, dump_graph)
 from .ingest import (TimeSeries, Window, inverse_scale, load_series,
@@ -33,7 +33,7 @@ __all__ = [
     "SyntheticSequence", "TimeSeries", "UndefinedMetricError",
     "VisibilityGraph", "WalkConfig", "Window", "aggregate", "build_hvg",
     "build_multigraph", "build_nvg", "chronological_split", "derive_seed",
-    "downsample", "dtw_distance", "dump_graph", "embed_2d",
+    "downsample", "dtw_distance", "dtw_distances", "dump_graph", "embed_2d",
     "embedding_overlap", "extract_features", "format_duration",
     "generate_sequence", "inverse_scale", "load_series", "make_desk_corpus",
     "minmax_scale", "mixing_score", "next_node", "next_value", "roc_auc",

@@ -226,23 +226,50 @@ def vrp_generate(window: Window, seed: int = 0) -> SyntheticSequence:
     )
 
 
-def dtw_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Dynamic time warping distance with absolute-difference local cost.
+def dtw_distances(candidates, reference) -> np.ndarray:
+    """Dynamic time warping distance of each candidate to ``reference``.
 
-    Full alignment, no window constraint; symmetric in its arguments.
+    Absolute-difference local cost, full alignment, no window constraint.
+    All candidates share one anti-diagonal wavefront: step d fills the cells
+    (i, d - i) of every candidate's accumulated-cost matrix with one array
+    update, since each cell needs only the two previous anti-diagonals.
+    Every cell is ``cost + min(up, left, diag)`` of the same operands as the
+    textbook row-by-row recurrence, so the distances are bit-identical to
+    it. Shorter candidates are zero-padded; a candidate of length n is read
+    at cell (n, m), which depends only on cells of rows up to n, so the
+    padding never reaches it.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.size == 0 or b.size == 0:
-        raise ValueError("dtw_distance requires non-empty sequences")
-    n, m = a.size, b.size
-    acc = np.full((n + 1, m + 1), np.inf)
-    acc[0, 0] = 0.0
-    for i in range(1, n + 1):
-        cost = np.abs(a[i - 1] - b)
-        for j in range(1, m + 1):
-            acc[i, j] = cost[j - 1] + min(acc[i - 1, j], acc[i, j - 1], acc[i - 1, j - 1])
-    return float(acc[n, m])
+    b = np.asarray(reference, dtype=float)
+    rows = [np.asarray(c, dtype=float) for c in candidates]
+    if b.size == 0 or not rows or any(r.size == 0 for r in rows):
+        raise ValueError("dtw_distances requires at least one candidate and "
+                         "non-empty sequences")
+    lengths = np.array([r.size for r in rows])
+    n, m = int(lengths.max()), b.size
+    a = np.zeros((len(rows), n + 1))  # a[k, i]: value i of candidate k, 1-based
+    for k, r in enumerate(rows):
+        a[k, 1:r.size + 1] = r
+    # acc[d, k * (n + 1) + i] is cell (i, j = d - i) of candidate k's matrix.
+    # Each diagonal is one flat row, so a step is three contiguous updates;
+    # where the shifted slices pair cell i = 0 of one candidate with cell n
+    # of the previous one, the cell's cost is inf and it stays inf.
+    i = np.arange(n + 1)
+    j = np.arange(n + m + 1)[:, None] - i
+    inside = (i >= 1) & (j >= 1) & (j <= m)
+    cost = np.abs(a[None, :, :] - b[np.clip(j, 1, m) - 1][:, None, :])
+    acc = np.where(inside[:, None, :], cost, np.inf).reshape(n + m + 1, -1)
+    acc[0, ::n + 1] = 0.0
+    best = np.empty(acc.shape[1] - 1)
+    for d in range(2, n + m + 1):
+        np.minimum(acc[d - 1, :-1], acc[d - 1, 1:], out=best)
+        np.minimum(best, acc[d - 2, :-1], out=best)
+        acc[d, 1:] += best
+    return acc[lengths + m, np.arange(len(rows)) * (n + 1) + lengths]
+
+
+def dtw_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """DTW distance of one pair; symmetric in its arguments."""
+    return float(dtw_distances([a], b)[0])
 
 
 def dtw_bruteforce(a: np.ndarray, b: np.ndarray) -> float:
@@ -301,7 +328,7 @@ def downsample(
         rng = np.random.default_rng(seed)
         chosen = sorted(rng.choice(len(sequences), size=k, replace=False))
     else:
-        dists = np.array([dtw_distance(s.values, reference.raw_values) for s in sequences])
+        dists = dtw_distances([s.values for s in sequences], reference.raw_values)
         chosen = sorted(np.argsort(dists, kind="stable")[:k])
     return [sequences[int(i)] for i in chosen]
 

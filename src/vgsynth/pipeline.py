@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,17 @@ from .runtime import RuntimeRecord, time_unit
 
 METHODS = ("nvg", "hvg", "nvmg", "vrp")
 DOWNSAMPLE_MODES = ("ds", "simds")
+
+
+# config-file section -> {option in the section: RunConfig field}
+_SECTIONS = {
+    "downsample": {"mode": "downsample_mode", "k": "downsample_k"},
+    "walk": {name: name for name in ("node_strategy", "value_policy", "restart_prob",
+                                     "switch_prob", "restart_jump")},
+    "evaluation": {name: name for name in ("split", "l2", "max_iter", "tol", "perplexity",
+                                           "embed_iterations", "mixing_k",
+                                           "embed_max_points")},
+}
 
 
 class ConfigError(ValueError):
@@ -79,6 +91,11 @@ class RunConfig:
             raise ConfigError("sequences_per_window and downsample k must be >= 1")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        split = self.split
+        if (not isinstance(split, (tuple, list)) or len(split) != 3
+                or not all(isinstance(r, Real) and r >= 0 for r in split)
+                or abs(sum(split) - 1.0) > 1e-9):
+            raise ConfigError(f"split must be 3 ratios >= 0 that sum to 1, got {split!r}")
         try:
             self.walk_config(target_length=self.window_length).validate()
         except ValueError as exc:
@@ -96,63 +113,40 @@ class RunConfig:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "input": self.input,
-            "out_dir": self.out_dir,
-            "seed": self.seed,
-            "workers": self.workers,
-            "window_length": self.window_length,
-            "stride": self.stride,
-            "methods": list(self.methods),
-            "similar_value_epsilon": self.similar_value_epsilon,
-            "sequences_per_window": self.sequences_per_window,
-            "downsample": {"mode": self.downsample_mode, "k": self.downsample_k},
-            "walk": {
-                "node_strategy": self.node_strategy,
-                "value_policy": self.value_policy,
-                "restart_prob": self.restart_prob,
-                "switch_prob": self.switch_prob,
-                "restart_jump": self.restart_jump,
-            },
-            "evaluation": {
-                "split": list(self.split),
-                "l2": self.l2,
-                "max_iter": self.max_iter,
-                "tol": self.tol,
-                "perplexity": self.perplexity,
-                "embed_iterations": self.embed_iterations,
-                "mixing_k": self.mixing_k,
-                "embed_max_points": self.embed_max_points,
-            },
-        }
+        section_of = {name: (section, option) for section, options in _SECTIONS.items()
+                      for option, name in options.items()}
+        out: dict = {}
+        for name in self.__dataclass_fields__:
+            value = getattr(self, name)
+            if isinstance(value, tuple):
+                value = list(value)
+            if name in section_of:
+                section, option = section_of[name]
+                out.setdefault(section, {})[option] = value
+            else:
+                out[name] = value
+        return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        known = {f for f in cls.__dataclass_fields__}
+        if not isinstance(data, dict):
+            raise ConfigError(f"config must be an object, got {data!r}")
         flat = {}
         for key, value in data.items():
-            if key == "downsample":
-                flat["downsample_mode"] = value.get("mode", cls.downsample_mode)
-                flat["downsample_k"] = value.get("k", cls.downsample_k)
-            elif key == "walk":
-                for wk, wv in value.items():
-                    if wk not in known:
-                        raise ConfigError(f"unknown walk option {wk!r}")
-                    flat[wk] = wv
-            elif key == "evaluation":
-                for ek, ev in value.items():
-                    if ek == "split":
-                        flat["split"] = tuple(ev)
-                    elif ek not in known:
-                        raise ConfigError(f"unknown evaluation option {ek!r}")
-                    else:
-                        flat[ek] = ev
-            elif key in known:
+            if key in _SECTIONS:
+                if not isinstance(value, dict):
+                    raise ConfigError(f"config section {key!r} must be an object, got {value!r}")
+                for option, option_value in value.items():
+                    if option not in _SECTIONS[key]:
+                        raise ConfigError(f"unknown {key} option {option!r}")
+                    flat[_SECTIONS[key][option]] = option_value
+            elif key in cls.__dataclass_fields__:
                 flat[key] = value
             else:
                 raise ConfigError(f"unknown config option {key!r}")
-        if "methods" in flat:
-            flat["methods"] = tuple(flat["methods"])
+        for name in ("methods", "split"):
+            if isinstance(flat.get(name), list):
+                flat[name] = tuple(flat[name])
         return cls(**flat)
 
     @classmethod
@@ -181,14 +175,19 @@ _BUILDERS = {"nvg": build_nvg, "hvg": build_hvg}
 
 
 def _generate_for_window(method: str, window: Window, config: RunConfig) -> list[SyntheticSequence]:
-    """All kept sequences for one (method, window) pair."""
+    """All kept sequences for one (method, window) pair.
+
+    The window's graph is built once and shared by its candidates: walks
+    keep their round-robin cursors in their own state and never change it.
+    """
+    if method != "vrp":
+        graph = _BUILDERS[method](window)
     candidates = []
     for i in range(config.sequences_per_window):
         seq_seed = derive_seed(config.seed, window.ticker, window.start_index, method, i)
         if method == "vrp":
             candidates.append(vrp_generate(window, seed=seq_seed))
         else:
-            graph = _BUILDERS[method](window)
             walk = config.walk_config(target_length=window.length, seed=seq_seed)
             candidates.append(generate_sequence(graph, walk))
     ds_seed = derive_seed(config.seed, window.ticker, window.start_index, method, "downsample")

@@ -110,15 +110,18 @@ def write_runtime_log(records: list[RuntimeRecord], path: str | Path) -> None:
                 "unit_kind": rec.unit_kind,
                 "method": rec.method,
                 "elapsed_ms": rec.elapsed_ms,
+                "valid": rec.valid,
             }) + "\n")
 
 
 def read_runtime_log(path: str | Path) -> list[RuntimeRecord]:
+    """Read a runtime log; a record without ``valid`` (older logs) is valid."""
     out = []
     with Path(path).open() as fh:
         for line in fh:
             rec = json.loads(line)
             out.append(RuntimeRecord(unit_id=rec["unit_id"], method=rec["method"],
                                      elapsed_ms=rec["elapsed_ms"],
-                                     unit_kind=rec["unit_kind"]))
+                                     unit_kind=rec["unit_kind"],
+                                     valid=rec.get("valid", True)))
     return out

@@ -66,6 +66,14 @@ class TestGenerateCommand:
         err = capsys.readouterr().err
         assert "wavelet" in err and "nvg" in err
 
+    def test_bad_split_exits_2_without_output(self, tmp_path, corpus_csv, capsys):
+        out = tmp_path / "out"
+        cfg = config_file(tmp_path, corpus_csv, out,
+                          evaluation={"split": [0.6, 0.3, 0.3]})
+        assert main(["generate", "--config", str(cfg)]) == 2
+        assert "split" in capsys.readouterr().err
+        assert not (out / "sequences_vrp.jsonl").exists()
+
     def test_missing_input_exits_1(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"input": str(tmp_path / "ghost.csv")}))

@@ -4,7 +4,8 @@ import pytest
 from vgsynth.errors import GraphIntegrityError
 from vgsynth.generate import (DownsampleWarning, SyntheticSequence, WalkConfig,
                               _WalkState, derive_seed, downsample,
-                              dtw_bruteforce, dtw_distance, generate_sequence,
+                              dtw_bruteforce, dtw_distance, dtw_distances,
+                              generate_sequence,
                               next_node, next_value, vrp_generate)
 from vgsynth.graphs import GraphNode, VisibilityGraph, build_multigraph, build_nvg
 
@@ -159,6 +160,18 @@ class TestVRP:
             assert abs(count / 6000 - 1 / 6) <= 0.02
 
 
+def dtw_row_loop(a, b):
+    """Row-by-row DTW recurrence: the wavefront must equal it bit for bit."""
+    n, m = len(a), len(b)
+    acc = np.full((n + 1, m + 1), np.inf)
+    acc[0, 0] = 0.0
+    for i in range(1, n + 1):
+        cost = np.abs(a[i - 1] - b)
+        for j in range(1, m + 1):
+            acc[i, j] = cost[j - 1] + min(acc[i - 1, j], acc[i, j - 1], acc[i - 1, j - 1])
+    return float(acc[n, m])
+
+
 class TestDTW:
     def test_self_distance_zero(self, rng):
         x = rng.random(12)
@@ -188,6 +201,29 @@ class TestDTW:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             dtw_distance([], [1.0])
+
+    def test_batched_rows_equal_pairwise_and_row_loop(self, rng):
+        for _ in range(100):
+            ref = rng.random(int(rng.integers(1, 25)))
+            cands = [rng.random(int(rng.integers(1, 25)))
+                     for _ in range(int(rng.integers(1, 12)))]
+            cands.append(rng.random(1))
+            batched = dtw_distances(cands, ref)
+            assert batched.shape == (len(cands),)
+            for cand, d in zip(cands, batched):
+                assert d == dtw_distance(cand, ref) == dtw_row_loop(cand, ref)
+
+    def test_batched_matches_bruteforce(self, rng):
+        for _ in range(30):
+            ref = rng.random(int(rng.integers(1, 8)))
+            cands = [rng.random(int(rng.integers(1, 8))) for _ in range(5)]
+            for cand, d in zip(cands, dtw_distances(cands, ref)):
+                assert d == pytest.approx(dtw_bruteforce(cand, ref), abs=1e-9)
+
+    @pytest.mark.parametrize("cands, ref", [([[1.0], []], [1.0]), ([[1.0]], []), ([], [1.0])])
+    def test_batched_empty_rejected(self, cands, ref):
+        with pytest.raises(ValueError):
+            dtw_distances(cands, ref)
 
 
 def seq_of(values, ticker="T", start=0, seed=0):
@@ -220,6 +256,16 @@ class TestDownsample:
             assert dtw_bruteforce(s.values, ref.raw_values) == pytest.approx(d)
         kept = downsample([far, near, mid], ref, k=2, mode="simds", seed=0)
         assert kept == [near, mid]
+
+    def test_simds_tie_keeps_earlier(self):
+        ref = make_scaled_window([0.0, 0.0, 0.0])
+        far = seq_of([2.0, 2.0, 2.0])
+        first = seq_of([0.0, 0.0, 1.0])
+        second = seq_of([1.0, 0.0, 0.0])  # same distance as ``first``
+        assert dtw_distance(first.values, ref.raw_values) == \
+            dtw_distance(second.values, ref.raw_values)
+        assert downsample([far, first, second], ref, k=1, mode="simds") == [first]
+        assert downsample([far, second, first], ref, k=1, mode="simds") == [second]
 
     def test_ds_is_seeded_subset(self, rng):
         seqs = [seq_of(rng.random(5), seed=i) for i in range(10)]

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from vgsynth import pipeline
 from vgsynth.corpus import make_desk_corpus, write_corpus_csv
 from vgsynth.pipeline import (ConfigError, RunConfig, read_sequences,
                               run_evaluation, run_generation, sequences_path,
@@ -54,6 +55,41 @@ class TestRunConfig:
     def test_unknown_option_rejected(self):
         with pytest.raises(ConfigError):
             RunConfig.from_dict({"input": "x", "gpu": True})
+
+    @pytest.mark.parametrize("section, option", [("downsample", "kk"), ("walk", "seed"),
+                                                 ("evaluation", "methods")])
+    def test_option_outside_its_section_rejected(self, section, option):
+        with pytest.raises(ConfigError, match=f"{section} option '{option}'"):
+            RunConfig.from_dict({"input": "x", section: {option: 2}})
+
+    def test_downsample_section_is_optional_per_key(self):
+        config = RunConfig.from_dict({"input": "x", "downsample": {"k": 3}})
+        assert (config.downsample_mode, config.downsample_k) == ("simds", 3)
+
+    @pytest.mark.parametrize("split", [(0.5, 0.5), (0.7, 0.15, 0.1),
+                                       (1.2, -0.1, -0.1), (0.5, 0.2, 0.2, 0.1)])
+    def test_bad_split_rejected_before_generation(self, tiny_corpus_csv, monkeypatch, split):
+        def no_generation(*args, **kwargs):
+            raise AssertionError("generation ran before the split was checked")
+
+        monkeypatch.setattr(pipeline, "prepare_windows", no_generation)
+        config = tiny_config(tiny_corpus_csv, split=split)
+        with pytest.raises(ConfigError, match="split"):
+            run_generation(config)
+
+    @pytest.mark.parametrize("data", [{"downsample": "ds"}, {"walk": []},
+                                      {"evaluation": {"split": 5}},
+                                      {"evaluation": {"split": ["a", 0.5, 0.5]}}])
+    def test_malformed_sections_are_config_errors(self, data):
+        with pytest.raises(ConfigError):
+            RunConfig.from_dict({"input": "x", **data}).validate()
+
+    def test_non_object_config_is_config_error(self):
+        with pytest.raises(ConfigError):
+            RunConfig.from_dict([1, 2])
+
+    def test_split_within_rounding_accepted(self, tiny_corpus_csv):
+        tiny_config(tiny_corpus_csv, split=(0.7, 0.2, 0.1 + 1e-12)).validate()
 
     def test_from_file(self, tmp_path, tiny_corpus_csv):
         config = tiny_config(tiny_corpus_csv)

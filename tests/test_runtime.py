@@ -90,6 +90,21 @@ def test_log_round_trip(tmp_path):
         [(r.unit_id, r.method, r.elapsed_ms, r.unit_kind) for r in records]
 
 
+def test_log_keeps_invalid_records(tmp_path):
+    records = [RuntimeRecord("t0", "nvg", 12),
+               RuntimeRecord("t1", "nvg", 5, valid=False)]
+    path = tmp_path / "runtime.jsonl"
+    write_runtime_log(records, path)
+    assert [r.valid for r in read_runtime_log(path)] == [True, False]
+
+
+def test_log_without_valid_field_reads_as_valid(tmp_path):
+    path = tmp_path / "runtime.jsonl"
+    path.write_text('{"unit_id": "t0", "unit_kind": "ticker", "method": "nvg", '
+                    '"elapsed_ms": 3}\n')
+    assert read_runtime_log(path) == [RuntimeRecord("t0", "nvg", 3)]
+
+
 def test_summary_table_contains_methods():
     records = [RuntimeRecord("t", "nvg", 39_000), RuntimeRecord("s", "nvmg", 65_000,
                                                                 unit_kind="segment")]
