@@ -208,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", type=str, default=None, help="date,ticker,close file")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--workers", type=int, default=None)
-        p.add_argument("--window", type=int, default=None, choices=(20, 60))
+        p.add_argument("--window", type=int, default=None, help="window length (>= 3)")
         p.add_argument("--methods", type=str, default=None,
                        help="comma-separated subset of nvg,hvg,nvmg,vrp")
         p.add_argument("--out", type=str, default=None, help="output directory")

@@ -84,6 +84,10 @@ def embed_2d(points, perplexity: float = 30.0, iterations: int = 1000,
     Inputs with more than ``max_points`` rows are subsampled (seeded,
     uniform); the embedded row positions are reported in ``indices``.
     Identical inputs and seed give identical coordinates.
+
+    Each descent step keeps its per-pair values on the n(n-1)/2 pairs, in
+    reused buffers; only the normaliser Z, the row sums and the gradient use
+    the full n x n matrix.
     """
     X = np.asarray(points, dtype=float)
     if X.ndim != 2:
@@ -102,29 +106,42 @@ def embed_2d(points, perplexity: float = 30.0, iterations: int = 1000,
 
     D2 = squareform(pdist(X, "sqeuclidean"))
     P_cond, _ = conditional_affinities(D2, perplexity)
-    P = (P_cond + P_cond.T) / (2.0 * n)
+    # joint affinities of the n(n-1)/2 pairs, in pdist order (P is symmetric)
+    P = squareform((P_cond + P_cond.T) / (2.0 * n), checks=False)
 
     Y = rng.normal(0.0, 1e-4, size=(n, 2))
     update = np.zeros_like(Y)
     gains = np.ones_like(Y)
     kl_trace: list[float] = []
     eps = np.finfo(float).eps
+    num, Q, W = np.empty_like(P), np.empty_like(P), np.empty_like(P)
 
     for it in range(1, iterations + 1):
         exag = EARLY_EXAGGERATION if it <= EXAGGERATION_ITERS else 1.0
         momentum = 0.5 if it <= EXAGGERATION_ITERS else 0.8
-        Peff = P * exag
+        if it in (1, EXAGGERATION_ITERS + 1):
+            Peff = P * exag
+            positive = Peff[Peff > 0]
+            # the KL sum runs over the full matrix, so every pair counts twice
+            kl_const = 2.0 * float(np.sum(positive * np.log(positive)))
 
-        dist2 = squareform(pdist(Y, "sqeuclidean"))
-        num = 1.0 / (1.0 + dist2)
-        np.fill_diagonal(num, 0.0)
-        Q = np.maximum(num / num.sum(), eps)
+        pdist(Y, "sqeuclidean", out=num)
+        num += 1.0
+        np.divide(1.0, num, out=num)
+        # Z, the row sums and the gradient are reduced over the full n x n
+        # matrix: the coordinates' bits depend on that summation order
+        np.divide(num, squareform(num).sum(), out=Q)
+        np.maximum(Q, eps, out=Q)
 
-        W = (Peff - Q) * num
-        grad = 4.0 * (np.diag(W.sum(axis=1)) - W) @ Y
+        np.subtract(Peff, Q, out=W)
+        W *= num
+        L = squareform(W, checks=False)
+        row_sums = L.sum(axis=1)
+        np.subtract(0.0, L, out=L)
+        np.fill_diagonal(L, row_sums)  # L = diag(row sums) - W
+        grad = 4.0 * (L @ Y)
 
-        mask = Peff > 0
-        kl_trace.append(float(np.sum(Peff[mask] * np.log(Peff[mask] / Q[mask]))))
+        kl_trace.append(kl_const - 2.0 * float(Peff @ np.log(Q, out=Q)))  # Q is spent
 
         inc = (grad * update) < 0
         gains[inc] += 0.2

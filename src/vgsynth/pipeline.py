@@ -37,6 +37,9 @@ _SECTIONS = {
                                            "embed_iterations", "mixing_k",
                                            "embed_max_points")},
 }
+# RunConfig field -> (section, option): its only spelling in a config file
+_SECTION_OF = {name: (section, option) for section, options in _SECTIONS.items()
+               for option, name in options.items()}
 
 
 class ConfigError(ValueError):
@@ -113,15 +116,13 @@ class RunConfig:
         )
 
     def to_dict(self) -> dict:
-        section_of = {name: (section, option) for section, options in _SECTIONS.items()
-                      for option, name in options.items()}
         out: dict = {}
         for name in self.__dataclass_fields__:
             value = getattr(self, name)
             if isinstance(value, tuple):
                 value = list(value)
-            if name in section_of:
-                section, option = section_of[name]
+            if name in _SECTION_OF:
+                section, option = _SECTION_OF[name]
                 out.setdefault(section, {})[option] = value
             else:
                 out[name] = value
@@ -140,6 +141,10 @@ class RunConfig:
                     if option not in _SECTIONS[key]:
                         raise ConfigError(f"unknown {key} option {option!r}")
                     flat[_SECTIONS[key][option]] = option_value
+            elif key in _SECTION_OF:
+                section, option = _SECTION_OF[key]
+                raise ConfigError(f"option {key!r} belongs in the {section!r} section: "
+                                  f"write it as {section}.{option}")
             elif key in cls.__dataclass_fields__:
                 flat[key] = value
             else:
@@ -279,18 +284,25 @@ def write_sequences(sequences: list[SyntheticSequence], path: str | Path) -> Non
 def read_sequences(path: str | Path,
                    windows_by_key: dict[tuple[str, int], Window] | None = None
                    ) -> list[SyntheticSequence]:
-    """Read generated sequences; re-attach source-window scales when given."""
+    """Read generated sequences; re-attach source-window scales when given.
+
+    With ``windows_by_key``, every record's (ticker, window_start) must name
+    one of its windows: a record that names none raises ValueError. Without
+    it, sequences keep a 0..1 scale and no scaled values.
+    """
     out = []
     with Path(path).open() as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             rec = json.loads(line)
-            key = (rec["ticker"], rec["window_start"])
-            window = windows_by_key.get(key) if windows_by_key else None
-            lo = window.scale_min if window is not None else 0.0
-            hi = window.scale_max if window is not None else 1.0
             values = np.array(rec["values"], dtype=float)
-            scaled = None
-            if window is not None:
+            lo, hi, scaled = 0.0, 1.0, None
+            if windows_by_key is not None:
+                key = (rec["ticker"], rec["window_start"])
+                window = windows_by_key.get(key)
+                if window is None:
+                    raise ValueError(f"{path}:{lineno}: no input window for "
+                                     f"(ticker, window_start) {key}")
+                lo, hi = window.scale_min, window.scale_max
                 scaled = (values - lo) / (hi - lo) if hi > lo else np.full_like(values, 0.5)
             out.append(SyntheticSequence(
                 values=values, scaled_values=scaled, method=rec["method"],

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from vgsynth import cli
 from vgsynth.cli import cmd_selftest, main
 from vgsynth.corpus import make_desk_corpus, write_corpus_csv
 from vgsynth.graphs import build_nvg
@@ -74,6 +75,20 @@ class TestGenerateCommand:
         assert "split" in capsys.readouterr().err
         assert not (out / "sequences_vrp.jsonl").exists()
 
+    def test_any_valid_window_length_runs(self, tmp_path, corpus_csv):
+        out = tmp_path / "out"
+        cfg = config_file(tmp_path, corpus_csv, out)
+        assert main(["generate", "--config", str(cfg), "--window", "30"]) == 0
+        snapshot = json.loads((out / "config_snapshot.json").read_text())
+        assert snapshot["window_length"] == 30
+
+    def test_too_short_window_exits_2(self, tmp_path, corpus_csv, capsys):
+        out = tmp_path / "out"
+        cfg = config_file(tmp_path, corpus_csv, out)
+        assert main(["generate", "--config", str(cfg), "--window", "2"]) == 2
+        assert "window length must be >= 3" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_input_exits_1(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"input": str(tmp_path / "ghost.csv")}))
@@ -100,6 +115,23 @@ class TestEvaluateCommand:
         triple = report["methods"]["vrp"]
         assert {"auc_real", "auc_synthetic", "auc_mixed", "mixing_score"} <= set(triple)
         assert (out / "embedding_vrp.csv").exists()
+
+    def test_sequences_from_other_windows_exit_1(self, tmp_path, eval_corpus_csv, capsys,
+                                                  monkeypatch):
+        out = tmp_path / "out"
+        cfg = config_file(tmp_path, eval_corpus_csv, out)
+        assert main(["generate", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+
+        def no_evaluation(*args, **kwargs):
+            raise AssertionError("evaluation ran with unmatched sequences")
+
+        monkeypatch.setattr(cli, "run_evaluation", no_evaluation)
+        # window 30 has no window starting at 20, where a window-20 sequence sits
+        assert main(["evaluate", "--config", str(cfg), "--window", "30"]) == 1
+        err = capsys.readouterr().err
+        assert "sequences_vrp.jsonl" in err and "20)" in err
+        assert not (out / "report.json").exists()
 
     def test_missing_generated_file_exits_1(self, tmp_path, corpus_csv, capsys):
         out = tmp_path / "empty_out"

@@ -1,9 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import pdist, squareform
 
-from vgsynth.embedding import (conditional_affinities, embed_2d,
-                               embedding_overlap, mixing_score,
+from vgsynth import embedding
+from vgsynth.embedding import (EARLY_EXAGGERATION, EXAGGERATION_ITERS,
+                               MAX_EMBED_POINTS, conditional_affinities,
+                               embed_2d, embedding_overlap, mixing_score,
                                write_embedding_csv)
 from vgsynth.errors import UndefinedMetricError
 
@@ -59,6 +63,110 @@ class TestEmbed2d:
         assert emb.coords.shape == (50, 2)
         assert emb.indices.shape == (50,)
         assert np.all(np.diff(emb.indices) > 0)
+
+
+def reference_embed_2d(points, perplexity: float = 30.0, iterations: int = 1000,
+                       seed: int = 0, max_points: int = MAX_EMBED_POINTS,
+                       learning_rate: float = 200.0) -> embedding.Embedding:
+    """``embed_2d`` as first written, on full n x n matrices every iteration.
+
+    Kept verbatim but for the input checks, as the reference: ``embed_2d``
+    now works on the n(n-1)/2 pairs, and its coordinates must equal these
+    bit for bit, and its KL trace within rounding.
+    """
+    X = np.asarray(points, dtype=float)
+    n = X.shape[0]
+    rng = np.random.default_rng(seed)
+    indices = np.arange(n)
+    if n > max_points:
+        indices = np.sort(rng.choice(n, size=max_points, replace=False))
+        X = X[indices]
+        n = max_points
+
+    D2 = squareform(pdist(X, "sqeuclidean"))
+    P_cond, _ = conditional_affinities(D2, perplexity)
+    P = (P_cond + P_cond.T) / (2.0 * n)
+
+    Y = rng.normal(0.0, 1e-4, size=(n, 2))
+    update = np.zeros_like(Y)
+    gains = np.ones_like(Y)
+    kl_trace: list[float] = []
+    eps = np.finfo(float).eps
+
+    for it in range(1, iterations + 1):
+        exag = EARLY_EXAGGERATION if it <= EXAGGERATION_ITERS else 1.0
+        momentum = 0.5 if it <= EXAGGERATION_ITERS else 0.8
+        Peff = P * exag
+
+        dist2 = squareform(pdist(Y, "sqeuclidean"))
+        num = 1.0 / (1.0 + dist2)
+        np.fill_diagonal(num, 0.0)
+        Q = np.maximum(num / num.sum(), eps)
+
+        W = (Peff - Q) * num
+        grad = 4.0 * (np.diag(W.sum(axis=1)) - W) @ Y
+
+        mask = Peff > 0
+        kl_trace.append(float(np.sum(Peff[mask] * np.log(Peff[mask] / Q[mask]))))
+
+        inc = (grad * update) < 0
+        gains[inc] += 0.2
+        gains[~inc] *= 0.8
+        np.clip(gains, 0.01, None, out=gains)
+        update = momentum * update - learning_rate * gains * grad
+        Y = Y + update
+        Y = Y - Y.mean(axis=0)
+
+    return embedding.Embedding(coords=Y, indices=indices, kl_trace=kl_trace)
+
+
+def two_clouds(seed, n, dim=6):
+    rng = np.random.default_rng(seed)
+    return np.vstack([gaussian_cloud(rng, n // 2, dim=dim),
+                      gaussian_cloud(rng, n - n // 2, dim=dim, center=1.5)])
+
+
+# (points, embed_2d arguments, sha256 of the coordinates' bytes); the digests
+# were recorded with the full-matrix loop, before the pair-buffer rewrite
+PINNED_EMBEDDINGS = {
+    "across_exaggeration_boundary": (
+        two_clouds(11, 60), dict(perplexity=10, iterations=300, seed=4),
+        "06d26cc7c77151a6c8de7ce015582582b7d29a485709a7f781e691d3b8b4bce6"),
+    "subsampled": (
+        two_clouds(12, 90), dict(perplexity=12, iterations=260, seed=9, max_points=70),
+        "53dcf54ae24c5a18384b14d841029ef0e9d0727ef96dcde5def5b0b377c0eab6"),
+    "four_points": (
+        two_clouds(13, 4), dict(perplexity=2, iterations=300, seed=1),
+        "c68d4e4297a6f5bc97f6bb1c73a5b69112ff92b77f320f0cf1f559bc392a93e1"),
+}
+
+
+class TestEmbed2dMatchesReference:
+    @pytest.mark.parametrize("case", sorted(PINNED_EMBEDDINGS))
+    def test_coordinates_bit_identical(self, case):
+        points, kwargs, digest = PINNED_EMBEDDINGS[case]
+        emb = embed_2d(points, **kwargs)
+        ref = reference_embed_2d(points, **kwargs)
+        assert emb.coords.tobytes() == ref.coords.tobytes()
+        np.testing.assert_array_equal(emb.indices, ref.indices)
+        assert hashlib.sha256(emb.coords.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("case", sorted(PINNED_EMBEDDINGS))
+    def test_kl_trace_within_rounding(self, case):
+        points, kwargs, _ = PINNED_EMBEDDINGS[case]
+        emb = embed_2d(points, **kwargs)
+        ref = reference_embed_2d(points, **kwargs)
+        assert len(emb.kl_trace) == kwargs["iterations"]
+        np.testing.assert_allclose(emb.kl_trace, ref.kl_trace, rtol=1e-12, atol=0)
+
+    def test_overlap_mixing_equal(self, monkeypatch):
+        real, synth = two_clouds(14, 120), two_clouds(15, 100) + 0.1
+        kwargs = dict(perplexity=15, iterations=300, seed=2, k=5)
+        result = embedding_overlap(real, synth, **kwargs)
+        monkeypatch.setattr(embedding, "embed_2d", reference_embed_2d)
+        ref = embedding_overlap(real, synth, **kwargs)
+        assert result.coords.tobytes() == ref.coords.tobytes()
+        assert result.mixing == ref.mixing
 
 
 class TestMixingScore:

@@ -62,6 +62,13 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=f"{section} option '{option}'"):
             RunConfig.from_dict({"input": "x", section: {option: 2}})
 
+    @pytest.mark.parametrize("key, spelling", [("downsample_mode", "downsample.mode"),
+                                               ("node_strategy", "walk.node_strategy"),
+                                               ("perplexity", "evaluation.perplexity")])
+    def test_sectioned_option_at_top_level_rejected(self, key, spelling):
+        with pytest.raises(ConfigError, match=spelling.replace(".", r"\.")):
+            RunConfig.from_dict({"input": "x", key: getattr(RunConfig(), key)})
+
     def test_downsample_section_is_optional_per_key(self):
         config = RunConfig.from_dict({"input": "x", "downsample": {"k": 3}})
         assert (config.downsample_mode, config.downsample_k) == ("simds", 3)
@@ -136,6 +143,20 @@ class TestGeneration:
         for a, b in zip(by_method["nvg"], back):
             assert (a.ticker, a.window_start, a.seed) == (b.ticker, b.window_start, b.seed)
             np.testing.assert_allclose(a.values, b.values, rtol=0, atol=0)
+            # without the input windows, a 0..1 scale and no scaled values
+            assert (b.scale_min, b.scale_max, b.scaled_values) == (0.0, 1.0, None)
+
+    def test_read_with_windows_rejects_unknown_window(self, tiny_corpus_csv, tmp_path):
+        config = tiny_config(tiny_corpus_csv, methods=("vrp",))
+        path = sequences_path(tmp_path, "vrp")
+        write_sequences(run_generation(config)[0]["vrp"], path)
+        windows_by_key = {(w.ticker, w.start_index): w
+                          for ws in pipeline.prepare_windows(config).values() for w in ws}
+        first = min(windows_by_key)
+        assert len(read_sequences(path, windows_by_key)) > 0
+        del windows_by_key[first]
+        with pytest.raises(ValueError, match=rf"{path.name}.*{first[0]!r}, {first[1]}"):
+            read_sequences(path, windows_by_key)
 
     def test_byte_identical_reruns(self, tiny_corpus_csv, tmp_path):
         config = tiny_config(tiny_corpus_csv)
