@@ -13,12 +13,12 @@ from .errors import (DuplicateRowError, GraphIntegrityError, SchemaError,
                      SegmentMismatchError, UndefinedMetricError)
 from .evaluate import (EvalReport, FeatureRow, LogisticClassifier,
                        chronological_split, extract_features, roc_auc,
-                       run_experiment, score, train_classifier)
+                       run_experiment)
 from .generate import (SyntheticSequence, WalkConfig, derive_seed, downsample,
                        dtw_distance, dtw_distances, generate_sequence,
                        next_node, next_value, vrp_generate)
-from .graphs import (GraphNode, MultiGraph, VisibilityGraph, build_hvg,
-                     build_multigraph, build_nvg, dump_graph)
+from .graphs import (Graph, GraphNode, build_hvg, build_multigraph, build_nvg,
+                     dump_graph)
 from .ingest import (TimeSeries, Window, inverse_scale, load_series,
                      minmax_scale, slice_windows)
 from .pipeline import RunConfig, run_evaluation, run_generation
@@ -27,17 +27,16 @@ from .runtime import RuntimeRecord, aggregate, format_duration, time_unit
 __version__ = "0.1.0"
 
 __all__ = [
-    "DuplicateRowError", "Embedding", "EvalReport", "FeatureRow",
-    "GraphIntegrityError", "GraphNode", "LogisticClassifier", "MultiGraph",
-    "RunConfig", "RuntimeRecord", "SchemaError", "SegmentMismatchError",
-    "SyntheticSequence", "TimeSeries", "UndefinedMetricError",
-    "VisibilityGraph", "WalkConfig", "Window", "aggregate", "build_hvg",
-    "build_multigraph", "build_nvg", "chronological_split", "derive_seed",
-    "downsample", "dtw_distance", "dtw_distances", "dump_graph", "embed_2d",
-    "embedding_overlap", "extract_features", "format_duration",
-    "generate_sequence", "inverse_scale", "load_series", "make_desk_corpus",
-    "minmax_scale", "mixing_score", "next_node", "next_value", "roc_auc",
-    "run_evaluation", "run_experiment", "run_generation", "score",
-    "slice_windows", "time_unit", "train_classifier", "vrp_generate",
-    "write_corpus_csv",
+    "DuplicateRowError", "Embedding", "EvalReport", "FeatureRow", "Graph",
+    "GraphIntegrityError", "GraphNode", "LogisticClassifier", "RunConfig",
+    "RuntimeRecord", "SchemaError", "SegmentMismatchError",
+    "SyntheticSequence", "TimeSeries", "UndefinedMetricError", "WalkConfig",
+    "Window", "aggregate", "build_hvg", "build_multigraph", "build_nvg",
+    "chronological_split", "derive_seed", "downsample", "dtw_distance",
+    "dtw_distances", "dump_graph", "embed_2d", "embedding_overlap",
+    "extract_features", "format_duration", "generate_sequence",
+    "inverse_scale", "load_series", "make_desk_corpus", "minmax_scale",
+    "mixing_score", "next_node", "next_value", "roc_auc", "run_evaluation",
+    "run_experiment", "run_generation", "slice_windows", "time_unit",
+    "vrp_generate", "write_corpus_csv",
 ]

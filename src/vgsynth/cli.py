@@ -32,8 +32,6 @@ def _load_config(args) -> RunConfig:
         overrides["input"] = args.input
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if args.workers is not None:
-        overrides["workers"] = args.workers
     if args.window is not None:
         overrides["window_length"] = args.window
     if args.methods is not None:
@@ -207,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=str, default=None, help="JSON config file")
         p.add_argument("--input", type=str, default=None, help="date,ticker,close file")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--workers", type=int, default=None)
         p.add_argument("--window", type=int, default=None, help="window length (>= 3)")
         p.add_argument("--methods", type=str, default=None,
                        help="comma-separated subset of nvg,hvg,nvmg,vrp")

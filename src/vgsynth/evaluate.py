@@ -244,21 +244,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def train_classifier(rows: list[FeatureRow], **hyperparams) -> LogisticClassifier:
-    """Fit the reference classifier on a list of feature rows."""
-    if not rows:
-        raise ValueError("training set is empty")
-    X = np.array([r.vector() for r in rows])
-    y = np.array([r.label for r in rows])
-    model = LogisticClassifier(**hyperparams)
-    return model.fit(X, y)
-
-
-def score(model, row: FeatureRow) -> float:
-    """Positive-class probability for one row."""
-    return float(model.predict_proba(row.vector()[None, :])[0])
-
-
 @dataclass
 class MethodEval:
     """AUC triple (and optional mixing score) for one generation method."""

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import GraphIntegrityError
-from .graphs import GraphNode, MultiGraph, VisibilityGraph
+from .graphs import Graph, GraphNode
 from .ingest import Window, inverse_transform
 
 NODE_STRATEGIES = (
@@ -159,14 +159,15 @@ def next_value(node: GraphNode, policy: str, state: _WalkState) -> float:
 
 
 def generate_sequence(
-    graph: VisibilityGraph | MultiGraph,
+    graph: Graph,
     config: WalkConfig,
     ticker: str | None = None,
 ) -> SyntheticSequence:
     """Walk ``graph`` and emit a sequence of ``config.target_length`` values.
 
-    For a multigraph, ``ticker`` anchors the walk start at that ticker's
-    first node and selects the scale used for the inverse transform.
+    ``ticker`` anchors the walk start at that ticker's first node and
+    selects the scale used for the inverse transform; without it the graph's
+    first ticker is used, which is the only one of a single window's graph.
     """
     config.validate()
     rng = np.random.default_rng(config.seed)
@@ -185,25 +186,17 @@ def generate_sequence(
     scaled_arr = np.array(scaled, dtype=float)
     scale_min, scale_max, is_constant = graph.scale_for(ticker)
     values = inverse_transform(scaled_arr, scale_min, scale_max, is_constant)
-    source_ticker, window_start, _ = _graph_source(graph, ticker)
     return SyntheticSequence(
         values=values,
         scaled_values=scaled_arr,
         method=graph.kind,
-        ticker=source_ticker,
-        window_start=window_start,
+        ticker=graph.tickers[0] if ticker is None else ticker,
+        window_start=graph.segment[0],
         seed=config.seed,
         scale_min=scale_min,
         scale_max=scale_max,
         config=config,
     )
-
-
-def _graph_source(graph, ticker: str | None) -> tuple[str, int, int]:
-    if isinstance(graph, MultiGraph):
-        start, length = graph.segment
-        return (ticker if ticker is not None else graph.tickers[0], start, length)
-    return graph.source
 
 
 def vrp_generate(window: Window, seed: int = 0) -> SyntheticSequence:
@@ -336,8 +329,8 @@ def downsample(
 def derive_seed(master_seed: int, *parts) -> int:
     """Stable per-unit seed from the master seed and unit identity.
 
-    Independent of worker scheduling: the same (master seed, parts) always
-    yields the same value.
+    Independent of the order units run in: the same (master seed, parts)
+    always yields the same value.
     """
     key = ":".join([str(master_seed)] + [str(p) for p in parts])
     digest = hashlib.sha256(key.encode()).digest()

@@ -12,10 +12,14 @@ different tickers at the same time index are linked by co-occurrence edges,
 nodes of different tickers with nearly equal scaled values by similar-value
 edges, and nodes with the same time index and exactly equal scaled value are
 merged (their parallel edges add up as multiplicity).
+
+Every graph is a ``Graph``: a single window's NVG or HVG is the one-ticker
+case of the same class the multigraph uses.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -46,188 +50,30 @@ class GraphNode:
 
 
 @dataclass
-class VisibilityGraph:
-    """Undirected visibility graph of a single scaled window.
+class Graph:
+    """Undirected (multi)graph over the windows of one time segment.
 
-    ``edges`` maps an ordered pair (u, v) with u < v to its multiplicity.
-    ``scale`` carries the source window's (scale_min, scale_max, is_constant)
-    so generated sequences can be mapped back to price space.
+    ``edges`` maps (u, v, kind) with u < v to multiplicity. ``merge_map``
+    resolves (ticker, time_index) to its node id, and ``scales`` carries each
+    ticker's (scale_min, scale_max, is_constant) so generated sequences can
+    be mapped back to price space. A single window's NVG or HVG is the
+    one-ticker case; the cross-ticker NVMG joins several tickers.
     """
 
     kind: str
-    nodes: list[GraphNode]
-    edges: dict[tuple[int, int], int]
-    source: tuple[str, int, int]  # (ticker, start_index, length)
-    scale: tuple[float, float, bool] = (0.0, 1.0, False)
-    _adjacency: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
-    _multiplicities: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        nbrs: dict[int, dict[int, int]] = {n.node_id: {} for n in self.nodes}
-        for (u, v), mult in self.edges.items():
-            if u == v:
-                raise ValueError(f"self-loop on node {u}")
-            nbrs[u][v] = nbrs[u].get(v, 0) + mult
-            nbrs[v][u] = nbrs[v].get(u, 0) + mult
-        for nid, d in nbrs.items():
-            ids = np.array(sorted(d), dtype=int)
-            self._adjacency[nid] = ids
-            self._multiplicities[nid] = np.array([d[i] for i in ids], dtype=int)
-
-    @property
-    def num_nodes(self) -> int:
-        return len(self.nodes)
-
-    def neighbor_ids(self, node_id: int) -> np.ndarray:
-        return self._adjacency[node_id]
-
-    def weighted_neighbors(self, node_id: int) -> tuple[np.ndarray, np.ndarray]:
-        return self._adjacency[node_id], self._multiplicities[node_id]
-
-    def cross_ticker_neighbor_ids(self, node_id: int) -> np.ndarray:
-        return np.empty(0, dtype=int)
-
-    def first_node(self, ticker: str | None = None) -> int:
-        """Node holding the smallest time index."""
-        return min(self.nodes, key=lambda n: min(n.time_indices)).node_id
-
-    def scale_for(self, ticker: str | None = None) -> tuple[float, float, bool]:
-        return self.scale
-
-
-def _require_scaled(window: Window) -> np.ndarray:
-    if window.length < 2:
-        raise ValueError(f"window of length {window.length} cannot form a visibility graph")
-    if window.scaled_values is None:
-        raise ValueError("window must be min-max scaled before graph construction")
-    return np.asarray(window.scaled_values, dtype=float)
-
-
-def _single_value_nodes(window: Window) -> list[GraphNode]:
-    return [
-        GraphNode(node_id=i, time_indices=[i], values=[float(v)], ticker_tags=[window.ticker])
-        for i, v in enumerate(window.scaled_values)
-    ]
-
-
-def _window_scale(window: Window) -> tuple[float, float, bool]:
-    return (float(window.scale_min), float(window.scale_max), bool(window.is_constant))
-
-
-def build_nvg(window: Window) -> VisibilityGraph:
-    """Natural visibility graph of a scaled window.
-
-    For each anchor i the running maximum of slopes to intermediate points
-    decides visibility: j is visible from i iff the slope (i, j) strictly
-    exceeds every slope (i, k) with i < k < j.
-    """
-    values = _require_scaled(window)
-    n = values.size
-    edges: dict[tuple[int, int], int] = {}
-    for i in range(n - 1):
-        span = np.arange(i + 1, n)
-        slopes = (values[i + 1 :] - values[i]) / (span - i)
-        blockers = np.concatenate(([-np.inf], np.maximum.accumulate(slopes)[:-1]))
-        for j in span[slopes > blockers]:
-            edges[(i, int(j))] = 1
-    return VisibilityGraph(
-        kind=NVG,
-        nodes=_single_value_nodes(window),
-        edges=edges,
-        source=(window.ticker, window.start_index, window.length),
-        scale=_window_scale(window),
-    )
-
-
-def build_hvg(window: Window) -> VisibilityGraph:
-    """Horizontal visibility graph: intermediates must lie strictly below
-    both endpoints. Its edge set is a subset of the NVG's on any window."""
-    values = _require_scaled(window)
-    n = values.size
-    edges: dict[tuple[int, int], int] = {}
-    for i in range(n - 1):
-        highest = -np.inf
-        for j in range(i + 1, n):
-            if highest < values[i] and highest < values[j]:
-                edges[(i, j)] = 1
-            highest = max(highest, values[j])
-            if highest >= values[i]:
-                break
-    return VisibilityGraph(
-        kind=HVG,
-        nodes=_single_value_nodes(window),
-        edges=edges,
-        source=(window.ticker, window.start_index, window.length),
-        scale=_window_scale(window),
-    )
-
-
-def nvg_bruteforce(window: Window) -> VisibilityGraph:
-    """Literal O(n^3) evaluation of the natural visibility criterion.
-
-    Checks, for every pair (i, j), that each intermediate point lies strictly
-    below the sight line. Kept as an independent oracle for build_nvg.
-    """
-    values = _require_scaled(window)
-    n = values.size
-    edges: dict[tuple[int, int], int] = {}
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            k = np.arange(i + 1, j)
-            line = values[i] + (values[j] - values[i]) * (k - i) / (j - i)
-            if np.all(values[k] < line):
-                edges[(i, j)] = 1
-    return VisibilityGraph(
-        kind=NVG,
-        nodes=_single_value_nodes(window),
-        edges=edges,
-        source=(window.ticker, window.start_index, window.length),
-        scale=_window_scale(window),
-    )
-
-
-def hvg_bruteforce(window: Window) -> VisibilityGraph:
-    """Literal evaluation of the horizontal rule for every pair; test oracle."""
-    values = _require_scaled(window)
-    n = values.size
-    edges: dict[tuple[int, int], int] = {}
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            between = values[i + 1 : j]
-            if np.all(between < min(values[i], values[j])):
-                edges[(i, j)] = 1
-    return VisibilityGraph(
-        kind=HVG,
-        nodes=_single_value_nodes(window),
-        edges=edges,
-        source=(window.ticker, window.start_index, window.length),
-        scale=_window_scale(window),
-    )
-
-
-@dataclass
-class MultiGraph:
-    """Composite graph over all tickers of one time segment.
-
-    ``edges`` maps (u, v, kind) with u < v to multiplicity. ``merge_map``
-    resolves (ticker, time_index) to the merged node id.
-    """
-
     segment: tuple[int, int]  # (start_index, length)
     tickers: list[str]
     nodes: list[GraphNode]
     edges: dict[tuple[int, int, str], int]
-    per_ticker: dict[str, set[int]]
     merge_map: dict[tuple[str, int], int]
     scales: dict[str, tuple[float, float, bool]]
-    kind: str = NVMG
     _adjacency: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
     _multiplicities: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
     _cross: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         nbrs: dict[int, dict[int, int]] = {n.node_id: {} for n in self.nodes}
-        cross: dict[int, set[int]] = {n.node_id: set() for n in self.nodes}
+        cross: dict[int, set[int]] = defaultdict(set)
         for (u, v, kind), mult in self.edges.items():
             if u == v:
                 raise ValueError(f"self-loop on node {u}")
@@ -236,11 +82,13 @@ class MultiGraph:
             if kind in (CO_OCCURRENCE, SIMILAR_VALUE):
                 cross[u].add(v)
                 cross[v].add(u)
+        # one shared empty array: a single window's graph has no cross-ticker edges
+        no_cross = np.empty(0, dtype=int)
         for nid, d in nbrs.items():
             ids = np.array(sorted(d), dtype=int)
             self._adjacency[nid] = ids
             self._multiplicities[nid] = np.array([d[i] for i in ids], dtype=int)
-            self._cross[nid] = np.array(sorted(cross[nid]), dtype=int)
+            self._cross[nid] = np.array(sorted(cross[nid]), dtype=int) if nid in cross else no_cross
 
     @property
     def num_nodes(self) -> int:
@@ -256,20 +104,112 @@ class MultiGraph:
         return self._cross[node_id]
 
     def first_node(self, ticker: str | None = None) -> int:
-        if ticker is None:
-            ticker = self.tickers[0]
-        return self.merge_map[(ticker, 0)]
+        """Node holding the first time index of ``ticker`` (default: the first ticker)."""
+        return self.merge_map[(self.tickers[0] if ticker is None else ticker, 0)]
 
     def scale_for(self, ticker: str | None = None) -> tuple[float, float, bool]:
-        if ticker is None:
-            ticker = self.tickers[0]
-        return self.scales[ticker]
+        return self.scales[self.tickers[0] if ticker is None else ticker]
+
+
+def _require_scaled(window: Window) -> np.ndarray:
+    if window.length < 2:
+        raise ValueError(f"window of length {window.length} cannot form a visibility graph")
+    if window.scaled_values is None:
+        raise ValueError("window must be min-max scaled before graph construction")
+    return np.asarray(window.scaled_values, dtype=float)
+
+
+def _window_scale(window: Window) -> tuple[float, float, bool]:
+    return (float(window.scale_min), float(window.scale_max), bool(window.is_constant))
+
+
+def _window_graph(kind: str, window: Window, pairs: list[tuple[int, int]]) -> Graph:
+    """One-ticker graph of a single window with unit-multiplicity visibility edges."""
+    nodes = [GraphNode(node_id=i, time_indices=[i], values=[float(v)],
+                       ticker_tags=[window.ticker])
+             for i, v in enumerate(window.scaled_values)]
+    return Graph(
+        kind=kind,
+        segment=(window.start_index, window.length),
+        tickers=[window.ticker],
+        nodes=nodes,
+        edges={(u, v, VISIBILITY): 1 for u, v in pairs},
+        merge_map={(window.ticker, i): i for i in range(window.length)},
+        scales={window.ticker: _window_scale(window)},
+    )
+
+
+def build_nvg(window: Window) -> Graph:
+    """Natural visibility graph of a scaled window.
+
+    For each anchor i the running maximum of slopes to intermediate points
+    decides visibility: j is visible from i iff the slope (i, j) strictly
+    exceeds every slope (i, k) with i < k < j.
+    """
+    values = _require_scaled(window)
+    n = values.size
+    pairs: list[tuple[int, int]] = []
+    for i in range(n - 1):
+        span = np.arange(i + 1, n)
+        slopes = (values[i + 1 :] - values[i]) / (span - i)
+        blockers = np.concatenate(([-np.inf], np.maximum.accumulate(slopes)[:-1]))
+        for j in span[slopes > blockers]:
+            pairs.append((i, int(j)))
+    return _window_graph(NVG, window, pairs)
+
+
+def build_hvg(window: Window) -> Graph:
+    """Horizontal visibility graph: intermediates must lie strictly below
+    both endpoints. Its edge set is a subset of the NVG's on any window."""
+    values = _require_scaled(window)
+    n = values.size
+    pairs: list[tuple[int, int]] = []
+    for i in range(n - 1):
+        highest = -np.inf
+        for j in range(i + 1, n):
+            if highest < values[i] and highest < values[j]:
+                pairs.append((i, j))
+            highest = max(highest, values[j])
+            if highest >= values[i]:
+                break
+    return _window_graph(HVG, window, pairs)
+
+
+def nvg_bruteforce(window: Window) -> Graph:
+    """Literal O(n^3) evaluation of the natural visibility criterion.
+
+    Checks, for every pair (i, j), that each intermediate point lies strictly
+    below the sight line. Kept as an independent oracle for build_nvg.
+    """
+    values = _require_scaled(window)
+    n = values.size
+    pairs: list[tuple[int, int]] = []
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            k = np.arange(i + 1, j)
+            line = values[i] + (values[j] - values[i]) * (k - i) / (j - i)
+            if np.all(values[k] < line):
+                pairs.append((i, j))
+    return _window_graph(NVG, window, pairs)
+
+
+def hvg_bruteforce(window: Window) -> Graph:
+    """Literal evaluation of the horizontal rule for every pair; test oracle."""
+    values = _require_scaled(window)
+    n = values.size
+    pairs: list[tuple[int, int]] = []
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            between = values[i + 1 : j]
+            if np.all(between < min(values[i], values[j])):
+                pairs.append((i, j))
+    return _window_graph(HVG, window, pairs)
 
 
 def build_multigraph(
     windows: list[Window],
     similar_value_epsilon: float = DEFAULT_SIMILAR_VALUE_EPSILON,
-) -> MultiGraph:
+) -> Graph:
     """Build the cross-ticker multigraph of one time segment.
 
     Steps: per-ticker NVGs; co-occurrence edges between different tickers at
@@ -299,7 +239,7 @@ def build_multigraph(
     raw_edges: dict[tuple[int, int, str], int] = {}
     for wi, w in enumerate(windows):
         vg = build_nvg(w)
-        for (u, v) in vg.edges:
+        for (u, v, _) in vg.edges:
             raw_edges[(wi * n + u, wi * n + v, VISIBILITY)] = 1
     for a in range(n_windows):
         for b in range(a + 1, n_windows):
@@ -336,26 +276,21 @@ def build_multigraph(
         key = (min(ru, rv), max(ru, rv), kind)
         edges[key] = edges.get(key, 0) + mult
 
-    per_ticker: dict[str, set[int]] = {t: set() for t in tickers}
-    merge_map: dict[tuple[str, int], int] = {}
-    for wi, ticker in enumerate(tickers):
-        for t in range(n):
-            nid = remap[wi * n + t]
-            per_ticker[ticker].add(nid)
-            merge_map[(ticker, t)] = nid
+    merge_map = {(ticker, t): remap[wi * n + t]
+                 for wi, ticker in enumerate(tickers) for t in range(n)}
 
-    return MultiGraph(
+    return Graph(
+        kind=NVMG,
         segment=(start, length),
         tickers=tickers,
         nodes=nodes,
         edges=edges,
-        per_ticker=per_ticker,
         merge_map=merge_map,
         scales={w.ticker: _window_scale(w) for w in windows},
     )
 
 
-def dump_graph(graph: VisibilityGraph | MultiGraph, path: str | Path) -> None:
+def dump_graph(graph: Graph, path: str | Path) -> None:
     """Write an edge list and node table as plain text for inspection.
 
     Edge lines are ``node_u node_v kind multiplicity``; node lines are
@@ -363,13 +298,8 @@ def dump_graph(graph: VisibilityGraph | MultiGraph, path: str | Path) -> None:
     """
     with Path(path).open("w") as fh:
         fh.write("# edges: node_u node_v kind multiplicity\n")
-        if isinstance(graph, MultiGraph):
-            items = sorted(graph.edges.items())
-            for (u, v, kind), mult in items:
-                fh.write(f"{u} {v} {kind} {mult}\n")
-        else:
-            for (u, v), mult in sorted(graph.edges.items()):
-                fh.write(f"{u} {v} {VISIBILITY} {mult}\n")
+        for (u, v, kind), mult in sorted(graph.edges.items()):
+            fh.write(f"{u} {v} {kind} {mult}\n")
         fh.write("# nodes: node_id time_indices values tickers\n")
         for node in graph.nodes:
             times = ",".join(str(t) for t in node.time_indices)

@@ -9,7 +9,6 @@ closes are treated as missing as well.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from datetime import date
@@ -190,21 +189,3 @@ def inverse_transform(scaled: np.ndarray, scale_min: float, scale_max: float,
         return np.full_like(scaled, scale_min)
     return scale_min + scaled * (scale_max - scale_min)
 
-
-def write_windows(windows: list[Window], path: str | Path) -> None:
-    """Serialize windows as line-delimited JSON records."""
-    with Path(path).open("w") as fh:
-        for w in windows:
-            rec = {"ticker": w.ticker, "start_index": w.start_index,
-                   "values": [float(v) for v in w.raw_values]}
-            fh.write(json.dumps(rec) + "\n")
-
-
-def read_windows(path: str | Path) -> list[Window]:
-    out = []
-    with Path(path).open() as fh:
-        for line in fh:
-            rec = json.loads(line)
-            out.append(Window(ticker=rec["ticker"], start_index=rec["start_index"],
-                              raw_values=np.array(rec["values"], dtype=float)))
-    return out

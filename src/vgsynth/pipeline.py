@@ -2,16 +2,16 @@
 downsampling, evaluation, and report assembly.
 
 All stochastic steps derive their seeds from the master seed and the unit
-identity (ticker, window start, method), never from scheduling order, so a
-run is reproducible for any worker count.
+identity (ticker, window start, method), never from the order units run in,
+so a run is reproducible.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
-from numbers import Real
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,7 @@ from .generate import (SyntheticSequence, WalkConfig, derive_seed, downsample,
                        generate_sequence, vrp_generate)
 from .graphs import build_hvg, build_multigraph, build_nvg
 from .ingest import TimeSeries, Window, load_series, minmax_scale, slice_windows
-from .runtime import RuntimeRecord, time_unit
+from .runtime import RuntimeRecord, aggregate, time_unit
 
 METHODS = ("nvg", "hvg", "nvmg", "vrp")
 DOWNSAMPLE_MODES = ("ds", "simds")
@@ -42,8 +42,22 @@ _SECTION_OF = {name: (section, option) for section, options in _SECTIONS.items()
                for option, name in options.items()}
 
 
+# integer RunConfig field -> smallest value it may take
+_INTEGER_MINIMUMS = {"seed": 0, "window_length": 3, "sequences_per_window": 1,
+                     "downsample_k": 1, "max_iter": 1, "embed_iterations": 1,
+                     "mixing_k": 1, "embed_max_points": 4}
+
+
 class ConfigError(ValueError):
     """Invalid run configuration."""
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass
@@ -53,7 +67,6 @@ class RunConfig:
     input: str = ""
     out_dir: str = "out"
     seed: int = 0
-    workers: int = 1
     window_length: int = 20
     stride: int | None = None
     methods: tuple[str, ...] = ("nvg", "hvg", "nvmg", "vrp")
@@ -76,8 +89,20 @@ class RunConfig:
     embed_max_points: int = 2000
 
     def validate(self) -> None:
-        if self.window_length < 3:
-            raise ConfigError(f"window length must be >= 3, got {self.window_length}")
+        for name, minimum in _INTEGER_MINIMUMS.items():
+            value = getattr(self, name)
+            if not _is_integer(value):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value < minimum:
+                raise ConfigError(f"{name.replace('_', ' ')} must be >= {minimum}, got {value}")
+        if self.stride is not None and not (_is_integer(self.stride) and self.stride >= 1):
+            raise ConfigError(f"stride must be null or an integer >= 1, got {self.stride!r}")
+        for name in ("similar_value_epsilon", "l2", "tol"):
+            value = getattr(self, name)
+            if not (_is_number(value) and value >= 0):
+                raise ConfigError(f"{name} must be a finite number >= 0, got {value!r}")
+        if not (_is_number(self.perplexity) and self.perplexity > 0):
+            raise ConfigError(f"perplexity must be a finite number > 0, got {self.perplexity!r}")
         if not self.methods:
             raise ConfigError("at least one method is required")
         unknown = [m for m in self.methods if m not in METHODS]
@@ -88,15 +113,11 @@ class RunConfig:
                               f"valid modes: {list(DOWNSAMPLE_MODES)}")
         for name in ("restart_prob", "switch_prob"):
             p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {p}")
-        if self.sequences_per_window < 1 or self.downsample_k < 1:
-            raise ConfigError("sequences_per_window and downsample k must be >= 1")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
+            if not (_is_number(p) and 0.0 <= p <= 1.0):
+                raise ConfigError(f"{name} must be in [0, 1], got {p!r}")
         split = self.split
         if (not isinstance(split, (tuple, list)) or len(split) != 3
-                or not all(isinstance(r, Real) and r >= 0 for r in split)
+                or not all(_is_number(r) and r >= 0 for r in split)
                 or abs(sum(split) - 1.0) > 1e-9):
             raise ConfigError(f"split must be 3 ratios >= 0 that sum to 1, got {split!r}")
         try:
@@ -231,35 +252,24 @@ def run_generation(
     records: list[RuntimeRecord] = []
     by_method: dict[str, list[SyntheticSequence]] = {}
 
-    def _run_tasks(tasks):
-        # tasks: list of (sort_key, callable) -> results in sort_key order
-        if config.workers > 1:
-            with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                futures = [(key, pool.submit(fn)) for key, fn in tasks]
-                return [(key, fut.result()) for key, fut in futures]
-        return [(key, fn()) for key, fn in tasks]
-
     for method in config.methods:
         if method == "nvmg":
             segments: dict[int, list[Window]] = {}
             for ticker in sorted(windows_by_ticker):
                 for w in windows_by_ticker[ticker]:
                     segments.setdefault(w.start_index, []).append(w)
-            tasks = [
-                (start, (lambda s=start, ws=ws: time_unit(
-                    lambda: _generate_for_segment(s, ws, config),
-                    unit_id=f"segment_{s}", method="nvmg", unit_kind="segment")))
-                for start, ws in sorted(segments.items())
-            ]
+            units = [(lambda s=start, ws=ws: _generate_for_segment(s, ws, config),
+                      f"segment_{start}", "segment")
+                     for start, ws in sorted(segments.items())]
         else:
-            tasks = [
-                (ticker, (lambda t=ticker, ws=ws: time_unit(
-                    lambda: [seq for w in ws for seq in _generate_for_window(method, w, config)],
-                    unit_id=t, method=method, unit_kind="ticker")))
-                for ticker, ws in sorted(windows_by_ticker.items())
-            ]
+            units = [(lambda ws=ws: [seq for w in ws
+                                     for seq in _generate_for_window(method, w, config)],
+                      ticker, "ticker")
+                     for ticker, ws in sorted(windows_by_ticker.items())]
         sequences: list[SyntheticSequence] = []
-        for _, (result, record) in sorted(_run_tasks(tasks), key=lambda kv: kv[0]):
+        for task, unit_id, unit_kind in units:
+            result, record = time_unit(task, unit_id=unit_id, method=method,
+                                       unit_kind=unit_kind)
             sequences.extend(result)
             records.append(record)
         # stable sort keeps generation order within a window
@@ -347,8 +357,8 @@ def run_evaluation(
     )
     report.config = config.to_dict()
     if runtime_records:
-        for method, total in _totals_by_method(runtime_records).items():
-            report.runtime_totals[method] = total
+        for method, total in aggregate(runtime_records).items():
+            report.runtime_totals[method] = total.elapsed_ms
 
     overlaps: dict[str, OverlapResult] = {}
     if with_embedding:
@@ -366,13 +376,6 @@ def run_evaluation(
             if method in report.methods:
                 report.methods[method].mixing_score = overlap.mixing
     return report, overlaps
-
-
-def _totals_by_method(records: list[RuntimeRecord]) -> dict[str, int]:
-    totals: dict[str, int] = {}
-    for rec in records:
-        totals[rec.method] = totals.get(rec.method, 0) + rec.elapsed_ms
-    return totals
 
 
 def write_config_snapshot(config: RunConfig, path: str | Path) -> None:

@@ -179,7 +179,8 @@ def test_criterion_7_property_suites(tmp_path):
             problems.append("hvg not subset of nvg")
             break
         for graph in (nvg, hvg):
-            if any((i, i + 1) not in graph.edges for i in range(window.length - 1)):
+            if any((i, i + 1, VISIBILITY) not in graph.edges
+                   for i in range(window.length - 1)):
                 problems.append("consecutive edge missing")
                 break
 

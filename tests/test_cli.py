@@ -89,6 +89,20 @@ class TestGenerateCommand:
         assert "window length must be >= 3" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_integer_seed_exits_2_without_output(self, tmp_path, corpus_csv, capsys):
+        out = tmp_path / "out"
+        cfg = config_file(tmp_path, corpus_csv, out, seed="x")
+        assert main(["generate", "--config", str(cfg)]) == 2
+        assert "seed must be an integer" in capsys.readouterr().err
+        assert not (out / "sequences_vrp.jsonl").exists()
+
+    def test_workers_option_exits_2_without_output(self, tmp_path, corpus_csv, capsys):
+        out = tmp_path / "out"
+        cfg = config_file(tmp_path, corpus_csv, out, workers=2)
+        assert main(["generate", "--config", str(cfg)]) == 2
+        assert "unknown config option 'workers'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_input_exits_1(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"input": str(tmp_path / "ghost.csv")}))

@@ -4,8 +4,7 @@ import pytest
 from vgsynth.errors import UndefinedMetricError
 from vgsynth.evaluate import (EvalReport, FeatureRow, LogisticClassifier,
                               auc_bruteforce, chronological_split,
-                              extract_features, roc_auc, run_experiment,
-                              score, train_classifier)
+                              extract_features, roc_auc, run_experiment)
 from vgsynth.generate import SyntheticSequence
 from vgsynth.ingest import Window
 
@@ -110,36 +109,39 @@ def blob_rows(rng, n=100, separation=6.0):
     return rows
 
 
+def xy(rows):
+    """Feature matrix and label vector of a list of feature rows."""
+    return np.array([r.vector() for r in rows]), np.array([r.label for r in rows])
+
+
 class TestClassifier:
     def test_separable_blobs_train_auc_one(self, rng):
-        rows = blob_rows(rng)
-        model = train_classifier(rows)
-        scores = [score(model, r) for r in rows]
-        labels = [r.label for r in rows]
-        assert roc_auc(scores, labels) == 1.0
+        X, labels = xy(blob_rows(rng))
+        model = LogisticClassifier().fit(X, labels)
+        assert roc_auc(model.predict_proba(X), labels) == 1.0
 
     def test_untrained_model_scores_half(self):
         model = LogisticClassifier()
         row = FeatureRow(1, 2, 3, 4, 5, 6, 7, 8, label=0)
-        assert score(model, row) == 0.5
+        assert model.predict_proba(row.vector()[None, :])[0] == 0.5
 
     def test_duplicated_training_set_identical_weights(self, rng):
         rows = blob_rows(rng, n=60, separation=2.0)
-        a = train_classifier(rows, max_iter=500)
-        b = train_classifier(rows + rows, max_iter=500)
+        a = LogisticClassifier(max_iter=500).fit(*xy(rows))
+        b = LogisticClassifier(max_iter=500).fit(*xy(rows + rows))
         np.testing.assert_allclose(a.weights, b.weights, atol=1e-9)
         assert a.bias == pytest.approx(b.bias, abs=1e-9)
 
     def test_loss_non_increasing(self, rng):
         rows = blob_rows(rng, n=80, separation=1.0)
-        model = train_classifier(rows, max_iter=300)
+        model = LogisticClassifier(max_iter=300).fit(*xy(rows))
         losses = np.array(model.loss_history_)
         assert np.all(np.diff(losses) <= 1e-12)
 
     def test_single_class_rejected(self, rng):
         rows = [r for r in blob_rows(rng) if r.label == 1]
         with pytest.raises(ValueError):
-            train_classifier(rows)
+            LogisticClassifier().fit(*xy(rows))
 
 
 def trending_windows(rng, n_tickers=4, n_windows=30, length=10):
@@ -205,7 +207,7 @@ class TestRunExperiment:
         windows = trending_windows(rng)
         train, _, test = chronological_split(windows)
         rows = [extract_features(w.raw_values, "real", w.ticker) for w in train]
-        model = train_classifier(rows)
+        model = LogisticClassifier().fit(*xy(rows))
         test_X = np.array([extract_features(w.raw_values).vector() for w in test])
         labels = np.array([extract_features(w.raw_values).label for w in test])
         aucs = []

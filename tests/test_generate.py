@@ -7,18 +7,20 @@ from vgsynth.generate import (DownsampleWarning, SyntheticSequence, WalkConfig,
                               dtw_bruteforce, dtw_distance, dtw_distances,
                               generate_sequence,
                               next_node, next_value, vrp_generate)
-from vgsynth.graphs import GraphNode, VisibilityGraph, build_multigraph, build_nvg
+from vgsynth.graphs import VISIBILITY, Graph, GraphNode, build_multigraph, build_nvg
 
 from conftest import make_prescaled_window, make_scaled_window, random_scaled_window
 
 
 def graph_from_edges(n_nodes, edges, values=None):
-    """Hand-built graph for walk tests; values default to node index / 10."""
+    """Hand-built one-ticker graph for walk tests; values default to node index / 10."""
     nodes = [GraphNode(node_id=i, time_indices=[i],
                        values=[values[i] if values else i / 10.0], ticker_tags=["T"])
              for i in range(n_nodes)]
-    return VisibilityGraph(kind="nvg", nodes=nodes, edges=dict(edges),
-                           source=("T", 0, n_nodes), scale=(0.0, 1.0, False))
+    return Graph(kind="nvg", segment=(0, n_nodes), tickers=["T"], nodes=nodes,
+                 edges={(u, v, VISIBILITY): mult for (u, v), mult in edges.items()},
+                 merge_map={("T", i): i for i in range(n_nodes)},
+                 scales={"T": (0.0, 1.0, False)})
 
 
 class TestNextNode:
@@ -90,9 +92,7 @@ class TestNextValue:
 
 class TestGenerateSequence:
     def test_single_node_graph(self):
-        g = VisibilityGraph(kind="nvg",
-                            nodes=[GraphNode(0, [0], [5.0], ["T"])],
-                            edges={}, source=("T", 0, 1), scale=(0.0, 1.0, False))
+        g = graph_from_edges(1, {}, values=[5.0])
         cfg = WalkConfig(node_strategy="uniform_random", target_length=3, seed=1)
         seq = generate_sequence(g, cfg)
         np.testing.assert_array_equal(seq.values, [5.0, 5.0, 5.0])

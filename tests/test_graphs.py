@@ -10,7 +10,9 @@ from conftest import make_prescaled_window, make_scaled_window, random_scaled_wi
 
 
 def edge_set(graph):
-    return set(graph.edges)
+    """(u, v) pairs of a single window's graph, whose edges are all visibility edges."""
+    assert all(kind == VISIBILITY for (_, _, kind) in graph.edges)
+    return {(u, v) for (u, v, _) in graph.edges}
 
 
 class TestNVG:
@@ -76,12 +78,12 @@ class TestGraphInvariants:
             window = random_scaled_window(rng, int(rng.integers(2, 40)))
             for g in (build_nvg(window), build_hvg(window)):
                 for i in range(window.length - 1):
-                    assert (i, i + 1) in g.edges
+                    assert (i, i + 1, VISIBILITY) in g.edges
 
     def test_no_self_loops_and_connected_degrees(self, rng):
         window = random_scaled_window(rng, 30)
         g = build_nvg(window)
-        assert all(u != v for u, v in g.edges)
+        assert all(u != v for u, v, _ in g.edges)
         assert all(g.neighbor_ids(n.node_id).size >= 1 for n in g.nodes)
 
     def test_determinism(self, rng):
@@ -97,7 +99,7 @@ class TestMultigraph:
         window = make_scaled_window([3, 1, 2, 5], ticker="A")
         mg = build_multigraph([window])
         vg = build_nvg(window)
-        assert {(u, v) for (u, v, kind) in mg.edges if kind == VISIBILITY} == set(vg.edges)
+        assert {(u, v) for (u, v, kind) in mg.edges if kind == VISIBILITY} == edge_set(vg)
         assert not any(kind != VISIBILITY for (_, _, kind) in mg.edges)
         assert mg.num_nodes == 4
 

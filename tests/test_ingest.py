@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from vgsynth.errors import DuplicateRowError, SchemaError
-from vgsynth.ingest import (TimeSeries, Window, inverse_scale, load_series,
-                            minmax_scale, read_windows, slice_windows,
-                            write_windows)
+from vgsynth.ingest import (TimeSeries, inverse_scale, load_series,
+                            minmax_scale, slice_windows)
 
 from conftest import make_window
 
@@ -136,18 +135,6 @@ class TestMinMaxScale:
     def test_missing_values_rejected(self):
         with pytest.raises(ValueError):
             minmax_scale(make_window([1.0, math.nan, 2.0]))
-
-
-def test_window_serialization_round_trip(tmp_path, rng):
-    windows = [Window(ticker=f"T{i}", start_index=i * 5, raw_values=rng.random(6))
-               for i in range(4)]
-    path = tmp_path / "windows.jsonl"
-    write_windows(windows, path)
-    back = read_windows(path)
-    assert [(w.ticker, w.start_index) for w in back] == \
-        [(w.ticker, w.start_index) for w in windows]
-    for a, b in zip(windows, back):
-        np.testing.assert_array_equal(a.raw_values, b.raw_values)
 
 
 def test_timestamps_must_strictly_increase():
