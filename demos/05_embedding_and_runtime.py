@@ -33,8 +33,8 @@ print(f"far-separated populations score near zero: {far.mixing:.2f}")
 # runtime accounting: time units of work, aggregate per method
 records: list[RuntimeRecord] = []
 for i, w in enumerate(windows[:50]):
-    time_unit(lambda: vrp_generate(w, seed=i), unit_id=f"T{i:03d}", method="vrp",
-              collector=records)
+    _, record = time_unit(lambda: vrp_generate(w, seed=i), unit_id=f"T{i:03d}", method="vrp")
+    records.append(record)
 records.append(RuntimeRecord(unit_id="segment_0", method="nvmg", elapsed_ms=65_000,
                              unit_kind="segment"))
 records.append(RuntimeRecord(unit_id="T000", method="nvg", elapsed_ms=39_000))

@@ -2,8 +2,9 @@
 
 Subcommands: ``generate`` (build graphs and write synthetic sequences),
 ``evaluate`` (classification experiment, embedding export, report),
-``selftest`` (embedded oracle suites), ``report`` (pretty-print a finished
-run). Exit codes: 0 success, 1 failure, 2 configuration error.
+``selftest`` (the fast paths against their brute-force oracles), ``report``
+(pretty-print a finished run). Exit codes: 0 success, 1 failure, 2
+configuration error.
 """
 
 from __future__ import annotations
@@ -12,13 +13,10 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .embedding import write_embedding_csv
-from .evaluate import EvalReport, auc_bruteforce, roc_auc
-from .generate import dtw_bruteforce, dtw_distance
-from .graphs import build_hvg, build_nvg, hvg_bruteforce, nvg_bruteforce
-from .ingest import Window, minmax_scale
+from .evaluate import EvalReport
+from .graphs import build_hvg, build_nvg
+from .oracles import check_auc, check_dtw, check_visibility
 from .pipeline import (ConfigError, RunConfig, embedding_path, read_sequences,
                        run_evaluation, run_generation, sequences_path,
                        write_config_snapshot, write_sequences)
@@ -127,63 +125,13 @@ def _print_report(report: EvalReport) -> None:
         print(line)
 
 
-def _random_window(rng: np.random.Generator, length: int) -> Window:
-    raw = rng.random(length) * 50.0 + 50.0
-    return minmax_scale(Window(ticker="selftest", start_index=0, raw_values=raw))
-
-
-def selftest_visibility(n_windows: int = 60, lengths: tuple[int, ...] = (20, 60),
-                        seed: int = 1234, nvg_builder=build_nvg,
-                        hvg_builder=build_hvg) -> tuple[bool, str]:
-    """Compare the fast builders against the literal per-pair criterion."""
-    rng = np.random.default_rng(seed)
-    for length in lengths:
-        for _ in range(n_windows):
-            window = _random_window(rng, length)
-            for builder, oracle, name in ((nvg_builder, nvg_bruteforce, "nvg"),
-                                          (hvg_builder, hvg_bruteforce, "hvg")):
-                fast = set(builder(window).edges)
-                slow = set(oracle(window).edges)
-                if fast != slow:
-                    offending = sorted(fast ^ slow)[0]
-                    return False, (f"{name}: edge mismatch on pair {offending} "
-                                   f"(length {length})")
-    return True, f"{n_windows} windows per length {lengths}, exact match"
-
-
-def selftest_dtw(n_pairs: int = 150, max_len: int = 7, seed: int = 99,
-                 dtw=dtw_distance) -> tuple[bool, str]:
-    rng = np.random.default_rng(seed)
-    for _ in range(n_pairs):
-        a = rng.random(int(rng.integers(1, max_len + 1)))
-        b = rng.random(int(rng.integers(1, max_len + 1)))
-        fast, slow = dtw(a, b), dtw_bruteforce(a, b)
-        if abs(fast - slow) > 1e-9:
-            return False, f"dtw mismatch: {fast} vs {slow} on lengths {a.size},{b.size}"
-    return True, f"{n_pairs} pairs up to length {max_len}, tolerance 1e-9"
-
-
-def selftest_auc(n_cases: int = 200, max_points: int = 40, seed: int = 7,
-                 auc=roc_auc) -> tuple[bool, str]:
-    rng = np.random.default_rng(seed)
-    for _ in range(n_cases):
-        n = int(rng.integers(4, max_points + 1))
-        labels = rng.integers(0, 2, size=n)
-        if labels.min() == labels.max():
-            labels[0] = 1 - labels[0]
-        scores = np.round(rng.random(n), 2)  # rounding forces ties
-        fast, slow = auc(scores, labels), auc_bruteforce(scores, labels)
-        if abs(fast - slow) > 1e-12:
-            return False, f"auc mismatch: {fast} vs {slow} on {n} points"
-    return True, f"{n_cases} score sets up to {max_points} points, exact"
-
-
 def cmd_selftest(args=None, nvg_builder=build_nvg, hvg_builder=build_hvg) -> int:
+    """Acceptance criteria 1-3's oracle checks at smaller sizes."""
     suites = [
-        ("visibility vs brute force", lambda: selftest_visibility(
-            nvg_builder=nvg_builder, hvg_builder=hvg_builder)),
-        ("dtw vs brute force", selftest_dtw),
-        ("auc vs pairwise count", selftest_auc),
+        ("visibility vs brute force", lambda: check_visibility(
+            60, nvg_builder=nvg_builder, hvg_builder=hvg_builder)),
+        ("dtw vs brute force", lambda: check_dtw(150)),
+        ("auc vs pairwise count", lambda: check_auc(200)),
     ]
     failed = False
     for name, suite in suites:

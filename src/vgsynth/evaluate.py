@@ -167,8 +167,7 @@ class LogisticClassifier:
 
     The step size is set from the Lipschitz constant of the gradient, which
     makes the training loss non-increasing. Features are standardized with
-    training-set statistics inside the model. Any object with the same
-    fit/predict_proba surface can be plugged into the experiment runner.
+    training-set statistics inside the model.
     """
 
     def __init__(self, l2: float = 1e-3, max_iter: int = 10000, tol: float = 1e-6):
@@ -328,7 +327,6 @@ def run_experiment(
     synthetic_by_method: dict[str, list[SyntheticSequence]],
     split: tuple[float, float, float] = (0.7, 0.15, 0.15),
     seed: int = 0,
-    classifier_factory=None,
     **hyperparams,
 ) -> EvalReport:
     """Train on real / synthetic / mixed data, evaluate on real test data.
@@ -337,7 +335,6 @@ def run_experiment(
     the training portion of its ticker. A method with no usable synthetic
     sequences is skipped and annotated in the report.
     """
-    factory = classifier_factory or (lambda: LogisticClassifier(**hyperparams))
     train_windows, _, test_windows = chronological_split(real_windows, split)
     if not train_windows or not test_windows:
         raise ValueError("not enough windows for a chronological split")
@@ -351,7 +348,7 @@ def run_experiment(
     for w in train_windows:
         train_starts.setdefault(w.ticker, set()).add(w.start_index)
 
-    auc_real = _fit_and_score(factory, real_train, test_X, test_y)
+    auc_real = _fit_and_score(hyperparams, real_train, test_X, test_y)
 
     report = EvalReport(seed=seed)
     for method, sequences in synthetic_by_method.items():
@@ -366,7 +363,7 @@ def run_experiment(
                 annotation="skipped: no synthetic rows in the training range",
             )
             continue
-        auc_mixed = _fit_and_score(factory, real_train + synth_rows, test_X, test_y)
+        auc_mixed = _fit_and_score(hyperparams, real_train + synth_rows, test_X, test_y)
         if len({r.label for r in synth_rows}) < 2:
             report.methods[method] = MethodEval(
                 auc_real=auc_real, auc_synthetic=None, auc_mixed=auc_mixed,
@@ -374,7 +371,7 @@ def run_experiment(
                 annotation="skipped synthetic-only training: single-class labels",
             )
             continue
-        auc_synth = _fit_and_score(factory, synth_rows, test_X, test_y)
+        auc_synth = _fit_and_score(hyperparams, synth_rows, test_X, test_y)
         report.methods[method] = MethodEval(
             auc_real=auc_real,
             auc_synthetic=auc_synth,
@@ -384,9 +381,9 @@ def run_experiment(
     return report
 
 
-def _fit_and_score(factory, rows: list[FeatureRow], test_X: np.ndarray,
+def _fit_and_score(hyperparams: dict, rows: list[FeatureRow], test_X: np.ndarray,
                    test_y: np.ndarray) -> float:
-    model = factory()
+    model = LogisticClassifier(**hyperparams)
     X = np.array([r.vector() for r in rows])
     y = np.array([r.label for r in rows])
     model.fit(X, y)

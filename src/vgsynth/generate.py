@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import warnings
 from dataclasses import dataclass, field, replace
+from numbers import Real
 
 import numpy as np
 
@@ -63,10 +64,10 @@ class WalkConfig:
             raise ValueError(f"unknown value policy {self.value_policy!r}")
         if self.restart_jump not in RESTART_JUMPS:
             raise ValueError(f"unknown restart jump {self.restart_jump!r}")
-        if not 0.0 <= self.restart_prob <= 1.0:
-            raise ValueError(f"restart_prob must be in [0, 1], got {self.restart_prob}")
-        if not 0.0 <= self.switch_prob <= 1.0:
-            raise ValueError(f"switch_prob must be in [0, 1], got {self.switch_prob}")
+        for name in ("restart_prob", "switch_prob"):
+            p = getattr(self, name)
+            if not (isinstance(p, Real) and not isinstance(p, bool) and 0.0 <= p <= 1.0):
+                raise ValueError(f"{name} must be a number in [0, 1], got {p!r}")
         if self.target_length < 1:
             raise ValueError(f"target_length must be >= 1, got {self.target_length}")
 

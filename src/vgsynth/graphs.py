@@ -49,7 +49,7 @@ class GraphNode:
     ticker_tags: list[str]
 
 
-@dataclass
+@dataclass(eq=False)
 class Graph:
     """Undirected (multi)graph over the windows of one time segment.
 
@@ -178,31 +178,34 @@ def build_hvg(window: Window) -> Graph:
 def nvg_bruteforce(window: Window) -> Graph:
     """Literal O(n^3) evaluation of the natural visibility criterion.
 
-    Checks, for every pair (i, j), that each intermediate point lies strictly
-    below the sight line. Kept as an independent oracle for build_nvg.
+    Checks, for every pair (i, j), that each intermediate point k lies
+    strictly below the sight line at k. Each anchor i evaluates all its
+    pairs at once over a (j, k) grid masked to i < k < j. Kept as an
+    independent oracle for build_nvg.
     """
     values = _require_scaled(window)
     n = values.size
     pairs: list[tuple[int, int]] = []
     for i in range(n - 1):
-        for j in range(i + 1, n):
-            k = np.arange(i + 1, j)
-            line = values[i] + (values[j] - values[i]) * (k - i) / (j - i)
-            if np.all(values[k] < line):
-                pairs.append((i, j))
+        j = np.arange(i + 1, n)[:, None]
+        k = np.arange(i + 1, n)[None, :]
+        line = values[i] + (values[j] - values[i]) * (k - i) / (j - i)
+        visible = np.all((values[k] < line) | (k >= j), axis=1)
+        pairs.extend((i, int(jj)) for jj in j[visible, 0])
     return _window_graph(NVG, window, pairs)
 
 
 def hvg_bruteforce(window: Window) -> Graph:
-    """Literal evaluation of the horizontal rule for every pair; test oracle."""
+    """Literal evaluation of the horizontal rule for every pair, each anchor's
+    pairs at once over a (j, k) grid masked to i < k < j; test oracle."""
     values = _require_scaled(window)
     n = values.size
     pairs: list[tuple[int, int]] = []
     for i in range(n - 1):
-        for j in range(i + 1, n):
-            between = values[i + 1 : j]
-            if np.all(between < min(values[i], values[j])):
-                pairs.append((i, j))
+        j = np.arange(i + 1, n)[:, None]
+        k = np.arange(i + 1, n)[None, :]
+        visible = np.all((values[k] < np.minimum(values[i], values[j])) | (k >= j), axis=1)
+        pairs.extend((i, int(jj)) for jj in j[visible, 0])
     return _window_graph(HVG, window, pairs)
 
 

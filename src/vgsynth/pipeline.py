@@ -20,7 +20,7 @@ from .embedding import OverlapResult, embedding_overlap
 from .evaluate import EvalReport, run_experiment
 from .generate import (SyntheticSequence, WalkConfig, derive_seed, downsample,
                        generate_sequence, vrp_generate)
-from .graphs import build_hvg, build_multigraph, build_nvg
+from .graphs import Graph, build_hvg, build_multigraph, build_nvg
 from .ingest import TimeSeries, Window, load_series, minmax_scale, slice_windows
 from .runtime import RuntimeRecord, aggregate, time_unit
 
@@ -108,13 +108,12 @@ class RunConfig:
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ConfigError(f"unknown method(s) {unknown}; valid methods: {list(METHODS)}")
+        repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
+        if repeated:
+            raise ConfigError(f"methods lists {repeated} more than once")
         if self.downsample_mode not in DOWNSAMPLE_MODES:
             raise ConfigError(f"unknown downsample mode {self.downsample_mode!r}; "
                               f"valid modes: {list(DOWNSAMPLE_MODES)}")
-        for name in ("restart_prob", "switch_prob"):
-            p = getattr(self, name)
-            if not (_is_number(p) and 0.0 <= p <= 1.0):
-                raise ConfigError(f"{name} must be in [0, 1], got {p!r}")
         split = self.split
         if (not isinstance(split, (tuple, list)) or len(split) != 3
                 or not all(_is_number(r) and r >= 0 for r in split)
@@ -200,13 +199,15 @@ def prepare_windows(config: RunConfig,
 _BUILDERS = {"nvg": build_nvg, "hvg": build_hvg}
 
 
-def _generate_for_window(method: str, window: Window, config: RunConfig) -> list[SyntheticSequence]:
+def _generate_for_window(method: str, window: Window, config: RunConfig,
+                         graph: Graph | None = None) -> list[SyntheticSequence]:
     """All kept sequences for one (method, window) pair.
 
-    The window's graph is built once and shared by its candidates: walks
-    keep their round-robin cursors in their own state and never change it.
+    nvg/hvg build the window's graph here; nvmg passes its segment's
+    multigraph. The graph is shared by the window's candidates: walks keep
+    their round-robin cursors in their own state and never change it.
     """
-    if method != "vrp":
+    if method in _BUILDERS:
         graph = _BUILDERS[method](window)
     candidates = []
     for i in range(config.sequences_per_window):
@@ -215,28 +216,10 @@ def _generate_for_window(method: str, window: Window, config: RunConfig) -> list
             candidates.append(vrp_generate(window, seed=seq_seed))
         else:
             walk = config.walk_config(target_length=window.length, seed=seq_seed)
-            candidates.append(generate_sequence(graph, walk))
+            candidates.append(generate_sequence(graph, walk, ticker=window.ticker))
     ds_seed = derive_seed(config.seed, window.ticker, window.start_index, method, "downsample")
     return downsample(candidates, window, k=min(config.downsample_k, len(candidates)),
                       mode=config.downsample_mode, seed=ds_seed)
-
-
-def _generate_for_segment(start: int, windows: list[Window],
-                          config: RunConfig) -> list[SyntheticSequence]:
-    """Multigraph generation: one shared graph, walks anchored per ticker."""
-    graph = build_multigraph(windows, similar_value_epsilon=config.similar_value_epsilon)
-    kept: list[SyntheticSequence] = []
-    for window in windows:
-        candidates = []
-        for i in range(config.sequences_per_window):
-            seq_seed = derive_seed(config.seed, window.ticker, start, "nvmg", i)
-            walk = config.walk_config(target_length=window.length, seed=seq_seed)
-            candidates.append(generate_sequence(graph, walk, ticker=window.ticker))
-        ds_seed = derive_seed(config.seed, window.ticker, start, "nvmg", "downsample")
-        kept.extend(downsample(candidates, window,
-                               k=min(config.downsample_k, len(candidates)),
-                               mode=config.downsample_mode, seed=ds_seed))
-    return kept
 
 
 def run_generation(
@@ -258,16 +241,16 @@ def run_generation(
             for ticker in sorted(windows_by_ticker):
                 for w in windows_by_ticker[ticker]:
                     segments.setdefault(w.start_index, []).append(w)
-            units = [(lambda s=start, ws=ws: _generate_for_segment(s, ws, config),
-                      f"segment_{start}", "segment")
-                     for start, ws in sorted(segments.items())]
+            units = [(f"segment_{start}", "segment", ws) for start, ws in sorted(segments.items())]
         else:
-            units = [(lambda ws=ws: [seq for w in ws
-                                     for seq in _generate_for_window(method, w, config)],
-                      ticker, "ticker")
-                     for ticker, ws in sorted(windows_by_ticker.items())]
+            units = [(ticker, "ticker", ws) for ticker, ws in sorted(windows_by_ticker.items())]
         sequences: list[SyntheticSequence] = []
-        for task, unit_id, unit_kind in units:
+        for unit_id, unit_kind, ws in units:
+            def task():
+                graph = (build_multigraph(ws, similar_value_epsilon=config.similar_value_epsilon)
+                         if method == "nvmg" else None)
+                return [seq for w in ws for seq in _generate_for_window(method, w, config, graph)]
+
             result, record = time_unit(task, unit_id=unit_id, method=method,
                                        unit_kind=unit_kind)
             sequences.extend(result)
@@ -292,28 +275,24 @@ def write_sequences(sequences: list[SyntheticSequence], path: str | Path) -> Non
 
 
 def read_sequences(path: str | Path,
-                   windows_by_key: dict[tuple[str, int], Window] | None = None
-                   ) -> list[SyntheticSequence]:
-    """Read generated sequences; re-attach source-window scales when given.
+                   windows_by_key: dict[tuple[str, int], Window]) -> list[SyntheticSequence]:
+    """Read generated sequences and re-attach each one's source-window scale.
 
-    With ``windows_by_key``, every record's (ticker, window_start) must name
-    one of its windows: a record that names none raises ValueError. Without
-    it, sequences keep a 0..1 scale and no scaled values.
+    Every record's (ticker, window_start) must name one of the windows in
+    ``windows_by_key``: a record that names none raises ValueError.
     """
     out = []
     with Path(path).open() as fh:
         for lineno, line in enumerate(fh, 1):
             rec = json.loads(line)
             values = np.array(rec["values"], dtype=float)
-            lo, hi, scaled = 0.0, 1.0, None
-            if windows_by_key is not None:
-                key = (rec["ticker"], rec["window_start"])
-                window = windows_by_key.get(key)
-                if window is None:
-                    raise ValueError(f"{path}:{lineno}: no input window for "
-                                     f"(ticker, window_start) {key}")
-                lo, hi = window.scale_min, window.scale_max
-                scaled = (values - lo) / (hi - lo) if hi > lo else np.full_like(values, 0.5)
+            key = (rec["ticker"], rec["window_start"])
+            window = windows_by_key.get(key)
+            if window is None:
+                raise ValueError(f"{path}:{lineno}: no input window for "
+                                 f"(ticker, window_start) {key}")
+            lo, hi = window.scale_min, window.scale_max
+            scaled = (values - lo) / (hi - lo) if hi > lo else np.full_like(values, 0.5)
             out.append(SyntheticSequence(
                 values=values, scaled_values=scaled, method=rec["method"],
                 ticker=rec["ticker"], window_start=rec["window_start"],
@@ -357,8 +336,7 @@ def run_evaluation(
     )
     report.config = config.to_dict()
     if runtime_records:
-        for method, total in aggregate(runtime_records).items():
-            report.runtime_totals[method] = total.elapsed_ms
+        report.runtime_totals.update(aggregate(runtime_records))
 
     overlaps: dict[str, OverlapResult] = {}
     if with_embedding:

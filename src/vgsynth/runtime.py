@@ -29,59 +29,36 @@ class RuntimeRecord:
             raise ValueError("elapsed time cannot be negative")
 
 
-def time_unit(task, unit_id: str, method: str, unit_kind: str = "ticker",
-              collector: list | None = None):
+def time_unit(task, unit_id: str, method: str, unit_kind: str = "ticker"):
     """Run ``task()`` and measure it with a monotonic clock.
 
-    Returns (result, record) and appends the record to ``collector`` when one
-    is given. If the task raises, a record flagged invalid is still appended
-    and attached to the exception as ``partial_record`` before re-raising.
+    Returns (result, record). If the task raises, a record flagged invalid
+    is attached to the exception as ``partial_record`` before re-raising.
     """
     start = time.perf_counter_ns()
     try:
         result = task()
     except Exception as exc:
         elapsed_ms = (time.perf_counter_ns() - start) // 1_000_000
-        record = RuntimeRecord(unit_id=unit_id, method=method,
-                               elapsed_ms=int(elapsed_ms), unit_kind=unit_kind,
-                               valid=False)
-        if collector is not None:
-            collector.append(record)
-        exc.partial_record = record
+        exc.partial_record = RuntimeRecord(unit_id=unit_id, method=method,
+                                           elapsed_ms=int(elapsed_ms), unit_kind=unit_kind,
+                                           valid=False)
         raise
     elapsed_ms = (time.perf_counter_ns() - start) // 1_000_000
     record = RuntimeRecord(unit_id=unit_id, method=method,
                            elapsed_ms=int(elapsed_ms), unit_kind=unit_kind)
-    if collector is not None:
-        collector.append(record)
     return result, record
 
 
-@dataclass
-class MethodTotal:
-    elapsed_ms: int
-    unit_kind: str  # "ticker", "segment", or "mixed"
-
-    def formatted(self) -> str:
-        return format_duration(self.elapsed_ms)
-
-
-def aggregate(records: list[RuntimeRecord]) -> dict[str, MethodTotal]:
-    """Sum elapsed time per method; order of records does not matter."""
+def aggregate(records: list[RuntimeRecord]) -> dict[str, int]:
+    """Sum elapsed milliseconds per method, in method order; order of
+    records does not matter."""
     if not records:
         raise ValueError("no runtime records to aggregate")
     totals: dict[str, int] = {}
-    kinds: dict[str, set[str]] = {}
     for rec in records:
         totals[rec.method] = totals.get(rec.method, 0) + rec.elapsed_ms
-        kinds.setdefault(rec.method, set()).add(rec.unit_kind)
-    return {
-        method: MethodTotal(
-            elapsed_ms=totals[method],
-            unit_kind=next(iter(kinds[method])) if len(kinds[method]) == 1 else "mixed",
-        )
-        for method in sorted(totals)
-    }
+    return dict(sorted(totals.items()))
 
 
 def format_duration(elapsed_ms: int) -> str:
@@ -95,10 +72,13 @@ def format_duration(elapsed_ms: int) -> str:
 
 def summary_table(records: list[RuntimeRecord]) -> str:
     """Human-readable per-method totals."""
-    totals = aggregate(records)
+    kinds: dict[str, set[str]] = {}
+    for rec in records:
+        kinds.setdefault(rec.method, set()).add(rec.unit_kind)
     lines = [f"{'method':<12} {'unit':<8} {'time (days hh:mm:ss)':>22}"]
-    for method, total in totals.items():
-        lines.append(f"{method:<12} {total.unit_kind:<8} {total.formatted():>22}")
+    for method, elapsed_ms in aggregate(records).items():
+        unit = next(iter(kinds[method])) if len(kinds[method]) == 1 else "mixed"
+        lines.append(f"{method:<12} {unit:<8} {format_duration(elapsed_ms):>22}")
     return "\n".join(lines)
 
 

@@ -103,6 +103,13 @@ class TestGenerateCommand:
         assert "unknown config option 'workers'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_method_exits_2_without_output(self, tmp_path, corpus_csv, capsys):
+        out = tmp_path / "out"
+        assert main(["generate", "--input", str(corpus_csv), "--methods", "vrp,vrp",
+                     "--out", str(out)]) == 2
+        assert "methods lists ['vrp'] more than once" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_input_exits_1(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"input": str(tmp_path / "ghost.csv")}))

@@ -71,8 +71,35 @@ class TestOracleEquivalence:
             assert edge_set(build_nvg(window)) == edge_set(nvg_bruteforce(window))
             assert edge_set(build_hvg(window)) == edge_set(hvg_bruteforce(window))
 
+    def test_oracles_match_per_pair_loops(self, rng):
+        # the per-pair criteria written as plain loops, on tie-heavy windows
+        def loop_pairs(values, visible):
+            n = len(values)
+            return [(i, j) for i in range(n - 1) for j in range(i + 1, n)
+                    if all(visible(values, i, j, k) for k in range(i + 1, j))]
+
+        def nvg_visible(values, i, j, k):
+            return values[k] < values[i] + (values[j] - values[i]) * (k - i) / (j - i)
+
+        def hvg_visible(values, i, j, k):
+            return values[k] < min(values[i], values[j])
+
+        for _ in range(150):
+            window = make_scaled_window(rng.integers(0, 4, int(rng.integers(2, 26))))
+            values = window.scaled_values
+            assert list(nvg_bruteforce(window).edges) == \
+                [(i, j, VISIBILITY) for i, j in loop_pairs(values, nvg_visible)]
+            assert list(hvg_bruteforce(window).edges) == \
+                [(i, j, VISIBILITY) for i, j in loop_pairs(values, hvg_visible)]
+
 
 class TestGraphInvariants:
+    def test_comparing_two_builds_does_not_raise(self, rng):
+        window = random_scaled_window(rng, 20)
+        first, second = build_nvg(window), build_nvg(window)
+        assert first == first and first != second  # identity, not array-valued fields
+        assert first.edges == second.edges
+
     def test_consecutive_edges_always_present(self, rng):
         for _ in range(50):
             window = random_scaled_window(rng, int(rng.integers(2, 40)))

@@ -101,6 +101,7 @@ class TestRunConfig:
         ("similar_value_epsilon", -0.01), ("l2", -1), ("tol", float("nan")),
         ("perplexity", 0), ("max_iter", 0), ("embed_iterations", 2.5), ("mixing_k", 0),
         ("embed_max_points", 1), ("restart_prob", "0.1"), ("split", (True, 0.0, 0.0)),
+        ("switch_prob", True), ("methods", ("vrp", "nvg", "vrp")),
     ])
     def test_bad_value_rejected_before_generation(self, tiny_corpus_csv, monkeypatch,
                                                   field, value):
@@ -149,13 +150,17 @@ class TestGeneration:
         by_method, _ = run_generation(config)
         path = sequences_path(tmp_path, "nvg")
         write_sequences(by_method["nvg"], path)
-        back = read_sequences(path)
+        windows_by_key = {(w.ticker, w.start_index): w
+                          for ws in pipeline.prepare_windows(config).values() for w in ws}
+        back = read_sequences(path, windows_by_key)
         assert len(back) == len(by_method["nvg"])
         for a, b in zip(by_method["nvg"], back):
             assert (a.ticker, a.window_start, a.seed) == (b.ticker, b.window_start, b.seed)
             np.testing.assert_allclose(a.values, b.values, rtol=0, atol=0)
-            # without the input windows, a 0..1 scale and no scaled values
-            assert (b.scale_min, b.scale_max, b.scaled_values) == (0.0, 1.0, None)
+            window = windows_by_key[(b.ticker, b.window_start)]
+            assert (b.scale_min, b.scale_max) == (window.scale_min, window.scale_max) \
+                == (a.scale_min, a.scale_max)
+            np.testing.assert_allclose(b.scaled_values, a.scaled_values, rtol=0, atol=1e-12)
 
     def test_read_with_windows_rejects_unknown_window(self, tiny_corpus_csv, tmp_path):
         config = tiny_config(tiny_corpus_csv, methods=("vrp",))

@@ -17,24 +17,19 @@ class TestTimeUnit:
         _, record = time_unit(lambda: time.sleep(0.1), unit_id="T", method="nvg")
         assert 100 <= record.elapsed_ms <= 150
 
-    def test_result_passthrough_and_collector(self):
-        collector = []
-        result, record = time_unit(lambda: 41 + 1, unit_id="T", method="vrp",
-                                   collector=collector)
+    def test_result_passthrough(self):
+        result, record = time_unit(lambda: 41 + 1, unit_id="T", method="vrp")
         assert result == 42
-        assert collector == [record]
+        assert (record.unit_id, record.method, record.valid) == ("T", "vrp", True)
 
     def test_failure_propagates_with_partial_record(self):
-        collector = []
-
         def boom():
             raise RuntimeError("broken task")
 
         with pytest.raises(RuntimeError) as excinfo:
-            time_unit(boom, unit_id="T", method="nvg", collector=collector)
+            time_unit(boom, unit_id="T", method="nvg")
         record = excinfo.value.partial_record
         assert not record.valid
-        assert collector == [record]
 
     def test_unknown_unit_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -45,30 +40,31 @@ class TestAggregate:
     def test_table5_style_formatting(self):
         records = [RuntimeRecord("t1", "nvg", 39_000)]
         totals = aggregate(records)
-        assert totals["nvg"].formatted() == "0 00:00:39"
+        assert format_duration(totals["nvg"]) == "0 00:00:39"
 
     def test_floor_to_seconds(self):
-        assert aggregate([RuntimeRecord("t", "m", 1)])["m"].formatted() == "0 00:00:00"
-        assert aggregate([RuntimeRecord("t", "m", 999)])["m"].formatted() == "0 00:00:00"
+        assert format_duration(aggregate([RuntimeRecord("t", "m", 1)])["m"]) == "0 00:00:00"
+        assert format_duration(aggregate([RuntimeRecord("t", "m", 999)])["m"]) == "0 00:00:00"
 
     def test_sum_across_records(self):
         records = [RuntimeRecord("a", "m", 30_000), RuntimeRecord("b", "m", 31_000)]
         totals = aggregate(records)
-        assert totals["m"].elapsed_ms == 61_000
-        assert totals["m"].formatted() == "0 00:01:01"
+        assert totals["m"] == 61_000
+        assert format_duration(totals["m"]) == "0 00:01:01"
 
     def test_order_independent(self):
         records = [RuntimeRecord(f"t{i}", "m", i * 7) for i in range(10)]
-        forward = aggregate(records)["m"].elapsed_ms
-        backward = aggregate(records[::-1])["m"].elapsed_ms
+        forward = aggregate(records)["m"]
+        backward = aggregate(records[::-1])["m"]
         assert forward == backward == sum(i * 7 for i in range(10))
 
     def test_unit_kind_reported(self):
         records = [RuntimeRecord("s0", "nvmg", 100, unit_kind="segment"),
                    RuntimeRecord("t0", "nvg", 100, unit_kind="ticker")]
-        totals = aggregate(records)
-        assert totals["nvmg"].unit_kind == "segment"
-        assert totals["nvg"].unit_kind == "ticker"
+        rows = [row.split() for row in summary_table(records).splitlines()[1:]]
+        assert {row[0]: row[1] for row in rows} == {"nvmg": "segment", "nvg": "ticker"}
+        mixed = [RuntimeRecord("t0", "m", 1), RuntimeRecord("s0", "m", 1, unit_kind="segment")]
+        assert summary_table(mixed).splitlines()[1].split()[:2] == ["m", "mixed"]
 
     def test_empty_records_rejected(self):
         with pytest.raises(ValueError):
