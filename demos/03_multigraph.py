@@ -24,8 +24,8 @@ for (_, _, kind), mult in mg.edges.items():
 print(f"{len(windows)} tickers x 12 points -> {mg.num_nodes} nodes")
 print("edges by kind:", {k: by_kind.get(k, 0) for k in (VISIBILITY, CO_OCCURRENCE, SIMILAR_VALUE)})
 
-merged = [n for n in mg.nodes if len(n.values) > 1]
-print(f"merged nodes (equal time + exactly equal value): {len(merged)}")
+merged = np.count_nonzero(np.diff(mg.value_ptr) > 1)
+print(f"merged nodes (equal time + exactly equal value): {merged}")
 
 # walk anchored at one ticker; switching prefers cross-ticker links
 cfg = WalkConfig(node_strategy="random_neighbor_graph_switching", switch_prob=0.6,
@@ -35,7 +35,7 @@ for ticker in mg.tickers:
     print(f"walk anchored at {ticker}: {np.round(seq.values, 2)}")
 
 # values are conserved: every input value lives in exactly one node
-node_values = sorted(v for n in mg.nodes for v in n.values)
+node_values = sorted(mg.values.tolist())
 win_values = sorted(v for w in windows for v in w.scaled_values)
 assert node_values == win_values
 print("value multiset conserved across merging")

@@ -17,8 +17,7 @@ from .evaluate import (EvalReport, FeatureRow, LogisticClassifier,
 from .generate import (SyntheticSequence, WalkConfig, derive_seed, downsample,
                        dtw_distance, dtw_distances, generate_sequence,
                        next_node, next_value, vrp_generate)
-from .graphs import (Graph, GraphNode, build_hvg, build_multigraph, build_nvg,
-                     dump_graph)
+from .graphs import Graph, build_hvg, build_multigraph, build_nvg, dump_graph
 from .ingest import (TimeSeries, Window, inverse_scale, load_series,
                      minmax_scale, slice_windows)
 from .pipeline import RunConfig, run_evaluation, run_generation
@@ -28,7 +27,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DuplicateRowError", "Embedding", "EvalReport", "FeatureRow", "Graph",
-    "GraphIntegrityError", "GraphNode", "LogisticClassifier", "RunConfig",
+    "GraphIntegrityError", "LogisticClassifier", "RunConfig",
     "RuntimeRecord", "SchemaError", "SegmentMismatchError",
     "SyntheticSequence", "TimeSeries", "UndefinedMetricError", "WalkConfig",
     "Window", "aggregate", "build_hvg", "build_multigraph", "build_nvg",

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import hashlib
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from numbers import Real
 
 import numpy as np
 
 from .errors import GraphIntegrityError
-from .graphs import Graph, GraphNode
+from .graphs import Graph
 from .ingest import Window, inverse_transform
 
 NODE_STRATEGIES = (
@@ -88,7 +88,6 @@ class SyntheticSequence:
     seed: int
     scale_min: float
     scale_max: float
-    config: WalkConfig | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -106,15 +105,19 @@ def _pick(rng: np.random.Generator, ids: np.ndarray) -> int:
     return int(ids[rng.integers(0, ids.size)])
 
 
-def next_node(graph, current: int, config: WalkConfig, rng: np.random.Generator) -> int:
-    """Select the node following ``current`` under the configured strategy."""
+def next_node(graph, current: int, config: WalkConfig, rng: np.random.Generator,
+              start: int | None = None) -> int:
+    """Select the node following ``current`` under the configured strategy.
+
+    A restart returns to ``start``, by default the graph's first node.
+    """
     strategy = config.node_strategy
     if strategy == "uniform_random":
         return int(rng.integers(0, graph.num_nodes))
 
     if strategy == "restart_random":
         if rng.random() < config.restart_prob:
-            return config.start_node if config.start_node is not None else graph.first_node()
+            return graph.first_node() if start is None else start
         if config.restart_jump == "uniform":
             return int(rng.integers(0, graph.num_nodes))
         return _pick(rng, _neighbors_or_raise(graph, current))
@@ -145,16 +148,16 @@ def _neighbors_or_raise(graph, current: int) -> np.ndarray:
     return neighbors
 
 
-def next_value(node: GraphNode, policy: str, state: _WalkState) -> float:
-    """Draw one value from a node under the given policy."""
-    values = node.values
+def next_value(graph: Graph, node_id: int, policy: str, state: _WalkState) -> float:
+    """Draw one of node ``node_id``'s values under the given policy."""
+    values = graph.node_values[node_id]
     if len(values) == 1:
         return values[0]
     if policy == "random":
         return values[int(state.rng.integers(0, len(values)))]
     if policy == "round_robin":
-        cursor = state.cursors.get(node.node_id, 0)
-        state.cursors[node.node_id] = (cursor + 1) % len(values)
+        cursor = state.cursors.get(node_id, 0)
+        state.cursors[node_id] = (cursor + 1) % len(values)
         return values[cursor]
     raise ValueError(f"unknown value policy {policy!r}")
 
@@ -172,17 +175,14 @@ def generate_sequence(
     """
     config.validate()
     rng = np.random.default_rng(config.seed)
-    start = config.start_node
-    if start is None:
-        start = graph.first_node(ticker)
-        config = replace(config, start_node=start)
+    start = graph.first_node(ticker) if config.start_node is None else config.start_node
     state = _WalkState(rng=rng)
 
     current = start
-    scaled = [next_value(graph.nodes[current], config.value_policy, state)]
+    scaled = [next_value(graph, current, config.value_policy, state)]
     while len(scaled) < config.target_length:
-        current = next_node(graph, current, config, rng)
-        scaled.append(next_value(graph.nodes[current], config.value_policy, state))
+        current = next_node(graph, current, config, rng, start)
+        scaled.append(next_value(graph, current, config.value_policy, state))
 
     scaled_arr = np.array(scaled, dtype=float)
     scale_min, scale_max, is_constant = graph.scale_for(ticker)
@@ -196,7 +196,6 @@ def generate_sequence(
         seed=config.seed,
         scale_min=scale_min,
         scale_max=scale_max,
-        config=config,
     )
 
 

@@ -12,16 +12,15 @@ different tickers at the same time index are linked by co-occurrence edges,
 nodes of different tickers with nearly equal scaled values by similar-value
 edges, and nodes with the same time index and exactly equal scaled value are
 merged (their parallel edges add up as multiplicity).
-
-Every graph is a ``Graph``: a single window's NVG or HVG is the one-ticker
-case of the same class the multigraph uses.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import pairwise
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -35,73 +34,92 @@ NVMG = "nvmg"
 VISIBILITY = "visibility"
 CO_OCCURRENCE = "co_occurrence"
 SIMILAR_VALUE = "similar_value"
+# an edge's kind code indexes EDGE_KINDS; the names are in alphabetical
+# order, so sorting edges by code sorts them by kind name
+EDGE_KINDS = (CO_OCCURRENCE, SIMILAR_VALUE, VISIBILITY)
+KIND_CODE = {kind: code for code, kind in enumerate(EDGE_KINDS)}
 
 DEFAULT_SIMILAR_VALUE_EPSILON = 0.01
 
 
-@dataclass
-class GraphNode:
-    """One graph node; holds several values only after multigraph merging."""
-
-    node_id: int
-    time_indices: list[int]
-    values: list[float]
-    ticker_tags: list[str]
-
-
 @dataclass(eq=False)
 class Graph:
-    """Undirected (multi)graph over the windows of one time segment.
+    """Undirected (multi)graph over the windows of one time segment, in arrays.
 
-    ``edges`` maps (u, v, kind) with u < v to multiplicity. ``merge_map``
-    resolves (ticker, time_index) to its node id, and ``scales`` carries each
-    ticker's (scale_min, scale_max, is_constant) so generated sequences can
-    be mapped back to price space. A single window's NVG or HVG is the
-    one-ticker case; the cross-ticker NVMG joins several tickers.
+    The constructor sorts the edges by (u, v, kind), raises ``ValueError``
+    naming the first edge with a node id out of range, u >= v, an unknown
+    kind, a multiplicity below 1 or a repeated key, and builds CSR adjacency
+    with sorted neighbours: ``indptr``/``indices``/``mult`` (multiplicities
+    summed across kinds) and ``cross_indptr``/``cross_indices`` (cross-ticker
+    kinds only). ``node_values[i]`` lists node i's values. A single window's
+    NVG or HVG is the one-ticker case.
     """
 
     kind: str
     segment: tuple[int, int]  # (start_index, length)
     tickers: list[str]
-    nodes: list[GraphNode]
-    edges: dict[tuple[int, int, str], int]
-    merge_map: dict[tuple[str, int], int]
-    scales: dict[str, tuple[float, float, bool]]
-    _adjacency: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
-    _multiplicities: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
-    _cross: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
+    merge_map: dict[tuple[str, int], int]  # (ticker, time index) -> node id
+    scales: dict[str, tuple[float, float, bool]]  # ticker -> (min, max, is_constant)
+    node_time: np.ndarray  # time index of each node
+    value_ptr: np.ndarray  # node i holds values[value_ptr[i]:value_ptr[i + 1]]
+    values: np.ndarray  # scaled values, each node's in member order
+    value_ticker: np.ndarray  # index into ``tickers`` of each value
+    edge_u: np.ndarray
+    edge_v: np.ndarray
+    edge_kind: np.ndarray  # index into EDGE_KINDS
+    edge_mult: np.ndarray
 
     def __post_init__(self):
-        nbrs: dict[int, dict[int, int]] = {n.node_id: {} for n in self.nodes}
-        cross: dict[int, set[int]] = defaultdict(set)
-        for (u, v, kind), mult in self.edges.items():
-            if u == v:
-                raise ValueError(f"self-loop on node {u}")
-            nbrs[u][v] = nbrs[u].get(v, 0) + mult
-            nbrs[v][u] = nbrs[v].get(u, 0) + mult
-            if kind in (CO_OCCURRENCE, SIMILAR_VALUE):
-                cross[u].add(v)
-                cross[v].add(u)
-        # one shared empty array: a single window's graph has no cross-ticker edges
-        no_cross = np.empty(0, dtype=int)
-        for nid, d in nbrs.items():
-            ids = np.array(sorted(d), dtype=int)
-            self._adjacency[nid] = ids
-            self._multiplicities[nid] = np.array([d[i] for i in ids], dtype=int)
-            self._cross[nid] = np.array(sorted(cross[nid]), dtype=int) if nid in cross else no_cross
+        n = self.num_nodes
+        u, v, kind, mult = (np.asarray(a, dtype=np.int64) for a in
+                            (self.edge_u, self.edge_v, self.edge_kind, self.edge_mult))
+        key = (u * n + v) * len(EDGE_KINDS) + kind
+        order = np.argsort(key, kind="stable")
+        u, v, kind, mult, key = (a[order] for a in (u, v, kind, mult, key))
+        for bad, problem in (
+                ((np.minimum(u, v) < 0) | (np.maximum(u, v) >= n), f"node id not in 0..{n - 1}"),
+                (u == v, "self-loop"), (u > v, "endpoints must be ordered u < v"),
+                ((kind < 0) | (kind >= len(EDGE_KINDS)), "unknown edge kind"),
+                (mult < 1, "multiplicity must be >= 1"),
+                (np.concatenate(([False], key[1:] == key[:-1])), "duplicate edge")):
+            if bad.any():
+                e = int(np.argmax(bad))
+                name = dict(enumerate(EDGE_KINDS)).get(int(kind[e]), f"kind code {kind[e]}")
+                raise ValueError(f"edge ({u[e]}, {v[e]}, {name}): {problem}")
+        self.edge_u, self.edge_v, self.edge_kind, self.edge_mult = u, v, kind, mult
+        self.indptr, self.indices, self.mult = _csr(u, v, mult, n)
+        cross = kind != KIND_CODE[VISIBILITY]
+        self.cross_indptr, self.cross_indices, _ = _csr(u[cross], v[cross], mult[cross], n)
+        # the scalar walk reads one node per step, and a list lookup is
+        # several times cheaper than slicing the flat arrays
+        self._neighbor_rows = _cut(self.indptr, self.indices)
+        self._cross_rows = _cut(self.cross_indptr, self.cross_indices)
+        self.node_values = _cut(self.value_ptr, self.values.tolist())
 
     @property
     def num_nodes(self) -> int:
-        return len(self.nodes)
+        return self.node_time.size
+
+    @cached_property
+    def edges(self) -> MappingProxyType:
+        """Read-only ``{(u, v, kind): multiplicity}`` view, in (u, v, kind) order."""
+        kinds = map(EDGE_KINDS.__getitem__, self.edge_kind.tolist())
+        keys = zip(self.edge_u.tolist(), self.edge_v.tolist(), kinds)
+        return MappingProxyType(dict(zip(keys, self.edge_mult.tolist())))
 
     def neighbor_ids(self, node_id: int) -> np.ndarray:
-        return self._adjacency[node_id]
+        return self._neighbor_rows[node_id]
 
     def weighted_neighbors(self, node_id: int) -> tuple[np.ndarray, np.ndarray]:
-        return self._adjacency[node_id], self._multiplicities[node_id]
+        lo, hi = self.indptr[node_id], self.indptr[node_id + 1]
+        return self.indices[lo:hi], self.mult[lo:hi]
 
     def cross_ticker_neighbor_ids(self, node_id: int) -> np.ndarray:
-        return self._cross[node_id]
+        return self._cross_rows[node_id]
+
+    def node_tickers(self, node_id: int) -> list[str]:
+        lo, hi = self.value_ptr[node_id], self.value_ptr[node_id + 1]
+        return [self.tickers[i] for i in self.value_ticker[lo:hi]]
 
     def first_node(self, ticker: str | None = None) -> int:
         """Node holding the first time index of ``ticker`` (default: the first ticker)."""
@@ -109,6 +127,21 @@ class Graph:
 
     def scale_for(self, ticker: str | None = None) -> tuple[float, float, bool]:
         return self.scales[self.tickers[0] if ticker is None else ticker]
+
+
+def _csr(u: np.ndarray, v: np.ndarray, weights: np.ndarray, n: int):
+    """Symmetric CSR ``(indptr, indices, summed weights)`` of the edges (u, v)."""
+    if not u.size:  # as for the cross-ticker edges of a one-ticker graph
+        return np.zeros(n + 1, dtype=np.int64), u, weights
+    key, pair = np.unique(np.concatenate((u * n + v, v * n + u)), return_inverse=True)
+    weights = np.bincount(pair, np.concatenate((weights, weights)), key.size).astype(np.int64)
+    return np.concatenate(([0], np.cumsum(np.bincount(key // n, minlength=n)))), key % n, weights
+
+
+def _cut(indptr: np.ndarray, data) -> list:
+    if not len(data):  # every row empty: share one empty row
+        return [data] * (len(indptr) - 1)
+    return [data[lo:hi] for lo, hi in pairwise(indptr.tolist())]
 
 
 def _require_scaled(window: Window) -> np.ndarray:
@@ -123,39 +156,38 @@ def _window_scale(window: Window) -> tuple[float, float, bool]:
     return (float(window.scale_min), float(window.scale_max), bool(window.is_constant))
 
 
-def _window_graph(kind: str, window: Window, pairs: list[tuple[int, int]]) -> Graph:
-    """One-ticker graph of a single window with unit-multiplicity visibility edges."""
-    nodes = [GraphNode(node_id=i, time_indices=[i], values=[float(v)],
-                       ticker_tags=[window.ticker])
-             for i, v in enumerate(window.scaled_values)]
-    return Graph(
-        kind=kind,
-        segment=(window.start_index, window.length),
-        tickers=[window.ticker],
-        nodes=nodes,
-        edges={(u, v, VISIBILITY): 1 for u, v in pairs},
-        merge_map={(window.ticker, i): i for i in range(window.length)},
-        scales={window.ticker: _window_scale(window)},
-    )
+def _window_graph(kind: str, window: Window, heads, tails) -> Graph:
+    """One-ticker graph of a window with the visibility edges (heads, tails)."""
+    n, ticker = window.length, window.ticker
+    return Graph(kind=kind, segment=(window.start_index, n), tickers=[ticker],
+                 merge_map={(ticker, t): t for t in range(n)},
+                 scales={ticker: _window_scale(window)}, node_time=np.arange(n),
+                 value_ptr=np.arange(n + 1), values=np.array(window.scaled_values, dtype=float),
+                 value_ticker=np.zeros(n, dtype=np.int64), edge_u=heads, edge_v=tails,
+                 edge_kind=np.full(len(heads), KIND_CODE[VISIBILITY]),
+                 edge_mult=np.ones(len(heads), dtype=np.int64))
+
+
+def _nvg_edges(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(row, i, j)`` of the NVG edges of every row of ``values``: j is
+    visible from anchor i iff the slope (i, j) strictly exceeds every slope
+    (i, k), i < k < j. Anchors go in blocks over all rows at once; a block's
+    slope grid (-inf where j <= i) holds about 2**16 entries at most."""
+    n = values.shape[1]
+    j = np.arange(n)
+    block = max(1, 2**16 // values.size)
+    parts = []
+    for lo in range(0, n - 1, block):
+        i = np.arange(lo, min(lo + block, n - 1))[:, None]
+        slopes = np.where(j > i, (values[:, None, :] - values[:, i]) / (j - i).clip(1), -np.inf)
+        row, a, k = np.nonzero(slopes[..., 1:] > np.maximum.accumulate(slopes, axis=-1)[..., :-1])
+        parts.append((row, a + lo, k + 1))
+    return tuple(np.concatenate(p) for p in zip(*parts))
 
 
 def build_nvg(window: Window) -> Graph:
-    """Natural visibility graph of a scaled window.
-
-    For each anchor i the running maximum of slopes to intermediate points
-    decides visibility: j is visible from i iff the slope (i, j) strictly
-    exceeds every slope (i, k) with i < k < j.
-    """
-    values = _require_scaled(window)
-    n = values.size
-    pairs: list[tuple[int, int]] = []
-    for i in range(n - 1):
-        span = np.arange(i + 1, n)
-        slopes = (values[i + 1 :] - values[i]) / (span - i)
-        blockers = np.concatenate(([-np.inf], np.maximum.accumulate(slopes)[:-1]))
-        for j in span[slopes > blockers]:
-            pairs.append((i, int(j)))
-    return _window_graph(NVG, window, pairs)
+    """Natural visibility graph of a scaled window."""
+    return _window_graph(NVG, window, *_nvg_edges(_require_scaled(window)[None, :])[1:])
 
 
 def build_hvg(window: Window) -> Graph:
@@ -172,140 +204,109 @@ def build_hvg(window: Window) -> Graph:
             highest = max(highest, values[j])
             if highest >= values[i]:
                 break
-    return _window_graph(HVG, window, pairs)
+    return _window_graph(HVG, window, *np.transpose(pairs))
+
+
+def _bruteforce(kind: str, window: Window, sees) -> Graph:
+    """Literal per-pair criterion: j is visible from i iff ``sees(values, i, j, k)``
+    for every i < k < j, each anchor's pairs at once over a masked (j, k) grid."""
+    values = _require_scaled(window)
+    n = values.size
+    visible = np.zeros((n, n), dtype=bool)
+    for i in range(n - 1):
+        j = np.arange(i + 1, n)[:, None]
+        k = np.arange(i + 1, n)[None, :]
+        visible[i, i + 1 :] = np.all(sees(values, i, j, k) | (k >= j), axis=1)
+    return _window_graph(kind, window, *np.nonzero(visible))
 
 
 def nvg_bruteforce(window: Window) -> Graph:
-    """Literal O(n^3) evaluation of the natural visibility criterion.
-
-    Checks, for every pair (i, j), that each intermediate point k lies
-    strictly below the sight line at k. Each anchor i evaluates all its
-    pairs at once over a (j, k) grid masked to i < k < j. Kept as an
-    independent oracle for build_nvg.
-    """
-    values = _require_scaled(window)
-    n = values.size
-    pairs: list[tuple[int, int]] = []
-    for i in range(n - 1):
-        j = np.arange(i + 1, n)[:, None]
-        k = np.arange(i + 1, n)[None, :]
-        line = values[i] + (values[j] - values[i]) * (k - i) / (j - i)
-        visible = np.all((values[k] < line) | (k >= j), axis=1)
-        pairs.extend((i, int(jj)) for jj in j[visible, 0])
-    return _window_graph(NVG, window, pairs)
+    """O(n^3) oracle for build_nvg: each k lies strictly below the sight line (i, j)."""
+    return _bruteforce(NVG, window, lambda v, i, j, k:
+                       v[k] < v[i] + (v[j] - v[i]) * (k - i) / (j - i))
 
 
 def hvg_bruteforce(window: Window) -> Graph:
-    """Literal evaluation of the horizontal rule for every pair, each anchor's
-    pairs at once over a (j, k) grid masked to i < k < j; test oracle."""
-    values = _require_scaled(window)
-    n = values.size
-    pairs: list[tuple[int, int]] = []
-    for i in range(n - 1):
-        j = np.arange(i + 1, n)[:, None]
-        k = np.arange(i + 1, n)[None, :]
-        visible = np.all((values[k] < np.minimum(values[i], values[j])) | (k >= j), axis=1)
-        pairs.extend((i, int(jj)) for jj in j[visible, 0])
-    return _window_graph(HVG, window, pairs)
+    """Oracle for build_hvg: each k lies strictly below both endpoints."""
+    return _bruteforce(HVG, window, lambda v, i, j, k: v[k] < np.minimum(v[i], v[j]))
 
 
 def build_multigraph(
     windows: list[Window],
     similar_value_epsilon: float = DEFAULT_SIMILAR_VALUE_EPSILON,
 ) -> Graph:
-    """Build the cross-ticker multigraph of one time segment.
-
-    Steps: per-ticker NVGs; co-occurrence edges between different tickers at
-    equal time index; similar-value edges between nodes of different tickers
-    whose scaled values differ by less than ``similar_value_epsilon``; then
-    nodes with equal time index and exactly equal scaled value are merged.
-    Edges that collapse onto a single merged node are dropped, parallel edges
-    of the same kind accumulate multiplicity.
-    """
+    """Cross-ticker multigraph of one time segment: per-ticker NVGs, plus
+    co-occurrence edges between tickers at equal time index and similar-value
+    edges between tickers whose scaled values differ by less than
+    ``similar_value_epsilon``. Nodes with equal time index and exactly equal
+    scaled value merge, numbered by first member; edges inside a merged node
+    drop and parallel edges of one kind add up as multiplicity."""
     if not windows:
         raise ValueError("at least one window required")
-    start, length = windows[0].start_index, windows[0].length
+    start, n = windows[0].start_index, windows[0].length
     for w in windows:
-        if (w.start_index, w.length) != (start, length):
+        if (w.start_index, w.length) != (start, n):
             raise SegmentMismatchError(
                 f"{w.ticker}@{w.start_index} (len {w.length}) does not match "
-                f"segment start {start} (len {length})"
+                f"segment start {start} (len {n})"
             )
     tickers = [w.ticker for w in windows]
     if len(set(tickers)) != len(tickers):
         raise ValueError("duplicate ticker within one segment")
 
-    n, n_windows = length, len(windows)
-    values = [np.asarray(_require_scaled(w), dtype=float) for w in windows]
+    scaled = np.stack([_require_scaled(w) for w in windows])
+    flat = scaled.ravel()  # provisional node id: window position * n + time index
+    time = np.tile(np.arange(n), len(windows))
 
-    # provisional node id: window position * length + local time index
-    raw_edges: dict[tuple[int, int, str], int] = {}
-    for wi, w in enumerate(windows):
-        vg = build_nvg(w)
-        for (u, v, _) in vg.edges:
-            raw_edges[(wi * n + u, wi * n + v, VISIBILITY)] = 1
-    for a in range(n_windows):
-        for b in range(a + 1, n_windows):
-            for t in range(n):
-                raw_edges[(a * n + t, b * n + t, CO_OCCURRENCE)] = 1
-            close = np.argwhere(np.abs(values[a][:, None] - values[b][None, :])
+    wi, i, j = _nvg_edges(scaled)
+    edges = [(wi * n + i, wi * n + j, VISIBILITY)]
+    block = max(1, 2**16 // n)  # later nodes per step: a grid of about 2**16 entries
+    for src in range(len(windows) - 1):
+        for lo in range((src + 1) * n, flat.size, block):
+            later = np.arange(lo, min(lo + block, flat.size))
+            edges.append((src * n + later % n, later, CO_OCCURRENCE))
+            ts, tl = np.nonzero(np.abs(scaled[src][:, None] - flat[lo:lo + block])
                                 < similar_value_epsilon)
-            for ta, tb in close:
-                raw_edges[(a * n + int(ta), b * n + int(tb), SIMILAR_VALUE)] = 1
+            edges.append((src * n + ts, later[tl], SIMILAR_VALUE))
 
-    # merge nodes with equal time index and exactly equal scaled value
-    groups: dict[tuple[int, float], list[int]] = {}
-    for wi in range(n_windows):
-        for t in range(n):
-            groups.setdefault((t, float(values[wi][t])), []).append(wi * n + t)
-    ordered = sorted(groups.values(), key=min)
-    remap = {pid: new_id for new_id, members in enumerate(ordered) for pid in members}
+    # merge nodes with equal time index and exactly equal scaled value; the
+    # lexsort is stable, so each group's members stay in provisional order
+    order = np.lexsort((flat, time))
+    starts = np.concatenate(([True], (np.diff(time[order]) != 0)
+                             | (flat[order][1:] != flat[order][:-1])))
+    first = order[starts]  # each group's smallest provisional id
+    node_of_group = np.argsort(np.argsort(first))
+    remap = node_of_group[np.cumsum(starts) - 1][np.argsort(order)]
+    members = np.argsort(remap, kind="stable")
 
-    nodes = []
-    for new_id, members in enumerate(ordered):
-        t = members[0] % n
-        nodes.append(GraphNode(
-            node_id=new_id,
-            time_indices=[t],
-            values=[float(values[pid // n][t]) for pid in members],
-            ticker_tags=[tickers[pid // n] for pid in members],
-        ))
-
-    edges: dict[tuple[int, int, str], int] = {}
-    for (u, v, kind), mult in raw_edges.items():
-        ru, rv = remap[u], remap[v]
-        if ru == rv:
-            continue  # merged away
-        key = (min(ru, rv), max(ru, rv), kind)
-        edges[key] = edges.get(key, 0) + mult
-
-    merge_map = {(ticker, t): remap[wi * n + t]
-                 for wi, ticker in enumerate(tickers) for t in range(n)}
-
-    return Graph(
-        kind=NVMG,
-        segment=(start, length),
-        tickers=tickers,
-        nodes=nodes,
-        edges=edges,
-        merge_map=merge_map,
-        scales={w.ticker: _window_scale(w) for w in windows},
-    )
+    heads, tails, kinds = zip(*edges)
+    u, v = remap[np.concatenate(heads)], remap[np.concatenate(tails)]
+    kind = np.repeat([KIND_CODE[k] for k in kinds], [h.size for h in heads])
+    key = (np.minimum(u, v) * len(first) + np.maximum(u, v)) * len(EDGE_KINDS) + kind
+    key, mult = np.unique(key[u != v], return_counts=True)  # edges inside a merged node drop
+    pair, kind = np.divmod(key, len(EDGE_KINDS))
+    return Graph(kind=NVMG, segment=(start, n), tickers=tickers,
+                 merge_map=dict(zip(((ticker, t) for ticker in tickers for t in range(n)),
+                                    remap.tolist())),
+                 scales={w.ticker: _window_scale(w) for w in windows},
+                 node_time=time[np.sort(first)],
+                 value_ptr=np.concatenate(([0], np.cumsum(np.bincount(remap)))),
+                 values=flat[members], value_ticker=members // n,
+                 edge_u=pair // len(first), edge_v=pair % len(first), edge_kind=kind,
+                 edge_mult=mult)
 
 
 def dump_graph(graph: Graph, path: str | Path) -> None:
     """Write an edge list and node table as plain text for inspection.
 
     Edge lines are ``node_u node_v kind multiplicity``; node lines are
-    ``node_id time_indices values tickers`` with comma-joined fields.
+    ``node_id time_index values tickers``, values and tickers comma-joined.
     """
     with Path(path).open("w") as fh:
         fh.write("# edges: node_u node_v kind multiplicity\n")
-        for (u, v, kind), mult in sorted(graph.edges.items()):
+        for (u, v, kind), mult in graph.edges.items():
             fh.write(f"{u} {v} {kind} {mult}\n")
         fh.write("# nodes: node_id time_indices values tickers\n")
-        for node in graph.nodes:
-            times = ",".join(str(t) for t in node.time_indices)
-            vals = ",".join(repr(v) for v in node.values)
-            tags = ",".join(node.ticker_tags)
-            fh.write(f"{node.node_id} {times} {vals} {tags}\n")
+        for node, time in enumerate(graph.node_time.tolist()):
+            vals = ",".join(repr(v) for v in graph.node_values[node])
+            fh.write(f"{node} {time} {vals} {','.join(graph.node_tickers(node))}\n")

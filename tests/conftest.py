@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from vgsynth.graphs import KIND_CODE, VISIBILITY, Graph
 from vgsynth.ingest import Window, minmax_scale
 
 
@@ -33,3 +34,22 @@ def make_prescaled_window(scaled, ticker="T", start=0):
 def random_scaled_window(rng, length, ticker="T", start=0):
     raw = rng.random(length) * 40.0 + 10.0
     return make_scaled_window(raw, ticker=ticker, start=start)
+
+
+def make_graph(node_values, u=(), v=(), kind=None, mult=None):
+    """Hand-built one-ticker ``Graph``: node i holds the list ``node_values[i]``
+    and edge e joins ``u[e]`` and ``v[e]`` with kind code ``kind[e]`` (default
+    visibility) and multiplicity ``mult[e]`` (default 1)."""
+    n = len(node_values)
+    u = np.asarray(u, dtype=np.int64)
+    counts = [len(values) for values in node_values]
+    return Graph(kind="nvg", segment=(0, n), tickers=["T"],
+                 merge_map={("T", i): i for i in range(n)},
+                 scales={"T": (0.0, 1.0, False)},
+                 node_time=np.arange(n),
+                 value_ptr=np.concatenate(([0], np.cumsum(counts))).astype(np.int64),
+                 values=np.array([x for values in node_values for x in values], dtype=float),
+                 value_ticker=np.zeros(sum(counts), dtype=np.int64),
+                 edge_u=u, edge_v=v,
+                 edge_kind=np.full(u.size, KIND_CODE[VISIBILITY]) if kind is None else kind,
+                 edge_mult=np.ones(u.size, dtype=np.int64) if mult is None else mult)

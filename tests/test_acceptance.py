@@ -164,7 +164,7 @@ def test_criterion_7_property_suites(tmp_path):
     windows = [minmax_scale(Window(f"T{i}", 0, rng.random(15) * 50 + 25))
                for i in range(6)]
     mg = build_multigraph(windows)
-    node_values = sorted(v for n in mg.nodes for v in n.values)
+    node_values = sorted(mg.values.tolist())
     win_values = sorted(v for w in windows for v in w.scaled_values)
     if not np.array_equal(node_values, win_values):
         problems.append("multigraph values not conserved")

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -186,8 +187,9 @@ class TestSelftestCommand:
     def test_corrupted_criterion_fails_with_pair(self, capsys):
         def corrupted_nvg(window):
             graph = build_nvg(window)
-            graph.edges.pop(sorted(graph.edges)[-1])  # drop one edge
-            return graph
+            last = slice(None, -1)  # drop the last edge
+            return replace(graph, edge_u=graph.edge_u[last], edge_v=graph.edge_v[last],
+                           edge_kind=graph.edge_kind[last], edge_mult=graph.edge_mult[last])
 
         assert cmd_selftest(nvg_builder=corrupted_nvg) == 1
         out = capsys.readouterr().out

@@ -7,20 +7,16 @@ from vgsynth.generate import (DownsampleWarning, SyntheticSequence, WalkConfig,
                               dtw_bruteforce, dtw_distance, dtw_distances,
                               generate_sequence,
                               next_node, next_value, vrp_generate)
-from vgsynth.graphs import VISIBILITY, Graph, GraphNode, build_multigraph, build_nvg
+from vgsynth.graphs import build_multigraph, build_nvg
 
-from conftest import make_prescaled_window, make_scaled_window, random_scaled_window
+from conftest import (make_graph, make_prescaled_window, make_scaled_window,
+                      random_scaled_window)
 
 
 def graph_from_edges(n_nodes, edges, values=None):
     """Hand-built one-ticker graph for walk tests; values default to node index / 10."""
-    nodes = [GraphNode(node_id=i, time_indices=[i],
-                       values=[values[i] if values else i / 10.0], ticker_tags=["T"])
-             for i in range(n_nodes)]
-    return Graph(kind="nvg", segment=(0, n_nodes), tickers=["T"], nodes=nodes,
-                 edges={(u, v, VISIBILITY): mult for (u, v), mult in edges.items()},
-                 merge_map={("T", i): i for i in range(n_nodes)},
-                 scales={"T": (0.0, 1.0, False)})
+    return make_graph([[values[i] if values else i / 10.0] for i in range(n_nodes)],
+                      [u for u, _ in edges], [v for _, v in edges], mult=list(edges.values()))
 
 
 class TestNextNode:
@@ -31,8 +27,9 @@ class TestNextNode:
 
     def test_restart_prob_one_always_restarts(self, rng):
         path = graph_from_edges(3, {(0, 1): 1, (1, 2): 1})
-        cfg = WalkConfig(node_strategy="restart_random", restart_prob=1.0, start_node=0)
-        assert all(next_node(path, 2, cfg, rng) == 0 for _ in range(50))
+        cfg = WalkConfig(node_strategy="restart_random", restart_prob=1.0)
+        assert all(next_node(path, 2, cfg, rng, start=1) == 1 for _ in range(50))
+        assert all(next_node(path, 2, cfg, rng) == 0 for _ in range(50))  # first node
 
     def test_degree_weighted_follows_multiplicities(self):
         star = graph_from_edges(3, {(0, 1): 3, (0, 2): 1})
@@ -71,21 +68,21 @@ class TestNextNode:
 
 class TestNextValue:
     def test_singleton(self, rng):
-        node = GraphNode(0, [0], [0.7], ["T"])
+        graph = make_graph([[0.7]])
         state = _WalkState(rng=rng)
-        assert next_value(node, "random", state) == 0.7
-        assert next_value(node, "round_robin", state) == 0.7
+        assert next_value(graph, 0, "random", state) == 0.7
+        assert next_value(graph, 0, "round_robin", state) == 0.7
 
     def test_round_robin_wraps(self, rng):
-        node = GraphNode(0, [0], [0.1, 0.9], ["T"])
+        graph = make_graph([[0.1, 0.9]])
         state = _WalkState(rng=rng)
-        out = [next_value(node, "round_robin", state) for _ in range(3)]
+        out = [next_value(graph, 0, "round_robin", state) for _ in range(3)]
         assert out == [0.1, 0.9, 0.1]
 
     def test_random_is_uniform(self):
-        node = GraphNode(0, [0], [0.1, 0.9], ["T"])
+        graph = make_graph([[0.1, 0.9]])
         state = _WalkState(rng=np.random.default_rng(11))
-        draws = [next_value(node, "random", state) for _ in range(10_000)]
+        draws = [next_value(graph, 0, "random", state) for _ in range(10_000)]
         freq = np.mean(np.array(draws) == 0.1)
         assert abs(freq - 0.5) <= 0.02
 
@@ -104,7 +101,7 @@ class TestGenerateSequence:
             cfg = WalkConfig(target_length=20, seed=int(rng.integers(1 << 30)))
             seq = generate_sequence(graph, cfg)
             assert seq.values.size == 20
-            node_values = {v for n in graph.nodes for v in n.values}
+            node_values = set(graph.values.tolist())
             assert set(seq.scaled_values.tolist()) <= node_values
 
     def test_seed_determinism(self, rng):

@@ -1,12 +1,23 @@
+import tempfile
+from collections import defaultdict
+from dataclasses import dataclass, field
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from vgsynth.corpus import make_desk_corpus
 from vgsynth.errors import SegmentMismatchError
-from vgsynth.graphs import (CO_OCCURRENCE, SIMILAR_VALUE, VISIBILITY,
-                            build_hvg, build_multigraph, build_nvg,
+from vgsynth.graphs import (CO_OCCURRENCE, DEFAULT_SIMILAR_VALUE_EPSILON, KIND_CODE,
+                            NVMG, SIMILAR_VALUE, VISIBILITY, _require_scaled,
+                            _window_scale, build_hvg, build_multigraph, build_nvg,
                             dump_graph, hvg_bruteforce, nvg_bruteforce)
+from vgsynth.ingest import Window, minmax_scale, slice_windows
 
-from conftest import make_prescaled_window, make_scaled_window, random_scaled_window
+from conftest import (make_graph, make_prescaled_window, make_scaled_window,
+                      random_scaled_window)
 
 
 def edge_set(graph):
@@ -111,14 +122,14 @@ class TestGraphInvariants:
         window = random_scaled_window(rng, 30)
         g = build_nvg(window)
         assert all(u != v for u, v, _ in g.edges)
-        assert all(g.neighbor_ids(n.node_id).size >= 1 for n in g.nodes)
+        assert all(g.neighbor_ids(i).size >= 1 for i in range(g.num_nodes))
 
     def test_determinism(self, rng):
         raw = rng.random(25)
         a = build_nvg(make_scaled_window(raw))
         b = build_nvg(make_scaled_window(raw))
         assert a.edges == b.edges
-        assert [n.values for n in a.nodes] == [n.values for n in b.nodes]
+        assert a.node_values == b.node_values
 
 
 class TestMultigraph:
@@ -136,8 +147,8 @@ class TestMultigraph:
         mg = build_multigraph([a, b])
         assert mg.num_nodes == 2
         assert mg.edges == {(0, 1, VISIBILITY): 2}
-        assert sorted(mg.nodes[0].ticker_tags) == ["A", "B"]
-        assert mg.nodes[0].values == [0.0, 0.0]
+        assert sorted(mg.node_tickers(0)) == ["A", "B"]
+        assert mg.node_values[0] == [0.0, 0.0]
 
     def test_similar_value_link(self):
         a = make_prescaled_window([0.0, 1.0], ticker="A")
@@ -158,7 +169,7 @@ class TestMultigraph:
     def test_value_conservation(self, rng):
         windows = [random_scaled_window(rng, 12, ticker=f"T{i}") for i in range(5)]
         mg = build_multigraph(windows)
-        node_values = sorted(v for n in mg.nodes for v in n.values)
+        node_values = sorted(v for values in mg.node_values for v in values)
         window_values = sorted(v for w in windows for v in w.scaled_values)
         np.testing.assert_array_equal(node_values, window_values)
 
@@ -198,3 +209,269 @@ def test_dump_graph_format(tmp_path, rng):
     parts = edge_lines[0].split()
     assert parts[2] == VISIBILITY and parts[3] == "1"
     assert any(l.startswith("# nodes:") for l in lines)
+
+
+class TestGraphConstructor:
+    """Each bad edge raises a ValueError naming it, before any adjacency is built."""
+
+    VIS = KIND_CODE[VISIBILITY]
+
+    @pytest.mark.parametrize("u, v, kind, mult, message", [
+        ([0, 1], [1, 5], [VIS, VIS], [1, 1], r"\(1, 5, visibility\): node id not in 0..2"),
+        ([0, 1], [1, 0], [VIS, VIS], [1, 1], r"\(1, 0, visibility\): endpoints must be ordered"),
+        ([0, 1], [1, 2], [VIS, 3], [1, 1], r"\(1, 2, kind code 3\): unknown edge kind"),
+        ([0, 1], [1, 2], [VIS, VIS], [1, 0], r"\(1, 2, visibility\): multiplicity must be >= 1"),
+        ([0, 2], [1, 2], [VIS, VIS], [1, 1], r"\(2, 2, visibility\): self-loop"),
+        ([1, 0, 1], [2, 1, 2], [VIS] * 3, [1, 1, 1], r"\(1, 2, visibility\): duplicate edge"),
+    ], ids=["out_of_range", "reversed", "unknown_kind", "zero_multiplicity", "self_loop",
+            "duplicate"])
+    def test_bad_edge_rejected(self, u, v, kind, mult, message):
+        with pytest.raises(ValueError, match="^edge " + message):
+            make_graph([[0.0], [0.5], [1.0]], u, v, kind, mult)
+
+    def test_unsorted_edges_are_sorted(self):
+        g = make_graph([[0.0], [0.5], [1.0]], [1, 0, 0], [2, 2, 1],
+                       [KIND_CODE[VISIBILITY], KIND_CODE[SIMILAR_VALUE], KIND_CODE[VISIBILITY]],
+                       [1, 2, 3])
+        assert list(g.edges.items()) == [((0, 1, VISIBILITY), 3), ((0, 2, SIMILAR_VALUE), 2),
+                                         ((1, 2, VISIBILITY), 1)]
+        np.testing.assert_array_equal(g.weighted_neighbors(0)[1], [3, 2])
+        np.testing.assert_array_equal(g.cross_ticker_neighbor_ids(2), [0])
+
+    def test_edges_view_is_read_only(self, rng):
+        g = build_nvg(random_scaled_window(rng, 10))
+        with pytest.raises(TypeError):
+            g.edges[(0, 1, VISIBILITY)] = 2
+
+
+# The dict-based multigraph build and adjacency that the array-backed Graph
+# replaced, kept verbatim as the reference the array build must equal.
+
+@dataclass
+class GraphNode:
+    """One graph node; holds several values only after multigraph merging."""
+
+    node_id: int
+    time_indices: list[int]
+    values: list[float]
+    ticker_tags: list[str]
+
+
+@dataclass(eq=False)
+class ReferenceGraph:
+    """The dict-keyed graph: ``edges`` maps (u, v, kind) with u < v to
+    multiplicity, and the constructor builds per-node sorted neighbour,
+    multiplicity and cross-ticker arrays."""
+
+    kind: str
+    segment: tuple[int, int]  # (start_index, length)
+    tickers: list[str]
+    nodes: list[GraphNode]
+    edges: dict[tuple[int, int, str], int]
+    merge_map: dict[tuple[str, int], int]
+    scales: dict[str, tuple[float, float, bool]]
+    _adjacency: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
+    _multiplicities: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
+    _cross: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        nbrs: dict[int, dict[int, int]] = {n.node_id: {} for n in self.nodes}
+        cross: dict[int, set[int]] = defaultdict(set)
+        for (u, v, kind), mult in self.edges.items():
+            if u == v:
+                raise ValueError(f"self-loop on node {u}")
+            nbrs[u][v] = nbrs[u].get(v, 0) + mult
+            nbrs[v][u] = nbrs[v].get(u, 0) + mult
+            if kind in (CO_OCCURRENCE, SIMILAR_VALUE):
+                cross[u].add(v)
+                cross[v].add(u)
+        # one shared empty array: a single window's graph has no cross-ticker edges
+        no_cross = np.empty(0, dtype=int)
+        for nid, d in nbrs.items():
+            ids = np.array(sorted(d), dtype=int)
+            self._adjacency[nid] = ids
+            self._multiplicities[nid] = np.array([d[i] for i in ids], dtype=int)
+            self._cross[nid] = np.array(sorted(cross[nid]), dtype=int) if nid in cross else no_cross
+
+
+def reference_build_multigraph(
+    windows: list[Window],
+    similar_value_epsilon: float = DEFAULT_SIMILAR_VALUE_EPSILON,
+) -> ReferenceGraph:
+    """Build the cross-ticker multigraph of one time segment.
+
+    Steps: per-ticker NVGs; co-occurrence edges between different tickers at
+    equal time index; similar-value edges between nodes of different tickers
+    whose scaled values differ by less than ``similar_value_epsilon``; then
+    nodes with equal time index and exactly equal scaled value are merged.
+    Edges that collapse onto a single merged node are dropped, parallel edges
+    of the same kind accumulate multiplicity.
+    """
+    if not windows:
+        raise ValueError("at least one window required")
+    start, length = windows[0].start_index, windows[0].length
+    for w in windows:
+        if (w.start_index, w.length) != (start, length):
+            raise SegmentMismatchError(
+                f"{w.ticker}@{w.start_index} (len {w.length}) does not match "
+                f"segment start {start} (len {length})"
+            )
+    tickers = [w.ticker for w in windows]
+    if len(set(tickers)) != len(tickers):
+        raise ValueError("duplicate ticker within one segment")
+
+    n, n_windows = length, len(windows)
+    values = [np.asarray(_require_scaled(w), dtype=float) for w in windows]
+
+    # provisional node id: window position * length + local time index
+    raw_edges: dict[tuple[int, int, str], int] = {}
+    for wi, w in enumerate(windows):
+        vg = build_nvg(w)
+        for (u, v, _) in vg.edges:
+            raw_edges[(wi * n + u, wi * n + v, VISIBILITY)] = 1
+    for a in range(n_windows):
+        for b in range(a + 1, n_windows):
+            for t in range(n):
+                raw_edges[(a * n + t, b * n + t, CO_OCCURRENCE)] = 1
+            close = np.argwhere(np.abs(values[a][:, None] - values[b][None, :])
+                                < similar_value_epsilon)
+            for ta, tb in close:
+                raw_edges[(a * n + int(ta), b * n + int(tb), SIMILAR_VALUE)] = 1
+
+    # merge nodes with equal time index and exactly equal scaled value
+    groups: dict[tuple[int, float], list[int]] = {}
+    for wi in range(n_windows):
+        for t in range(n):
+            groups.setdefault((t, float(values[wi][t])), []).append(wi * n + t)
+    ordered = sorted(groups.values(), key=min)
+    remap = {pid: new_id for new_id, members in enumerate(ordered) for pid in members}
+
+    nodes = []
+    for new_id, members in enumerate(ordered):
+        t = members[0] % n
+        nodes.append(GraphNode(
+            node_id=new_id,
+            time_indices=[t],
+            values=[float(values[pid // n][t]) for pid in members],
+            ticker_tags=[tickers[pid // n] for pid in members],
+        ))
+
+    edges: dict[tuple[int, int, str], int] = {}
+    for (u, v, kind), mult in raw_edges.items():
+        ru, rv = remap[u], remap[v]
+        if ru == rv:
+            continue  # merged away
+        key = (min(ru, rv), max(ru, rv), kind)
+        edges[key] = edges.get(key, 0) + mult
+
+    merge_map = {(ticker, t): remap[wi * n + t]
+                 for wi, ticker in enumerate(tickers) for t in range(n)}
+
+    return ReferenceGraph(
+        kind=NVMG,
+        segment=(start, length),
+        tickers=tickers,
+        nodes=nodes,
+        edges=edges,
+        merge_map=merge_map,
+        scales={w.ticker: _window_scale(w) for w in windows},
+    )
+
+
+def reference_dump_graph(graph: ReferenceGraph, path: str | Path) -> None:
+    """Write an edge list and node table as plain text for inspection.
+
+    Edge lines are ``node_u node_v kind multiplicity``; node lines are
+    ``node_id time_indices values tickers`` with comma-joined fields.
+    """
+    with Path(path).open("w") as fh:
+        fh.write("# edges: node_u node_v kind multiplicity\n")
+        for (u, v, kind), mult in sorted(graph.edges.items()):
+            fh.write(f"{u} {v} {kind} {mult}\n")
+        fh.write("# nodes: node_id time_indices values tickers\n")
+        for node in graph.nodes:
+            times = ",".join(str(t) for t in node.time_indices)
+            vals = ",".join(repr(v) for v in node.values)
+            tags = ",".join(node.ticker_tags)
+            fh.write(f"{node.node_id} {times} {vals} {tags}\n")
+
+
+def reference_nvg_pairs(window: Window) -> list[tuple[int, int]]:
+    """The per-anchor slope loop that ``build_nvg`` replaced; its float
+    decisions are the ones the golden outputs pin."""
+    values = _require_scaled(window)
+    n = values.size
+    pairs: list[tuple[int, int]] = []
+    for i in range(n - 1):
+        span = np.arange(i + 1, n)
+        slopes = (values[i + 1 :] - values[i]) / (span - i)
+        blockers = np.concatenate(([-np.inf], np.maximum.accumulate(slopes)[:-1]))
+        for j in span[slopes > blockers]:
+            pairs.append((i, int(j)))
+    return pairs
+
+
+def assert_matches_reference(windows, similar_value_epsilon=DEFAULT_SIMILAR_VALUE_EPSILON):
+    """The array build equals the reference in edges, node numbering, node
+    values and ticker tags in member order, merge_map, per-node neighbour,
+    multiplicity and cross arrays, and ``dump_graph`` bytes; each window's
+    ``build_nvg`` edges equal the per-anchor loop's."""
+    ref = reference_build_multigraph(windows, similar_value_epsilon)
+    mg = build_multigraph(windows, similar_value_epsilon)
+    assert mg.edges == ref.edges
+    assert list(mg.edges) == sorted(ref.edges)
+    assert mg.num_nodes == len(ref.nodes)
+    for node in ref.nodes:
+        i = node.node_id
+        assert [int(mg.node_time[i])] == node.time_indices
+        assert [v.hex() for v in mg.node_values[i]] == [v.hex() for v in node.values]
+        assert mg.node_tickers(i) == node.ticker_tags
+        for got, want in ((mg.neighbor_ids(i), ref._adjacency[i]),
+                          (mg.weighted_neighbors(i)[1], ref._multiplicities[i]),
+                          (mg.cross_ticker_neighbor_ids(i), ref._cross[i])):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+    assert mg.merge_map == ref.merge_map
+    for w in windows:
+        assert list(build_nvg(w).edges) == [(i, j, VISIBILITY) for i, j in reference_nvg_pairs(w)]
+    with tempfile.TemporaryDirectory() as tmp:
+        dump_graph(mg, Path(tmp) / "array.txt")
+        reference_dump_graph(ref, Path(tmp) / "reference.txt")
+        assert (Path(tmp) / "array.txt").read_bytes() == (Path(tmp) / "reference.txt").read_bytes()
+    return mg
+
+
+def test_multigraph_matches_reference_on_desk_segments():
+    by_start = defaultdict(list)
+    for series in make_desk_corpus(20, 500, seed=2024):
+        for w in slice_windows(series, 20):
+            by_start[w.start_index].append(minmax_scale(w))
+    assert len(by_start) == 25
+    for start in sorted(by_start):
+        assert_matches_reference(by_start[start])
+
+
+def test_multigraph_matches_reference_across_blocks(rng):
+    # 4 windows of 150 points: the NVG anchors and the later nodes that a
+    # source window is compared with both span more than one 2**16-entry block
+    windows = [make_scaled_window(rng.integers(0, 4, 150), ticker=f"T{i}") for i in range(4)]
+    assert_matches_reference(windows, similar_value_epsilon=0.34)
+
+
+# tie-heavy integer windows: equal values at equal times merge, so edges
+# collapse onto merged nodes and parallel edges add up
+tie_segments = st.integers(min_value=2, max_value=40).flatmap(
+    lambda n: st.lists(st.lists(st.integers(min_value=0, max_value=3), min_size=n, max_size=n),
+                       min_size=1, max_size=4)
+).map(lambda rows: [make_scaled_window(row, ticker=f"T{i}", start=11)
+                    for i, row in enumerate(rows)])
+
+
+@settings(deadline=None)
+@given(segment=tie_segments, epsilon=st.sampled_from([0.0, 0.01, 0.34, 1.5]))
+def test_multigraph_matches_reference_on_ties(segment, epsilon):
+    mg = assert_matches_reference(segment, epsilon)
+    for ticker in mg.tickers:  # consecutive points stay linked through merging
+        for t in range(segment[0].length - 1):
+            u, v = mg.merge_map[(ticker, t)], mg.merge_map[(ticker, t + 1)]
+            assert v in mg.neighbor_ids(u)

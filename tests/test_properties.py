@@ -73,7 +73,7 @@ def test_hvg_edges_are_nvg_edges(window):
 def test_walk_values_are_node_values(segment, walk):
     for graph, ticker in ((build_nvg(segment[0]), None), (build_hvg(segment[0]), None),
                           (build_multigraph(segment), segment[-1].ticker)):
-        node_values = {v for node in graph.nodes for v in node.values}
+        node_values = set(graph.values.tolist())
         seq = generate_sequence(graph, walk, ticker=ticker)
         assert set(seq.scaled_values.tolist()) <= node_values
 
