@@ -16,7 +16,7 @@ from .evaluate import (EvalReport, FeatureRow, LogisticClassifier,
                        run_experiment)
 from .generate import (SyntheticSequence, WalkConfig, derive_seed, downsample,
                        dtw_distance, dtw_distances, generate_sequence,
-                       next_node, next_value, vrp_generate)
+                       vrp_generate)
 from .graphs import Graph, build_hvg, build_multigraph, build_nvg, dump_graph
 from .ingest import (TimeSeries, Window, inverse_scale, load_series,
                      minmax_scale, slice_windows)
@@ -35,7 +35,7 @@ __all__ = [
     "dtw_distances", "dump_graph", "embed_2d", "embedding_overlap",
     "extract_features", "format_duration", "generate_sequence",
     "inverse_scale", "load_series", "make_desk_corpus", "minmax_scale",
-    "mixing_score", "next_node", "next_value", "roc_auc", "run_evaluation",
+    "mixing_score", "roc_auc", "run_evaluation",
     "run_experiment", "run_generation", "slice_windows", "time_unit",
     "vrp_generate", "write_corpus_csv",
 ]

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import hashlib
 import warnings
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 from numbers import Real
 
 import numpy as np
@@ -95,71 +96,49 @@ class SyntheticSequence:
             self.scaled_values = np.asarray(self.scaled_values, dtype=float)
 
 
-@dataclass
-class _WalkState:
-    rng: np.random.Generator
-    cursors: dict[int, int] = field(default_factory=dict)
+_LOW32 = 0xFFFFFFFF
 
 
-def _pick(rng: np.random.Generator, ids: np.ndarray) -> int:
-    return int(ids[rng.integers(0, ids.size)])
+def _raw_words(bitgen, k: int):
+    """The bit generator's raw 64-bit words as Python ints, drawn ``k`` at a time."""
+    while True:
+        yield from bitgen.random_raw(k).tolist()
 
 
-def next_node(graph, current: int, config: WalkConfig, rng: np.random.Generator,
-              start: int | None = None) -> int:
-    """Select the node following ``current`` under the configured strategy.
+def replay_draws(seed: int, k: int):
+    """``(random, integers)`` that return exactly what ``random()`` and
+    ``integers(0, n)`` of ``np.random.default_rng(seed)`` return, called in
+    the same order, from its raw PCG64 words drawn ``k`` at a time.
 
-    A restart returns to ``start``, by default the graph's first node.
+    ``random()`` is the word's top 53 bits times 2**-53. ``integers(n)``
+    draws nothing for n = 1; otherwise it is Lemire's bounded method on a
+    32-bit value, the low half of a fresh word or the high half saved by the
+    previous such call (a ``random()`` in between leaves it saved): with
+    m = x·n it rejects while m mod 2**32 < (2**32 − n) mod n and returns
+    m >> 32. It covers 1 <= n <= 2**32.
     """
-    strategy = config.node_strategy
-    if strategy == "uniform_random":
-        return int(rng.integers(0, graph.num_nodes))
+    words = _raw_words(np.random.PCG64(seed), k)
+    half = None
 
-    if strategy == "restart_random":
-        if rng.random() < config.restart_prob:
-            return graph.first_node() if start is None else start
-        if config.restart_jump == "uniform":
-            return int(rng.integers(0, graph.num_nodes))
-        return _pick(rng, _neighbors_or_raise(graph, current))
+    def random() -> float:
+        return (next(words) >> 11) * 2.0**-53
 
-    neighbors = _neighbors_or_raise(graph, current)
-    if strategy == "random_neighbor":
-        return _pick(rng, neighbors)
-    if strategy == "random_neighbor_graph_switching":
-        cross = graph.cross_ticker_neighbor_ids(current)
-        if cross.size and rng.random() < config.switch_prob:
-            return _pick(rng, cross)
-        return _pick(rng, neighbors)
-    if strategy == "degree_weighted":
-        ids, mults = graph.weighted_neighbors(current)
-        if ids.size == 0:
-            raise GraphIntegrityError(f"node {current} is isolated")
-        probs = mults / mults.sum()
-        return int(rng.choice(ids, p=probs))
-    raise ValueError(f"unknown node strategy {strategy!r}")
+    def integers(n: int) -> int:
+        nonlocal half
+        if n == 1:
+            return 0
+        while True:
+            if half is None:
+                word = next(words)
+                x, half = word & _LOW32, word >> 32
+            else:
+                x, half = half, None
+            m = x * n
+            low = m & _LOW32
+            if low >= n or low >= (0x100000000 - n) % n:
+                return m >> 32
 
-
-def _neighbors_or_raise(graph, current: int) -> np.ndarray:
-    neighbors = graph.neighbor_ids(current)
-    if neighbors.size == 0:
-        raise GraphIntegrityError(
-            f"node {current} is isolated; consecutive-edge property violated"
-        )
-    return neighbors
-
-
-def next_value(graph: Graph, node_id: int, policy: str, state: _WalkState) -> float:
-    """Draw one of node ``node_id``'s values under the given policy."""
-    values = graph.node_values[node_id]
-    if len(values) == 1:
-        return values[0]
-    if policy == "random":
-        return values[int(state.rng.integers(0, len(values)))]
-    if policy == "round_robin":
-        cursor = state.cursors.get(node_id, 0)
-        state.cursors[node_id] = (cursor + 1) % len(values)
-        return values[cursor]
-    raise ValueError(f"unknown value policy {policy!r}")
+    return random, integers
 
 
 def generate_sequence(
@@ -172,17 +151,63 @@ def generate_sequence(
     ``ticker`` anchors the walk start at that ticker's first node and
     selects the scale used for the inverse transform; without it the graph's
     first ticker is used, which is the only one of a single window's graph.
+
+    Every draw comes from ``np.random.default_rng(config.seed)``, replayed
+    by :func:`replay_draws`; a step makes the draws listed under "Seed
+    contract v1" in the README.
     """
     config.validate()
-    rng = np.random.default_rng(config.seed)
+    n = graph.num_nodes
     start = graph.first_node(ticker) if config.start_node is None else config.start_node
-    state = _WalkState(rng=rng)
-
+    if not 0 <= start < n:
+        raise ValueError(f"start_node {start} not in 0..{n - 1}")
+    indptr, indices, cross_indptr, cross_indices = graph.walk_csr
+    node_values = graph.node_values
+    strategy = config.node_strategy
+    restart = strategy == "restart_random"
+    uniform = strategy == "uniform_random" or (restart and config.restart_jump == "uniform")
+    switching = strategy == "random_neighbor_graph_switching"
+    weighted = strategy == "degree_weighted"
+    restart_prob, switch_prob = config.restart_prob, config.switch_prob
+    round_robin = config.value_policy == "round_robin"
+    # a step draws at most one double and two 32-bit halves, so a walk
+    # seldom needs more words than this (only after a Lemire rejection)
+    random, integers = replay_draws(config.seed, 2 * config.target_length)
+    cursors: dict[int, int] = {}
+    scaled = []
     current = start
-    scaled = [next_value(graph, current, config.value_policy, state)]
-    while len(scaled) < config.target_length:
-        current = next_node(graph, current, config, rng, start)
-        scaled.append(next_value(graph, current, config.value_policy, state))
+    while True:
+        values = node_values[current]
+        count = len(values)
+        if count == 1:
+            scaled.append(values[0])
+        elif round_robin:
+            cursor = cursors.get(current, 0)
+            cursors[current] = (cursor + 1) % count
+            scaled.append(values[cursor])
+        else:
+            scaled.append(values[integers(count)])
+        if len(scaled) == config.target_length:
+            break
+        if restart and random() < restart_prob:
+            current = start
+            continue
+        if uniform:
+            current = integers(n)
+            continue
+        lo, hi = indptr[current], indptr[current + 1]
+        if lo == hi:
+            raise GraphIntegrityError(
+                f"node {current} is isolated; consecutive-edge property violated")
+        if weighted:
+            current = indices[lo + bisect_right(graph.neighbor_cdf(current), random())]
+            continue
+        if switching:
+            cross_lo, cross_hi = cross_indptr[current], cross_indptr[current + 1]
+            if cross_lo < cross_hi and random() < switch_prob:
+                current = cross_indices[cross_lo + integers(cross_hi - cross_lo)]
+                continue
+        current = indices[lo + integers(hi - lo)]
 
     scaled_arr = np.array(scaled, dtype=float)
     scale_min, scale_max, is_constant = graph.scale_for(ticker)

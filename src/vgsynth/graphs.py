@@ -90,11 +90,9 @@ class Graph:
         self.indptr, self.indices, self.mult = _csr(u, v, mult, n)
         cross = kind != KIND_CODE[VISIBILITY]
         self.cross_indptr, self.cross_indices, _ = _csr(u[cross], v[cross], mult[cross], n)
-        # the scalar walk reads one node per step, and a list lookup is
-        # several times cheaper than slicing the flat arrays
-        self._neighbor_rows = _cut(self.indptr, self.indices)
-        self._cross_rows = _cut(self.cross_indptr, self.cross_indices)
-        self.node_values = _cut(self.value_ptr, self.values.tolist())
+        values = self.values.tolist()
+        self.node_values = [values[lo:hi] for lo, hi in pairwise(self.value_ptr.tolist())]
+        self._cdfs: dict[int, list[float]] = {}
 
     @property
     def num_nodes(self) -> int:
@@ -107,15 +105,36 @@ class Graph:
         keys = zip(self.edge_u.tolist(), self.edge_v.tolist(), kinds)
         return MappingProxyType(dict(zip(keys, self.edge_mult.tolist())))
 
+    @cached_property
+    def walk_csr(self) -> tuple[list[int], memoryview, list[int], memoryview]:
+        """``(indptr, indices, cross_indptr, cross_indices)`` for the walk,
+        which reads one node per step: the row pointers as lists of Python
+        ints and the flat index arrays through memoryviews, so a step makes
+        no numpy scalar and no per-node list is kept."""
+        return (self.indptr.tolist(), memoryview(self.indices),
+                self.cross_indptr.tolist(), memoryview(self.cross_indices))
+
+    def neighbor_cdf(self, node_id: int) -> list[float]:
+        """Cumulative multiplicity shares of node ``node_id``'s neighbours, in
+        ``indices`` order and normalised as ``np.random.Generator.choice``
+        normalises ``p``; made on first use and kept."""
+        cdf = self._cdfs.get(node_id)
+        if cdf is None:
+            mult = self.mult[self.indptr[node_id]:self.indptr[node_id + 1]]
+            cumulative = (mult / mult.sum()).cumsum()
+            cumulative /= cumulative[-1]
+            cdf = self._cdfs[node_id] = cumulative.tolist()
+        return cdf
+
     def neighbor_ids(self, node_id: int) -> np.ndarray:
-        return self._neighbor_rows[node_id]
+        return self.indices[self.indptr[node_id]:self.indptr[node_id + 1]]
 
     def weighted_neighbors(self, node_id: int) -> tuple[np.ndarray, np.ndarray]:
         lo, hi = self.indptr[node_id], self.indptr[node_id + 1]
         return self.indices[lo:hi], self.mult[lo:hi]
 
     def cross_ticker_neighbor_ids(self, node_id: int) -> np.ndarray:
-        return self._cross_rows[node_id]
+        return self.cross_indices[self.cross_indptr[node_id]:self.cross_indptr[node_id + 1]]
 
     def node_tickers(self, node_id: int) -> list[str]:
         lo, hi = self.value_ptr[node_id], self.value_ptr[node_id + 1]
@@ -136,12 +155,6 @@ def _csr(u: np.ndarray, v: np.ndarray, weights: np.ndarray, n: int):
     key, pair = np.unique(np.concatenate((u * n + v, v * n + u)), return_inverse=True)
     weights = np.bincount(pair, np.concatenate((weights, weights)), key.size).astype(np.int64)
     return np.concatenate(([0], np.cumsum(np.bincount(key // n, minlength=n)))), key % n, weights
-
-
-def _cut(indptr: np.ndarray, data) -> list:
-    if not len(data):  # every row empty: share one empty row
-        return [data] * (len(indptr) - 1)
-    return [data[lo:hi] for lo, hi in pairwise(indptr.tolist())]
 
 
 def _require_scaled(window: Window) -> np.ndarray:

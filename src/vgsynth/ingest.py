@@ -78,26 +78,38 @@ def load_series(path: str | Path) -> list[TimeSeries]:
     """Read a ``date,ticker,close`` file into one TimeSeries per ticker.
 
     Rows are sorted by date within each ticker. Empty or unparseable close
-    fields become NaN. Raises SchemaError on a bad header or unparseable
-    date, DuplicateRowError on a repeated (ticker, date) key.
+    fields become NaN. Raises SchemaError on a bad header, and naming
+    ``path:line`` on a row whose field count differs from the header's, a
+    blank ticker or an unparseable date; DuplicateRowError on a repeated
+    (ticker, date) key.
     """
     path = Path(path)
     with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        reader = csv.reader(fh)
+        header = next(reader, [])
         missing = [c for c in REQUIRED_COLUMNS if c not in header]
         if missing:
             raise SchemaError(f"{path}: missing required column(s) {missing}")
+        date_col, ticker_col, close_col = (header.index(c) for c in REQUIRED_COLUMNS)
+
+        def error(problem: str) -> SchemaError:
+            return SchemaError(f"{path}:{reader.line_num}: {problem}")
 
         rows: dict[str, dict[date, float]] = {}
-        for lineno, row in enumerate(reader, start=2):
-            ticker = (row["ticker"] or "").strip()
-            raw_date = (row["date"] or "").strip()
+        for fields in reader:
+            if not fields:  # blank line
+                continue
+            if len(fields) != len(header):
+                raise error(f"{len(fields)} fields, the header has {len(header)}")
+            ticker = fields[ticker_col].strip()
+            if not ticker:
+                raise error("blank ticker")
+            raw_date = fields[date_col].strip()
             try:
                 ts = date.fromisoformat(raw_date)
             except ValueError as exc:
-                raise SchemaError(f"{path}:{lineno}: bad date {raw_date!r}") from exc
-            raw_close = (row["close"] or "").strip()
+                raise error(f"bad date {raw_date!r}") from exc
+            raw_close = fields[close_col].strip()
             try:
                 close = float(raw_close) if raw_close else math.nan
             except ValueError:

@@ -116,6 +116,19 @@ class TestGenerateCommand:
         cfg.write_text(json.dumps({"input": str(tmp_path / "ghost.csv")}))
         assert main(["generate", "--config", str(cfg)]) == 1
 
+    @pytest.mark.parametrize("row, problem", [(",,1.0", "blank ticker"),
+                                              ("2021-01-05,AAA,1.0,7", "4 fields")])
+    def test_malformed_input_row_exits_1_naming_the_line(self, tmp_path, corpus_csv, capsys,
+                                                          row, problem):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(corpus_csv.read_text() + row + "\n")
+        line = len(bad.read_text().splitlines())
+        out = tmp_path / "out"
+        assert main(["generate", "--input", str(bad), "--methods", "vrp",
+                     "--out", str(out)]) == 1
+        assert f"error: {bad}:{line}: {problem}" in capsys.readouterr().err
+        assert not (out / "sequences_vrp.jsonl").exists()
+
     def test_flag_overrides(self, tmp_path, corpus_csv):
         out = tmp_path / "flags_out"
         cfg = config_file(tmp_path, corpus_csv, tmp_path / "ignored")

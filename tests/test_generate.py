@@ -3,10 +3,9 @@ import pytest
 
 from vgsynth.errors import GraphIntegrityError
 from vgsynth.generate import (DownsampleWarning, SyntheticSequence, WalkConfig,
-                              _WalkState, derive_seed, downsample,
-                              dtw_bruteforce, dtw_distance, dtw_distances,
-                              generate_sequence,
-                              next_node, next_value, vrp_generate)
+                              derive_seed, downsample, dtw_bruteforce,
+                              dtw_distance, dtw_distances, generate_sequence,
+                              vrp_generate)
 from vgsynth.graphs import build_multigraph, build_nvg
 
 from conftest import (make_graph, make_prescaled_window, make_scaled_window,
@@ -19,70 +18,79 @@ def graph_from_edges(n_nodes, edges, values=None):
                       [u for u, _ in edges], [v for _, v in edges], mult=list(edges.values()))
 
 
-class TestNextNode:
-    def test_unique_neighbor_is_forced(self, rng):
-        path = graph_from_edges(3, {(0, 1): 1, (1, 2): 1})
-        cfg = WalkConfig(node_strategy="random_neighbor")
-        assert all(next_node(path, 0, cfg, rng) == 1 for _ in range(20))
+def walk(graph, length, seed=0, ticker=None, **config):
+    """Scaled values of one ``generate_sequence`` walk."""
+    cfg = WalkConfig(target_length=length, seed=seed, **config)
+    return generate_sequence(graph, cfg, ticker=ticker).scaled_values.tolist()
 
-    def test_restart_prob_one_always_restarts(self, rng):
+
+class TestNextNode:
+    """Each test reads the node a walk steps to from the value it emits."""
+
+    def test_unique_neighbor_is_forced(self):
         path = graph_from_edges(3, {(0, 1): 1, (1, 2): 1})
-        cfg = WalkConfig(node_strategy="restart_random", restart_prob=1.0)
-        assert all(next_node(path, 2, cfg, rng, start=1) == 1 for _ in range(50))
-        assert all(next_node(path, 2, cfg, rng) == 0 for _ in range(50))  # first node
+        steps = [walk(path, 2, seed=s, node_strategy="random_neighbor", start_node=0)[1]
+                 for s in range(20)]
+        assert all(value == 0.1 for value in steps)  # node 1
+
+    def test_restart_prob_one_always_restarts(self):
+        path = graph_from_edges(3, {(0, 1): 1, (1, 2): 1})
+        cfg = dict(node_strategy="restart_random", restart_prob=1.0)
+        assert all(v == 0.1 for v in walk(path, 51, start_node=1, **cfg))
+        assert all(v == 0.0 for v in walk(path, 51, **cfg))  # first node
 
     def test_degree_weighted_follows_multiplicities(self):
         star = graph_from_edges(3, {(0, 1): 3, (0, 2): 1})
-        cfg = WalkConfig(node_strategy="degree_weighted")
-        rng = np.random.default_rng(4242)
-        draws = np.array([next_node(star, 0, cfg, rng) for _ in range(10_000)])
-        freq_x = np.mean(draws == 1)
+        # the walk alternates between the centre and a leaf: 10,000 draws from node 0
+        values = walk(star, 20_001, seed=4242, node_strategy="degree_weighted")
+        assert values[::2] == [0.0] * 10_001
+        freq_x = np.mean(np.array(values[1::2]) == 0.1)
         assert abs(freq_x - 0.75) <= 0.02
 
-    def test_isolated_node_is_integrity_error(self, rng):
+    def test_isolated_node_is_integrity_error(self):
         lonely = graph_from_edges(3, {(0, 1): 1})  # node 2 isolated
-        cfg = WalkConfig(node_strategy="random_neighbor")
-        with pytest.raises(GraphIntegrityError):
-            next_node(lonely, 2, cfg, rng)
+        with pytest.raises(GraphIntegrityError, match="node 2 is isolated"):
+            walk(lonely, 2, node_strategy="random_neighbor", start_node=2)
 
     def test_uniform_random_covers_all_nodes(self):
         g = graph_from_edges(4, {(0, 1): 1, (1, 2): 1, (2, 3): 1})
-        cfg = WalkConfig(node_strategy="uniform_random")
-        rng = np.random.default_rng(5)
-        seen = {next_node(g, 0, cfg, rng) for _ in range(200)}
-        assert seen == {0, 1, 2, 3}
+        seen = set(walk(g, 201, seed=5, node_strategy="uniform_random", start_node=0)[1:])
+        assert seen == {0.0, 0.1, 0.2, 0.3}
 
     def test_graph_switching_prefers_cross_edges(self):
         # multigraph where node 0 (ticker A, t0) has a cross link
         a = make_prescaled_window([0.2, 0.8], ticker="A")
         b = make_prescaled_window([0.5, 0.9], ticker="B")
         mg = build_multigraph([a, b], similar_value_epsilon=0.0)
-        cfg = WalkConfig(node_strategy="random_neighbor_graph_switching", switch_prob=1.0)
-        rng = np.random.default_rng(6)
         start = mg.merge_map[("A", 0)]
         cross = set(mg.cross_ticker_neighbor_ids(start).tolist())
         assert cross  # co-occurrence link exists
-        draws = {next_node(mg, start, cfg, rng) for _ in range(100)}
+        node_of = {value: node for node, (value,) in enumerate(mg.node_values)}
+        draws = {node_of[walk(mg, 2, seed=s, ticker="A", switch_prob=1.0,
+                              node_strategy="random_neighbor_graph_switching")[1]]
+                 for s in range(100)}
         assert draws <= cross
 
 
 class TestNextValue:
-    def test_singleton(self, rng):
-        graph = make_graph([[0.7]])
-        state = _WalkState(rng=rng)
-        assert next_value(graph, 0, "random", state) == 0.7
-        assert next_value(graph, 0, "round_robin", state) == 0.7
+    """A one-node graph: every step of a uniform walk returns to node 0
+    without a draw, so the values show the value policy alone."""
 
-    def test_round_robin_wraps(self, rng):
+    def test_singleton(self):
+        graph = make_graph([[0.7]])
+        assert walk(graph, 1, node_strategy="uniform_random", value_policy="random") == [0.7]
+        assert walk(graph, 1, node_strategy="uniform_random",
+                    value_policy="round_robin") == [0.7]
+
+    def test_round_robin_wraps(self):
         graph = make_graph([[0.1, 0.9]])
-        state = _WalkState(rng=rng)
-        out = [next_value(graph, 0, "round_robin", state) for _ in range(3)]
+        out = walk(graph, 3, node_strategy="uniform_random", value_policy="round_robin")
         assert out == [0.1, 0.9, 0.1]
 
     def test_random_is_uniform(self):
         graph = make_graph([[0.1, 0.9]])
-        state = _WalkState(rng=np.random.default_rng(11))
-        draws = [next_value(graph, 0, "random", state) for _ in range(10_000)]
+        draws = walk(graph, 10_000, seed=11, node_strategy="uniform_random",
+                     value_policy="random")
         freq = np.mean(np.array(draws) == 0.1)
         assert abs(freq - 0.5) <= 0.02
 

@@ -70,6 +70,23 @@ class TestLoadSeries:
         with pytest.raises(SchemaError):
             load_series(path)
 
+    @pytest.mark.parametrize("row, problem", [
+        (",,1.0", "blank ticker"),
+        ("2021-01-02,  ,1.0", "blank ticker"),
+        ("2021-01-02,AAA,1.0,9", "4 fields, the header has 3"),
+        ("2021-01-02,AAA", "2 fields, the header has 3"),
+    ])
+    def test_malformed_row_names_path_and_line(self, tmp_path, row, problem):
+        path = write_csv(tmp_path / "p.csv", ["2021-01-01,AAA,1.0", "", row])
+        with pytest.raises(SchemaError, match=rf"p\.csv:4: {problem}$"):
+            load_series(path)
+
+    def test_extra_header_column_is_kept_out_of_the_values(self, tmp_path):
+        path = write_csv(tmp_path / "p.csv", ["2021-01-01,AAA,x,1.0", "2021-01-02,AAA,y,"],
+                         header="date,ticker,note,close")
+        values = load_series(path)[0].values
+        assert values[0] == 1.0 and math.isnan(values[1])
+
 
 def series_of(values, ticker="T"):
     from datetime import date, timedelta

@@ -1,7 +1,8 @@
 """Property tests over random inputs: a one-window multigraph is that
-window's NVG, walks cannot tell the two apart, HVG edges are NVG edges,
-walks emit only node values, DTW is symmetric and 0 on itself, AUC ignores a
-positive rescaling of the scores, and min-max scaling inverts."""
+window's NVG, walks cannot tell the two apart, HVG edges are NVG edges, NVG
+and HVG link every pair of consecutive points, walks emit only node values,
+DTW is symmetric and 0 on itself, AUC ignores a positive rescaling of the
+scores, and min-max scaling inverts."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -25,6 +26,10 @@ windows = st.builds(
     ticker=st.sampled_from(["A", "BB"]),
     start=st.integers(min_value=0, max_value=500),
 )
+# windows on three price levels only: plateaus, equal peaks and collinear
+# runs everywhere
+tie_heavy_windows = st.builds(
+    make_scaled_window, st.lists(st.sampled_from([1.0, 2.0, 3.0]), min_size=2, max_size=60))
 # 1-3 tickers' windows of one time segment
 segments = st.integers(min_value=2, max_value=30).flatmap(
     lambda n: st.lists(st.lists(prices, min_size=n, max_size=n), min_size=1, max_size=3)
@@ -66,6 +71,14 @@ def test_walks_agree_on_nvg_and_one_window_multigraph(window, walk):
 @given(window=windows)
 def test_hvg_edges_are_nvg_edges(window):
     assert set(build_hvg(window).edges) <= set(build_nvg(window).edges)
+
+
+@settings(deadline=None)
+@given(window=st.one_of(tie_heavy_windows, windows))
+def test_nvg_and_hvg_link_consecutive_points(window):
+    for graph in (build_nvg(window), build_hvg(window)):
+        linked = set(zip(graph.edge_u.tolist(), graph.edge_v.tolist()))
+        assert all((i, i + 1) in linked for i in range(window.length - 1))
 
 
 @settings(deadline=None)

@@ -1,0 +1,173 @@
+"""The walk replays numpy's draws: its helpers against ``np.random.Generator``
+itself, and ``generate_sequence`` against the scalar reference walk byte for
+byte, errors included."""
+
+from bisect import bisect_right
+
+import numpy as np
+import pytest
+
+from vgsynth import generate
+from vgsynth.errors import GraphIntegrityError
+from vgsynth.generate import (NODE_STRATEGIES, RESTART_JUMPS, VALUE_POLICIES,
+                              WalkConfig, derive_seed, generate_sequence,
+                              replay_draws)
+from vgsynth.graphs import (KIND_CODE, SIMILAR_VALUE, VISIBILITY, build_hvg,
+                            build_multigraph, build_nvg)
+
+from conftest import make_graph, make_scaled_window
+from reference_walk import reference_generate_sequence
+
+# n = 1 draws nothing; 2**31 + 11 and 3 * 2**30 + 1 reject about half and a
+# quarter of their 32-bit values, so the rejection loop runs often
+BOUNDS = (1, 2, 3, 7, 2**31 + 11, 3 * 2**30 + 1, 2**32 - 1)
+SEEDS = (0, 1, 17, 2**32, 2**64 - 1, derive_seed(7, "AAA", 0, "nvg", 3))
+
+
+@pytest.mark.parametrize("k", [1, 3, 64])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_replay_matches_generator(seed, k):
+    """``random()`` and ``integers(0, n)`` in a random interleaving, with
+    words drawn one, three or 64 at a time."""
+    gen = np.random.default_rng(seed)
+    random, integers = replay_draws(seed, k)
+    ops = np.random.default_rng(seed % 1000 + 1).integers(0, len(BOUNDS) + 1, 2000)
+    for op in ops.tolist():
+        if op == len(BOUNDS):
+            assert random() == gen.random()
+        else:
+            n = BOUNDS[op]
+            assert integers(n) == int(gen.integers(0, n)), n
+
+
+def weighted_graph(seed, n=12):
+    """A path plus random chords with multiplicities 1-7."""
+    rng = np.random.default_rng(seed)
+    pairs = {(i, i + 1) for i in range(n - 1)}
+    pairs |= {tuple(sorted(p)) for p in rng.integers(0, n, (20, 2)).tolist() if p[0] != p[1]}
+    u, v = np.array(sorted(pairs)).T
+    return make_graph([[i / n] for i in range(n)], u, v, mult=rng.integers(1, 8, u.size))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_choice_replay_matches_generator(seed):
+    """``Generator.choice(ids, p=...)`` is one double bisected into the
+    node's cached cdf; interleaved with ``integers`` it keeps the stream."""
+    graph = weighted_graph(seed % 1000)
+    gen = np.random.default_rng(seed)
+    random, integers = replay_draws(seed, 5)
+    for step in range(3000):
+        node = step % graph.num_nodes
+        ids, mult = graph.weighted_neighbors(node)
+        expected = int(gen.choice(ids, p=mult / mult.sum()))
+        assert int(ids[bisect_right(graph.neighbor_cdf(node), random())]) == expected
+        assert integers(ids.size) == int(gen.integers(0, ids.size))
+
+
+def tie_heavy_windows(rng, n_tickers, length, start=0):
+    """Windows drawn from a few price levels, so multigraph nodes merge and
+    similar-value links are common."""
+    return [make_scaled_window(rng.integers(0, 4, length) + rng.choice([0.0, 0.5], length),
+                               ticker=f"T{i}", start=start)
+            for i in range(n_tickers)]
+
+
+def graphs_under_test():
+    rng = np.random.default_rng(2024)
+    graphs = []
+    for length in (20, 60):
+        window = tie_heavy_windows(rng, 1, length)[0]
+        graphs += [(build_nvg(window), None), (build_hvg(window), None)]
+        for eps in (0.01, 0.2):
+            windows = tie_heavy_windows(rng, 4, length, start=length)
+            mg = build_multigraph(windows, similar_value_epsilon=eps)
+            assert any(len(values) > 1 for values in mg.node_values)
+            graphs += [(mg, w.ticker) for w in windows[::3]]
+    return graphs
+
+
+def outcome(walker, graph, config, ticker):
+    """The bytes and provenance of a walk's output, or the type of the error
+    it raised and the node it names."""
+    try:
+        seq = walker(graph, config, ticker=ticker)
+    except GraphIntegrityError as exc:
+        return type(exc), str(exc).split(";")[0]
+    return seq.values.tobytes(), seq.scaled_values.tobytes(), seq.ticker, seq.seed
+
+
+@pytest.mark.parametrize("strategy", NODE_STRATEGIES)
+def test_walk_equals_reference_on_built_graphs(strategy):
+    for g, (graph, ticker) in enumerate(graphs_under_test()):
+        for policy in VALUE_POLICIES:
+            for jump in RESTART_JUMPS:
+                for i in range(3):
+                    config = WalkConfig(node_strategy=strategy, value_policy=policy,
+                                        restart_jump=jump, target_length=graph.segment[1],
+                                        seed=derive_seed(g, policy, jump, i),
+                                        restart_prob=(0.15, 0.6, 1.0)[i],
+                                        switch_prob=(0.5, 0.9, 0.0)[i])
+                    assert (outcome(generate_sequence, graph, config, ticker)
+                            == outcome(reference_generate_sequence, graph, config, ticker))
+
+
+def graph_with_isolated_node():
+    """Nodes 0-4 joined by visibility and cross-ticker kinds, node 5 isolated;
+    nodes 1 and 5 hold several values."""
+    return make_graph([[0.0], [0.1, 0.2, 0.3], [0.4], [0.5], [0.6], [0.7, 0.8]],
+                      u=[0, 0, 1, 1, 2, 3], v=[1, 2, 2, 4, 3, 4],
+                      kind=[KIND_CODE[k] for k in (VISIBILITY, SIMILAR_VALUE, VISIBILITY,
+                                                   SIMILAR_VALUE, VISIBILITY, VISIBILITY)],
+                      mult=[1, 2, 3, 1, 1, 4])
+
+
+def first_failing_length(walker, graph, config):
+    """Smallest target length at which the walk raises, or None: a walk of
+    length L is the first L values of any longer walk of the same seed."""
+    for length in range(1, 41):
+        config.target_length = length
+        if isinstance(outcome(walker, graph, config, None)[0], type):
+            return length
+    return None
+
+
+@pytest.mark.parametrize("strategy", NODE_STRATEGIES)
+def test_isolated_node_raises_at_the_same_step(strategy):
+    graph = graph_with_isolated_node()
+    failing = []
+    for seed in range(40):
+        for policy in VALUE_POLICIES:
+            config = WalkConfig(node_strategy=strategy, value_policy=policy, seed=seed,
+                                restart_prob=0.8, start_node=5)
+            length = first_failing_length(generate_sequence, graph, config)
+            assert length == first_failing_length(reference_generate_sequence, graph, config)
+            config.target_length = 40
+            assert (outcome(generate_sequence, graph, config, None)
+                    == outcome(reference_generate_sequence, graph, config, None))
+            failing.append(length)
+    if strategy == "uniform_random":
+        assert set(failing) == {None}
+    elif strategy == "restart_random":
+        assert len(set(failing) - {None}) > 3  # restarts postpone the failure
+    else:
+        assert set(failing) == {2}
+
+
+@pytest.mark.parametrize("start", [-1, -6, 6, 100])
+def test_start_node_out_of_range_rejected_before_any_draw(start, monkeypatch):
+    graph = graph_with_isolated_node()
+
+    def no_draws(*args):
+        raise AssertionError("drew before checking start_node")
+
+    monkeypatch.setattr(generate, "replay_draws", no_draws)
+    with pytest.raises(ValueError, match=rf"start_node {start} not in 0\.\.5"):
+        generate_sequence(graph, WalkConfig(start_node=start))
+
+
+def test_walk_csr_reads_the_csr_arrays():
+    graph = build_multigraph(tie_heavy_windows(np.random.default_rng(3), 3, 20))
+    indptr, indices, cross_indptr, cross_indices = graph.walk_csr
+    assert indptr == graph.indptr.tolist() and cross_indptr == graph.cross_indptr.tolist()
+    assert indices.tolist() == graph.indices.tolist()
+    assert cross_indices.tolist() == graph.cross_indices.tolist()
