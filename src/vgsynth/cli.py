@@ -49,10 +49,9 @@ def cmd_generate(args) -> int:
     if not Path(config.input).exists():
         print(f"error: input file not found: {config.input}", file=sys.stderr)
         return 1
+    by_method, records = run_generation(config)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    by_method, records = run_generation(config)
     for method, sequences in by_method.items():
         path = sequences_path(out_dir, method)
         write_sequences(sequences, path)

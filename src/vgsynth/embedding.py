@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
 
 from .errors import UndefinedMetricError
 
@@ -89,6 +88,10 @@ def embed_2d(points, perplexity: float = 30.0, iterations: int = 1000,
     reused buffers; only the normaliser Z, the row sums and the gradient use
     the full n x n matrix.
     """
+    # imported here, not at module level: scipy.spatial is most of the
+    # package's import time, and generation never needs it
+    from scipy.spatial.distance import pdist, squareform
+
     X = np.asarray(points, dtype=float)
     if X.ndim != 2:
         raise ValueError("points must be a 2D array")
@@ -162,6 +165,8 @@ def mixing_score(coords, origins, k: int) -> float:
     opposite-origin points; the score is the mean over all points. Distance
     ties are broken toward the opposite origin.
     """
+    from scipy.spatial.distance import pdist, squareform
+
     coords = np.asarray(coords, dtype=float)
     origins = np.asarray(origins)
     n = coords.shape[0]

@@ -11,6 +11,7 @@ chronological per ticker so no future window leaks into training.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,6 +31,10 @@ FEATURE_NAMES = (
     "variance",
     "value_range",
 )
+
+# Bound on the probabilities LogisticClassifier.fit keeps for one block of
+# iterations until it computes their losses: 2^16 float64, 512 KiB
+_LOSS_BLOCK_ELEMENTS = 2**16
 
 
 @dataclass
@@ -204,27 +209,45 @@ class LogisticClassifier:
 
         w = np.zeros(d)
         b = 0.0
+        # Each iteration works in buffers allocated here. Its probabilities
+        # and L2 penalty wait in a block of rows, whose losses are computed
+        # together once the block fills or the loop ends.
+        block = max(1, min(self.max_iter, _LOSS_BLOCK_ELEMENTS // m))
+        probs = np.empty((block, m))
+        penalties = np.empty(block)
+        logits, residual = np.empty(m), np.empty(m)
+        grad_w, scaled = np.empty(d), np.empty(d)
+        Zt = Z.T
+        one_minus_y = 1 - y
+        two_l2 = 2.0 * self.l2
         self.loss_history_ = []
+        row = 0
         for _ in range(self.max_iter):
-            logits = Z @ w + b
-            p = _sigmoid(logits)
-            self.loss_history_.append(self._loss(p, y, w))
-            residual = p - y
-            grad_w = Z.T @ residual / m + 2.0 * self.l2 * w
-            grad_b = residual.mean()
-            grad_norm = float(np.sqrt(np.dot(grad_w, grad_w) + grad_b * grad_b))
+            np.matmul(Z, w, out=logits)
+            logits += b
+            p = _sigmoid(logits, out=probs[row])
+            penalties[row] = self.l2 * np.dot(w, w)
+            row += 1
+            np.subtract(p, y, out=residual)
+            np.matmul(Zt, residual, out=grad_w)
+            grad_w /= m
+            np.multiply(two_l2, w, out=scaled)
+            grad_w += scaled
+            grad_b = np.add.reduce(residual) / m
+            grad_norm = math.sqrt(np.dot(grad_w, grad_w) + grad_b * grad_b)
             if grad_norm < self.tol:
                 break
-            w -= step * grad_w
+            np.multiply(step, grad_w, out=scaled)
+            w -= scaled
             b -= step * grad_b
+            if row == block:
+                self.loss_history_ += _losses(probs, penalties, y, one_minus_y)
+                row = 0
+        if row:
+            self.loss_history_ += _losses(probs[:row], penalties[:row], y, one_minus_y)
         self.weights = w
         self.bias = b
         return self
-
-    def _loss(self, p: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:
-        eps = 1e-12
-        ce = -np.mean(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps))
-        return float(ce + self.l2 * np.dot(w, w))
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -234,13 +257,26 @@ class LogisticClassifier:
         return _sigmoid(Z @ self.weights + self.bias)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function without overflow: with e = exp(-|z|), 1 / (1 + e)
+    where z >= 0 and e / (1 + e) where z < 0.
+
+    -|z| is taken as min(z, -z), which returns a NaN unchanged where
+    -abs(z) would flip its sign bit.
+    """
+    e = np.exp(np.minimum(z, -z))
+    denom = 1.0 + e
+    out = np.divide(1.0, denom, out=out)
+    return np.divide(e, denom, out=out, where=z < 0)
+
+
+def _losses(probs: np.ndarray, penalties: np.ndarray, y: np.ndarray,
+            one_minus_y: np.ndarray) -> list[float]:
+    """Training loss of each row of iteration probabilities: mean
+    cross-entropy plus that iteration's L2 penalty."""
+    eps = 1e-12
+    ce = -np.mean(y * np.log(probs + eps) + one_minus_y * np.log(1 - probs + eps), axis=1)
+    return (ce + penalties).tolist()
 
 
 @dataclass

@@ -232,6 +232,10 @@ def run_generation(
     """
     config.validate()
     windows_by_ticker = prepare_windows(config, series_list)
+    if not any(windows_by_ticker.values()):
+        source = config.input if series_list is None else "the given series"
+        raise ValueError(f"{source}: no ticker has a complete window of "
+                         f"{config.window_length} values")
     records: list[RuntimeRecord] = []
     by_method: dict[str, list[SyntheticSequence]] = {}
 
@@ -325,6 +329,8 @@ def run_evaluation(
     config.validate()
     windows_by_ticker = prepare_windows(config, series_list)
     all_windows = [w for ws in windows_by_ticker.values() for w in ws]
+    if with_embedding and all_windows:  # without windows the experiment itself fails
+        _check_mixing_k(config, len(all_windows), sequences_by_method)
     report = run_experiment(
         all_windows,
         sequences_by_method,
@@ -354,6 +360,24 @@ def run_evaluation(
             if method in report.methods:
                 report.methods[method].mixing_score = overlap.mixing
     return report, overlaps
+
+
+def _check_mixing_k(config: RunConfig, n_real: int,
+                    sequences_by_method: dict[str, list[SyntheticSequence]]) -> None:
+    """Reject a ``mixing_k`` that some method's embedding has too few points
+    for, before any classifier is fit.
+
+    ``embedding_overlap`` embeds the same number of real and synthetic
+    points, at most half of ``embed_max_points`` each, and the mixing score
+    needs k below the number of points embedded.
+    """
+    for method, sequences in sequences_by_method.items():
+        if not sequences:
+            continue
+        points = 2 * min(n_real, len(sequences), config.embed_max_points // 2)
+        if config.mixing_k >= points:
+            raise ConfigError(f"evaluation.mixing_k must be below the {points} points "
+                              f"embedded for method {method!r}, got {config.mixing_k}")
 
 
 def write_config_snapshot(config: RunConfig, path: str | Path) -> None:

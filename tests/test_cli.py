@@ -129,6 +129,17 @@ class TestGenerateCommand:
         assert f"error: {bad}:{line}: {problem}" in capsys.readouterr().err
         assert not (out / "sequences_vrp.jsonl").exists()
 
+    @pytest.mark.parametrize("methods", ["nvmg", "nvg"])
+    def test_no_complete_window_exits_1_without_output(self, tmp_path, capsys, methods):
+        short = tmp_path / "short.csv"
+        write_corpus_csv(make_desk_corpus(n_tickers=2, n_days=15, seed=5), short)
+        out = tmp_path / "out"
+        assert main(["generate", "--input", str(short), "--window", "20",
+                     "--methods", methods, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {short}: no ticker has a complete window of 20 values" in err
+        assert not out.exists()
+
     def test_flag_overrides(self, tmp_path, corpus_csv):
         out = tmp_path / "flags_out"
         cfg = config_file(tmp_path, corpus_csv, tmp_path / "ignored")
@@ -167,6 +178,21 @@ class TestEvaluateCommand:
         err = capsys.readouterr().err
         assert "sequences_vrp.jsonl" in err and "20)" in err
         assert not (out / "report.json").exists()
+
+    def test_mixing_k_above_the_points_exits_2_without_report(self, tmp_path,
+                                                              eval_corpus_csv, capsys):
+        out = tmp_path / "out"
+        cfg = config_file(tmp_path, eval_corpus_csv, out)
+        assert main(["generate", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        cfg = config_file(tmp_path, eval_corpus_csv, out,
+                          evaluation={"perplexity": 4.0, "embed_iterations": 40,
+                                      "mixing_k": 500})
+        assert main(["evaluate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: evaluation.mixing_k" in err and "got 500" in err
+        assert not (out / "report.json").exists()
+        assert not (out / "embedding_vrp.csv").exists()
 
     def test_missing_generated_file_exits_1(self, tmp_path, corpus_csv, capsys):
         out = tmp_path / "empty_out"

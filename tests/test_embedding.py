@@ -1,9 +1,14 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.spatial.distance import pdist, squareform
 
+import vgsynth
 from vgsynth import embedding
 from vgsynth.embedding import (EARLY_EXAGGERATION, EXAGGERATION_ITERS,
                                MAX_EMBED_POINTS, conditional_affinities,
@@ -222,3 +227,16 @@ def test_embedding_csv_export(tmp_path, rng):
     assert lines[0] == "x,y,origin"
     assert len(lines) == 7
     assert lines[1].endswith("real")
+
+
+def test_package_import_leaves_scipy_spatial_unloaded():
+    """Only the embedding and the mixing score need scipy.spatial; they
+    import it when they run."""
+    code = ("import sys, vgsynth, vgsynth.cli, vgsynth.embedding; "
+            "print('scipy.spatial' in sys.modules)")
+    src = str(Path(vgsynth.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True, timeout=60)
+    assert done.stdout.strip() == "False"

@@ -1,17 +1,23 @@
-"""Golden outputs: generation on a fixed small corpus is byte-identical.
+"""Golden outputs: generation and evaluation on fixed small corpora are
+byte-identical.
 
-The digests are the sha256 of each method's ``write_sequences`` file. A
-change that alters how the random stream is consumed, or any arithmetic
-that reaches a kept sequence, changes them; such a change must version the
-seed contract and record new digests in the same commit.
+The generation digests are the sha256 of each method's ``write_sequences``
+file. A change that alters how the random stream is consumed, or any
+arithmetic that reaches a kept sequence, changes them; such a change must
+version the seed contract and record new digests in the same commit.
+
+The evaluation digest is the sha256 of every method's AUC triple and of one
+method's mixing score, written as JSON (floats in their shortest round-trip
+form).
 """
 
 import hashlib
+import json
 
 import pytest
 
 from vgsynth.corpus import make_desk_corpus
-from vgsynth.pipeline import RunConfig, run_generation, write_sequences
+from vgsynth.pipeline import RunConfig, run_evaluation, run_generation, write_sequences
 
 GOLDEN = {
     "simds": {
@@ -51,3 +57,24 @@ def test_sequence_digests(name, corpus, tmp_path):
         write_sequences(sequences, path)
         digests[method] = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digests == GOLDEN[name]
+
+
+EVALUATION_GOLDEN = "b13f268e9b8dd42aec00d36bb268ba391d55eefb14b730b298acc8fea9094d88"
+
+
+def test_evaluation_digest():
+    """Every AUC of the triple is defined for every method on this corpus;
+    the embedding runs for vrp only, with few iterations."""
+    corpus = make_desk_corpus(n_tickers=6, n_days=120, seed=5)
+    config = RunConfig(seed=17, window_length=10, methods=("nvg", "hvg", "nvmg", "vrp"),
+                       sequences_per_window=10, downsample_k=1, downsample_mode="simds",
+                       perplexity=5.0, embed_iterations=30, mixing_k=3)
+    by_method, _ = run_generation(config, corpus)
+    report, _ = run_evaluation(config, by_method, series_list=corpus, with_embedding=False)
+    embedded, _ = run_evaluation(config, {"vrp": by_method["vrp"]}, series_list=corpus)
+    scores = {m: [ev.auc_real, ev.auc_synthetic, ev.auc_mixed]
+              for m, ev in report.methods.items()}
+    assert all(None not in triple for triple in scores.values())
+    scores["vrp"].append(embedded.methods["vrp"].mixing_score)
+    text = json.dumps(scores, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == EVALUATION_GOLDEN

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -174,6 +175,25 @@ class TestGeneration:
         with pytest.raises(ValueError, match=rf"{path.name}.*{first[0]!r}, {first[1]}"):
             read_sequences(path, windows_by_key)
 
+    @pytest.mark.parametrize("methods", [("nvg",), ("nvmg",), ("vrp", "nvmg")])
+    def test_no_complete_window_rejected_before_any_unit(self, tmp_path, monkeypatch,
+                                                         methods):
+        path = tmp_path / "short.csv"
+        write_corpus_csv(make_desk_corpus(n_tickers=2, n_days=15, seed=3), path)
+
+        def no_unit(*args, **kwargs):
+            raise AssertionError("a unit ran without any window")
+
+        monkeypatch.setattr(pipeline, "time_unit", no_unit)
+        config = tiny_config(path, methods=methods)
+        with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: .*complete window of 20 values"):
+            run_generation(config)
+
+    def test_no_complete_window_in_given_series(self):
+        config = tiny_config("", window_length=30)
+        with pytest.raises(ValueError, match="given series.*30 values"):
+            run_generation(config, make_desk_corpus(n_tickers=1, n_days=29, seed=3))
+
     def test_byte_identical_reruns(self, tiny_corpus_csv, tmp_path):
         config = tiny_config(tiny_corpus_csv)
         paths = []
@@ -204,3 +224,38 @@ class TestEvaluation:
         report, _ = run_evaluation(config, by_method, with_embedding=False)
         reals = {ev.auc_real for ev in report.methods.values()}
         assert len(reals) == 1
+
+    def test_mixing_k_checked_before_the_experiment(self, tiny_corpus_csv, monkeypatch):
+        """18 real windows and 18 vrp sequences embed 36 points: k 36 fails
+        before any classifier is fit, naming the option and the count."""
+        config = tiny_config(tiny_corpus_csv, methods=("vrp",), downsample_k=1)
+        by_method, _ = run_generation(config)
+        assert len(by_method["vrp"]) == 18
+
+        def no_experiment(*args, **kwargs):
+            raise AssertionError("the experiment ran before mixing_k was checked")
+
+        monkeypatch.setattr(pipeline, "run_experiment", no_experiment)
+        config.mixing_k = 36
+        with pytest.raises(ConfigError, match=r"evaluation\.mixing_k .*36 points.*'vrp'.*36"):
+            run_evaluation(config, by_method)
+
+    def test_mixing_k_counts_embed_max_points(self, tiny_corpus_csv):
+        config = tiny_config(tiny_corpus_csv, methods=("vrp",), downsample_k=1,
+                             embed_max_points=21, mixing_k=20)
+        by_method, _ = run_generation(config)
+        with pytest.raises(ConfigError, match="below the 20 points"):
+            run_evaluation(config, by_method)
+
+    def test_mixing_k_below_the_count_runs(self, tiny_corpus_csv):
+        config = tiny_config(tiny_corpus_csv, methods=("vrp",), downsample_k=1,
+                             mixing_k=35, embed_iterations=20)
+        by_method, _ = run_generation(config)
+        report, _ = run_evaluation(config, by_method)
+        assert report.methods["vrp"].mixing_score is not None
+
+    def test_mixing_k_unchecked_without_embedding(self, tiny_corpus_csv):
+        config = tiny_config(tiny_corpus_csv, methods=("vrp",), mixing_k=500)
+        by_method, _ = run_generation(config)
+        report, overlaps = run_evaluation(config, by_method, with_embedding=False)
+        assert overlaps == {} and report.methods["vrp"].mixing_score is None
