@@ -10,15 +10,17 @@ configuration error.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
 from .embedding import write_embedding_csv
 from .evaluate import EvalReport
 from .graphs import build_hvg, build_nvg
+from .ingest import load_series
 from .oracles import check_auc, check_dtw, check_visibility
-from .pipeline import (ConfigError, RunConfig, embedding_path, read_sequences,
-                       run_evaluation, run_generation, sequences_path,
+from .pipeline import (ConfigError, RunConfig, embedding_path, prepare_windows,
+                       read_sequences, run_evaluation, run_generation, sequences_path,
                        write_config_snapshot, write_sequences)
 from .runtime import read_runtime_log, summary_table, write_runtime_log
 
@@ -71,9 +73,8 @@ def cmd_evaluate(args) -> int:
         print(f"error: missing generated file(s): {missing}", file=sys.stderr)
         return 1
 
-    from .pipeline import prepare_windows  # local import to keep startup light
-
-    windows_by_ticker = prepare_windows(config)
+    series_list = load_series(config.input)
+    windows_by_ticker = prepare_windows(config, series_list)
     windows_by_key = {(w.ticker, w.start_index): w
                       for ws in windows_by_ticker.values() for w in ws}
     sequences_by_method = {
@@ -83,7 +84,7 @@ def cmd_evaluate(args) -> int:
     runtime_file = out_dir / "runtime.jsonl"
     records = read_runtime_log(runtime_file) if runtime_file.exists() else []
 
-    report, overlaps = run_evaluation(config, sequences_by_method,
+    report, overlaps = run_evaluation(config, sequences_by_method, series_list,
                                       runtime_records=records)
     report.write(out_dir / "report.json")
     for method, overlap in overlaps.items():
@@ -103,8 +104,6 @@ def cmd_report(args) -> int:
         print(f"error: nothing to report in {out_dir}", file=sys.stderr)
         return 1
     if report_file.exists():
-        import json
-
         with report_file.open() as fh:
             _print_report(EvalReport.from_dict(json.load(fh)))
     if runtime_file.exists():

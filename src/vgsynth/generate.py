@@ -32,9 +32,6 @@ NODE_STRATEGIES = (
 VALUE_POLICIES = ("random", "round_robin")
 RESTART_JUMPS = ("neighbor", "uniform")
 
-DEFAULT_RESTART_PROB = 0.15
-DEFAULT_SWITCH_PROB = 0.5
-
 
 class DownsampleWarning(UserWarning):
     """Fewer candidate sequences than requested; all were returned."""
@@ -53,8 +50,8 @@ class WalkConfig:
     value_policy: str = "round_robin"
     target_length: int = 20
     seed: int = 0
-    restart_prob: float = DEFAULT_RESTART_PROB
-    switch_prob: float = DEFAULT_SWITCH_PROB
+    restart_prob: float = 0.15
+    switch_prob: float = 0.5
     restart_jump: str = "neighbor"
     start_node: int | None = None
 

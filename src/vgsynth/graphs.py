@@ -181,43 +181,42 @@ def _window_graph(kind: str, window: Window, heads, tails) -> Graph:
                  edge_mult=np.ones(len(heads), dtype=np.int64))
 
 
-def _nvg_edges(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(row, i, j)`` of the NVG edges of every row of ``values``: j is
-    visible from anchor i iff the slope (i, j) strictly exceeds every slope
-    (i, k), i < k < j. Anchors go in blocks over all rows at once; a block's
-    slope grid (-inf where j <= i) holds about 2**16 entries at most."""
+def _visibility_edges(values: np.ndarray, horizontal: bool = False) -> tuple[np.ndarray, ...]:
+    """``(row, i, j)`` of the visibility edges of every row of ``values``. Anchor
+    i's grid holds the slopes (i, j) (NVG) or the heights ``values[j]`` (HVG,
+    ``horizontal``), -inf where j <= i; j is visible from i iff ``grid[j]``, and
+    for the HVG ``values[i]``, strictly exceed the grid's running maximum over
+    i < k < j. Anchors go in blocks over all rows at once; a block's grid holds
+    about 2**16 entries at most."""
     n = values.shape[1]
     j = np.arange(n)
     block = max(1, 2**16 // values.size)
     parts = []
     for lo in range(0, n - 1, block):
         i = np.arange(lo, min(lo + block, n - 1))[:, None]
-        slopes = np.where(j > i, (values[:, None, :] - values[:, i]) / (j - i).clip(1), -np.inf)
-        row, a, k = np.nonzero(slopes[..., 1:] > np.maximum.accumulate(slopes, axis=-1)[..., :-1])
+        anchor = values[:, i]
+        grid = np.where(j > i, values[:, None, :] if horizontal
+                        else (values[:, None, :] - anchor) / (j - i).clip(1), -np.inf)
+        highest = np.maximum.accumulate(grid, axis=-1)[..., :-1]
+        visible = grid[..., 1:] > highest
+        if horizontal:
+            visible &= anchor > highest
+        row, a, k = np.nonzero(visible)
         parts.append((row, a + lo, k + 1))
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
 def build_nvg(window: Window) -> Graph:
     """Natural visibility graph of a scaled window."""
-    return _window_graph(NVG, window, *_nvg_edges(_require_scaled(window)[None, :])[1:])
+    return _window_graph(NVG, window, *_visibility_edges(_require_scaled(window)[None, :])[1:])
 
 
 def build_hvg(window: Window) -> Graph:
-    """Horizontal visibility graph: intermediates must lie strictly below
-    both endpoints. Its edge set is a subset of the NVG's on any window."""
-    values = _require_scaled(window)
-    n = values.size
-    pairs: list[tuple[int, int]] = []
-    for i in range(n - 1):
-        highest = -np.inf
-        for j in range(i + 1, n):
-            if highest < values[i] and highest < values[j]:
-                pairs.append((i, j))
-            highest = max(highest, values[j])
-            if highest >= values[i]:
-                break
-    return _window_graph(HVG, window, *np.transpose(pairs))
+    """Horizontal visibility graph of a scaled window: the NVG's kernel on
+    heights instead of slopes. Its edge set is a subset of the NVG's on any
+    window."""
+    return _window_graph(HVG, window,
+                         *_visibility_edges(_require_scaled(window)[None, :], horizontal=True)[1:])
 
 
 def _bruteforce(kind: str, window: Window, sees) -> Graph:
@@ -271,7 +270,7 @@ def build_multigraph(
     flat = scaled.ravel()  # provisional node id: window position * n + time index
     time = np.tile(np.arange(n), len(windows))
 
-    wi, i, j = _nvg_edges(scaled)
+    wi, i, j = _visibility_edges(scaled)
     edges = [(wi * n + i, wi * n + j, VISIBILITY)]
     block = max(1, 2**16 // n)  # later nodes per step: a grid of about 2**16 entries
     for src in range(len(windows) - 1):

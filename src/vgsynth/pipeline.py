@@ -16,11 +16,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .embedding import OverlapResult, embedding_overlap
+from .embedding import MAX_EMBED_POINTS, OverlapResult, embedding_overlap
 from .evaluate import EvalReport, run_experiment
 from .generate import (SyntheticSequence, WalkConfig, derive_seed, downsample,
                        generate_sequence, vrp_generate)
-from .graphs import Graph, build_hvg, build_multigraph, build_nvg
+from .graphs import DEFAULT_SIMILAR_VALUE_EPSILON, Graph, build_hvg, build_multigraph, build_nvg
 from .ingest import TimeSeries, Window, load_series, minmax_scale, slice_windows
 from .runtime import RuntimeRecord, aggregate, time_unit
 
@@ -70,15 +70,15 @@ class RunConfig:
     window_length: int = 20
     stride: int | None = None
     methods: tuple[str, ...] = ("nvg", "hvg", "nvmg", "vrp")
-    similar_value_epsilon: float = 0.01
+    similar_value_epsilon: float = DEFAULT_SIMILAR_VALUE_EPSILON
     sequences_per_window: int = 10
     downsample_mode: str = "simds"
     downsample_k: int = 1
-    node_strategy: str = "restart_random"
-    value_policy: str = "round_robin"
-    restart_prob: float = 0.15
-    switch_prob: float = 0.5
-    restart_jump: str = "neighbor"
+    node_strategy: str = WalkConfig.node_strategy
+    value_policy: str = WalkConfig.value_policy
+    restart_prob: float = WalkConfig.restart_prob
+    switch_prob: float = WalkConfig.switch_prob
+    restart_jump: str = WalkConfig.restart_jump
     split: tuple[float, float, float] = (0.7, 0.15, 0.15)
     l2: float = 1e-3
     max_iter: int = 10000
@@ -86,7 +86,7 @@ class RunConfig:
     perplexity: float = 30.0
     embed_iterations: int = 500
     mixing_k: int = 10
-    embed_max_points: int = 2000
+    embed_max_points: int = MAX_EMBED_POINTS
 
     def validate(self) -> None:
         for name, minimum in _INTEGER_MINIMUMS.items():
@@ -330,7 +330,7 @@ def run_evaluation(
     windows_by_ticker = prepare_windows(config, series_list)
     all_windows = [w for ws in windows_by_ticker.values() for w in ws]
     if with_embedding and all_windows:  # without windows the experiment itself fails
-        _check_mixing_k(config, len(all_windows), sequences_by_method)
+        _check_embedding_points(config, len(all_windows), sequences_by_method)
     report = run_experiment(
         all_windows,
         sequences_by_method,
@@ -362,19 +362,18 @@ def run_evaluation(
     return report, overlaps
 
 
-def _check_mixing_k(config: RunConfig, n_real: int,
-                    sequences_by_method: dict[str, list[SyntheticSequence]]) -> None:
-    """Reject a ``mixing_k`` that some method's embedding has too few points
-    for, before any classifier is fit.
-
-    ``embedding_overlap`` embeds the same number of real and synthetic
-    points, at most half of ``embed_max_points`` each, and the mixing score
-    needs k below the number of points embedded.
-    """
+def _check_embedding_points(config: RunConfig, n_real: int,
+                            sequences_by_method: dict[str, list[SyntheticSequence]]) -> None:
+    """Reject, before any classifier is fit, an embedding of fewer than 4
+    points (ValueError) and a ``mixing_k`` not below its point count
+    (ConfigError). ``embedding_overlap`` embeds as many real as synthetic
+    points, at most ``embed_max_points // 2`` each."""
     for method, sequences in sequences_by_method.items():
         if not sequences:
             continue
         points = 2 * min(n_real, len(sequences), config.embed_max_points // 2)
+        if points < 4:
+            raise ValueError(f"method {method!r}'s embedding would hold {points} points, below 4")
         if config.mixing_k >= points:
             raise ConfigError(f"evaluation.mixing_k must be below the {points} points "
                               f"embedded for method {method!r}, got {config.mixing_k}")

@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -193,6 +194,22 @@ class TestEvaluateCommand:
         assert "config error: evaluation.mixing_k" in err and "got 500" in err
         assert not (out / "report.json").exists()
         assert not (out / "embedding_vrp.csv").exists()
+
+    def test_reads_the_input_once(self, tmp_path, eval_corpus_csv, monkeypatch):
+        out = tmp_path / "out"
+        cfg = config_file(tmp_path, eval_corpus_csv, out)
+        assert main(["generate", "--config", str(cfg)]) == 0
+        reads = []
+        path_open = Path.open
+
+        def counting_open(self, *args, **kwargs):
+            if self == Path(eval_corpus_csv):
+                reads.append(self)
+            return path_open(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", counting_open)
+        assert main(["evaluate", "--config", str(cfg)]) == 0
+        assert len(reads) == 1
 
     def test_missing_generated_file_exits_1(self, tmp_path, corpus_csv, capsys):
         out = tmp_path / "empty_out"

@@ -102,6 +102,19 @@ class TestOracleEquivalence:
                 [(i, j, VISIBILITY) for i, j in loop_pairs(values, nvg_visible)]
             assert list(hvg_bruteforce(window).edges) == \
                 [(i, j, VISIBILITY) for i, j in loop_pairs(values, hvg_visible)]
+            # the HVG's comparisons make no rounding, so ties must agree too;
+            # the NVG's slopes and its oracle's sight-line heights can differ on
+            # collinear ties, so build_nvg is not compared here
+            assert build_hvg(window).edges == hvg_bruteforce(window).edges
+
+    def test_long_window_spans_several_anchor_blocks(self, rng):
+        n = 320
+        assert 2**16 // n < n - 1  # the kernel runs more than one block of anchors
+        ties = make_scaled_window(rng.integers(0, 4, n))
+        assert build_hvg(ties).edges == hvg_bruteforce(ties).edges
+        window = random_scaled_window(rng, n)
+        assert build_nvg(window).edges == nvg_bruteforce(window).edges
+        assert build_hvg(window).edges == hvg_bruteforce(window).edges
 
 
 class TestGraphInvariants:

@@ -1,11 +1,13 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from vgsynth import pipeline
 from vgsynth.corpus import make_desk_corpus, write_corpus_csv
+from vgsynth.evaluate import LogisticClassifier
 from vgsynth.pipeline import (ConfigError, RunConfig, read_sequences,
                               run_evaluation, run_generation, sequences_path,
                               write_sequences)
@@ -52,6 +54,15 @@ class TestRunConfig:
         config = tiny_config(tiny_corpus_csv)
         back = RunConfig.from_dict(config.to_dict())
         assert back == config
+
+    def test_readme_schema_shows_the_defaults(self):
+        """The README's config schema block claims to show every default."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"### Config file schema \(JSON\)\s+```json\n(.*?)```", readme, re.S)
+        shown = json.loads(block.group(1))
+        defaults = RunConfig().to_dict()
+        del shown["input"], defaults["input"]
+        assert shown == defaults
 
     def test_unknown_option_rejected(self):
         with pytest.raises(ConfigError):
@@ -239,6 +250,19 @@ class TestEvaluation:
         config.mixing_k = 36
         with pytest.raises(ConfigError, match=r"evaluation\.mixing_k .*36 points.*'vrp'.*36"):
             run_evaluation(config, by_method)
+
+    def test_too_small_embedding_rejected_before_any_fit(self, tiny_corpus_csv, monkeypatch):
+        """One vrp sequence embeds 2 points, below the embedding's 4: a
+        ValueError naming the method and the count, before any fit."""
+        config = tiny_config(tiny_corpus_csv, methods=("vrp",), downsample_k=1, mixing_k=1)
+        by_method, _ = run_generation(config)
+        by_method["vrp"] = by_method["vrp"][:1]
+        fits = []
+        monkeypatch.setattr(LogisticClassifier, "fit", lambda *a, **k: fits.append(a))
+        with pytest.raises(ValueError, match=r"'vrp'.s embedding would hold 2 points") as excinfo:
+            run_evaluation(config, by_method)
+        assert not isinstance(excinfo.value, ConfigError)
+        assert fits == []
 
     def test_mixing_k_counts_embed_max_points(self, tiny_corpus_csv):
         config = tiny_config(tiny_corpus_csv, methods=("vrp",), downsample_k=1,
