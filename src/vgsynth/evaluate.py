@@ -11,7 +11,6 @@ chronological per ticker so no future window leaks into training.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,8 +31,9 @@ FEATURE_NAMES = (
     "value_range",
 )
 
-# Bound on the probabilities LogisticClassifier.fit keeps for one block of
-# iterations until it computes their losses: 2^16 float64, 512 KiB
+# Bound on the probabilities a group's descent keeps, over all of its
+# training sets, for one block of iterations until it computes their
+# losses: 2^16 float64, 512 KiB
 _LOSS_BLOCK_ELEMENTS = 2**16
 
 
@@ -191,62 +191,7 @@ class LogisticClassifier:
         return (X - self.mean_) / self.scale_
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "LogisticClassifier":
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
-        classes = np.unique(y)
-        if classes.size < 2:
-            raise ValueError("training set must contain both classes")
-        m, d = X.shape
-        self.mean_ = X.mean(axis=0)
-        self.scale_ = X.std(axis=0)
-        self.scale_[self.scale_ == 0] = 1.0
-        Z = self._standardize(X)
-
-        # Lipschitz bound for the mean logistic loss plus the L2 term
-        A = np.hstack([Z, np.ones((m, 1))])
-        lip = float(np.linalg.eigvalsh(A.T @ A / m).max()) / 4.0 + 2.0 * self.l2
-        step = 1.0 / lip
-
-        w = np.zeros(d)
-        b = 0.0
-        # Each iteration works in buffers allocated here. Its probabilities
-        # and L2 penalty wait in a block of rows, whose losses are computed
-        # together once the block fills or the loop ends.
-        block = max(1, min(self.max_iter, _LOSS_BLOCK_ELEMENTS // m))
-        probs = np.empty((block, m))
-        penalties = np.empty(block)
-        logits, residual = np.empty(m), np.empty(m)
-        grad_w, scaled = np.empty(d), np.empty(d)
-        Zt = Z.T
-        one_minus_y = 1 - y
-        two_l2 = 2.0 * self.l2
-        self.loss_history_ = []
-        row = 0
-        for _ in range(self.max_iter):
-            np.matmul(Z, w, out=logits)
-            logits += b
-            p = _sigmoid(logits, out=probs[row])
-            penalties[row] = self.l2 * np.dot(w, w)
-            row += 1
-            np.subtract(p, y, out=residual)
-            np.matmul(Zt, residual, out=grad_w)
-            grad_w /= m
-            np.multiply(two_l2, w, out=scaled)
-            grad_w += scaled
-            grad_b = np.add.reduce(residual) / m
-            grad_norm = math.sqrt(np.dot(grad_w, grad_w) + grad_b * grad_b)
-            if grad_norm < self.tol:
-                break
-            np.multiply(step, grad_w, out=scaled)
-            w -= scaled
-            b -= step * grad_b
-            if row == block:
-                self.loss_history_ += _losses(probs, penalties, y, one_minus_y)
-                row = 0
-        if row:
-            self.loss_history_ += _losses(probs[:row], penalties[:row], y, one_minus_y)
-        self.weights = w
-        self.bias = b
+        fit_classifiers([self], [(X, y)])
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
@@ -255,6 +200,130 @@ class LogisticClassifier:
             return np.full(X.shape[0], 0.5)
         Z = self._standardize(X)
         return _sigmoid(Z @ self.weights + self.bias)
+
+
+def fit_classifiers(models: list[LogisticClassifier],
+                    training_sets: list[tuple[np.ndarray, np.ndarray]]) -> None:
+    """Fit ``models[i]`` on ``training_sets[i] = (X, y)``.
+
+    Training sets of one shape whose models share their hyperparameters
+    descend together in one loop, so an iteration costs the same numpy
+    calls for the whole group as for one set. Each set keeps its own step
+    size and tol stop, and its weights, bias and loss history are the bytes
+    a fit on that set alone gives. Every set is checked before any descent:
+    a set without both classes raises ValueError.
+    """
+    prepared = [_prepare(model, X, y)
+                for model, (X, y) in zip(models, training_sets, strict=True)]
+    groups: dict[tuple, list[int]] = {}
+    for i, (model, (Z, _, _)) in enumerate(zip(models, prepared)):
+        key = (Z.shape, model.l2, model.max_iter, model.tol)
+        groups.setdefault(key, []).append(i)
+    for members in groups.values():
+        Z, y, steps = (np.stack(parts) for parts in zip(*(prepared[i] for i in members)))
+        head = models[members[0]]
+        fits = _descend(Z, y, steps, head.l2, head.max_iter, head.tol)
+        for i, (w, b, history) in zip(members, fits):
+            models[i].weights, models[i].bias, models[i].loss_history_ = w, b, history
+
+
+def _prepare(model: LogisticClassifier, X: np.ndarray,
+             y: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Set ``model``'s standardization from ``X`` and return the
+    standardized features, the labels as floats and the step size."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if np.unique(y).size < 2:
+        raise ValueError("training set must contain both classes")
+    m = X.shape[0]
+    model.mean_ = X.mean(axis=0)
+    model.scale_ = X.std(axis=0)
+    model.scale_[model.scale_ == 0] = 1.0
+    Z = model._standardize(X)
+
+    # Lipschitz bound for the mean logistic loss plus the L2 term
+    A = np.hstack([Z, np.ones((m, 1))])
+    lip = float(np.linalg.eigvalsh(A.T @ A / m).max()) / 4.0 + 2.0 * model.l2
+    return Z, y, 1.0 / lip
+
+
+def _descend(Z: np.ndarray, y: np.ndarray, steps: np.ndarray, l2: float, max_iter: int,
+             tol: float) -> list[tuple[np.ndarray, float, list[float]]]:
+    """Gradient descent on a group of training sets: standardized features
+    ``Z`` (B, m, d), labels ``y`` (B, m) and step sizes ``steps`` (B,).
+    Returns each set's weights, bias and loss history.
+
+    Each set gets the reductions a loop over that set alone makes: a
+    matrix-vector matmul for Z @ w and Z.T @ r, a (1, d) @ (d, 1) matmul,
+    which is BLAS's dot, for w.w and g.g, and add.reduce over its m
+    contiguous residuals. A set whose gradient norm falls below ``tol``
+    records that iteration's loss and leaves the group, whose arrays are
+    then compacted.
+    """
+    n, m, d = Z.shape
+    live = list(range(n))  # input position of each set still descending
+    fits: list = [None] * n
+    # Per-set vectors carry a trailing axis of 1, so that they are the
+    # stacked matmul's operands as they stand. Weights and gradients share
+    # one array, so that one matmul gives every w.w and g.g.
+    y, steps = y[:, :, None], steps[:, None, None]
+    WG = np.zeros((2, n, d, 1))
+    b, grad_b = np.zeros((n, 1, 1)), np.empty((n, 1, 1))
+    # Each iteration's probabilities and dot products wait in a block of
+    # rows, whose losses are computed together once the block fills, a set
+    # stops or the loop ends.
+    block = max(1, min(max_iter, _LOSS_BLOCK_ELEMENTS // (n * m)))
+    probs, dots = np.empty((block, n, m, 1)), np.empty((block, 2, n, 1, 1))
+    logits, residual, scaled = np.empty((n, m, 1)), np.empty((n, m, 1)), np.empty((n, d, 1))
+    one_minus_y = 1 - y
+    two_l2 = 2.0 * l2
+    histories: list[list[float]] = [[] for _ in range(n)]
+    w, grad_w = WG
+    Zt, WGt = Z.transpose(0, 2, 1), WG.transpose(0, 1, 3, 2)
+    row = 0
+    for _ in range(max_iter):
+        np.matmul(Z, w, out=logits)
+        logits += b
+        p = _sigmoid(logits, out=probs[row])
+        np.subtract(p, y, out=residual)
+        np.matmul(Zt, residual, out=grad_w)
+        grad_w /= m
+        np.multiply(two_l2, w, out=scaled)
+        grad_w += scaled
+        np.add.reduce(residual, axis=1, keepdims=True, out=grad_b)
+        grad_b /= m
+        np.matmul(WGt, WG, out=dots[row])
+        stop = np.sqrt(dots[row, 1] + grad_b * grad_b) < tol
+        row += 1
+        if np.count_nonzero(stop):
+            stop = stop.ravel()
+            _record_losses(histories, probs[:row], dots[:row], l2, y, one_minus_y)
+            row = 0
+            for j in np.flatnonzero(stop):
+                fits[live[j]] = (w[j, :, 0].copy(), float(b[j, 0, 0]), histories[j])
+            keep = ~stop
+            live = [i for i, kept in zip(live, keep) if kept]
+            if not live:
+                return fits
+            histories = [h for h, kept in zip(histories, keep) if kept]
+            Z, y, one_minus_y, steps, b, grad_b = (
+                a[keep] for a in (Z, y, one_minus_y, steps, b, grad_b))
+            WG = WG[:, keep]
+            k = len(live)
+            probs, dots = probs[:, :k], dots[:, :, :k]
+            logits, residual, scaled = logits[:k], residual[:k], scaled[:k]
+            w, grad_w = WG
+            Zt, WGt = Z.transpose(0, 2, 1), WG.transpose(0, 1, 3, 2)
+        np.multiply(steps, grad_w, out=scaled)
+        w -= scaled
+        b -= steps * grad_b
+        if row == block:
+            _record_losses(histories, probs, dots, l2, y, one_minus_y)
+            row = 0
+    _record_losses(histories, probs[:row], dots[:row], l2, y, one_minus_y)
+    for j, i in enumerate(live):
+        fits[i] = (w[j, :, 0].copy(), float(b[j, 0, 0]), histories[j])
+    return fits
 
 
 def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -270,13 +339,16 @@ def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.divide(e, denom, out=out, where=z < 0)
 
 
-def _losses(probs: np.ndarray, penalties: np.ndarray, y: np.ndarray,
-            one_minus_y: np.ndarray) -> list[float]:
-    """Training loss of each row of iteration probabilities: mean
-    cross-entropy plus that iteration's L2 penalty."""
+def _record_losses(histories: list[list[float]], probs: np.ndarray, dots: np.ndarray,
+                   l2: float, y: np.ndarray, one_minus_y: np.ndarray) -> None:
+    """Append to each set's loss history the training loss of each row of
+    iteration probabilities (rows, B, m, 1): mean cross-entropy plus the L2
+    penalty from that iteration's w.w, ``dots[:, 0]``."""
     eps = 1e-12
-    ce = -np.mean(y * np.log(probs + eps) + one_minus_y * np.log(1 - probs + eps), axis=1)
-    return (ce + penalties).tolist()
+    ce = -np.mean(y * np.log(probs + eps) + one_minus_y * np.log(1 - probs + eps), axis=2)
+    losses = ce[:, :, 0] + l2 * dots[:, 0, :, 0, 0]
+    for history, set_losses in zip(histories, losses.T.tolist()):
+        history += set_losses
 
 
 @dataclass
@@ -377,50 +449,57 @@ def run_experiment(
 
     real_train = [extract_features(w.raw_values, "real", w.ticker) for w in train_windows]
     test_rows = [extract_features(w.raw_values, "real", w.ticker) for w in test_windows]
-    test_X = np.array([r.vector() for r in test_rows])
-    test_y = np.array([r.label for r in test_rows])
+    test_X, test_y = _arrays(test_rows)
 
     train_starts = {}
     for w in train_windows:
         train_starts.setdefault(w.ticker, set()).add(w.start_index)
 
-    auc_real = _fit_and_score(hyperparams, real_train, test_X, test_y)
-
-    report = EvalReport(seed=seed)
+    # Every training set first, real then each method's mixed and synthetic
+    # sets, so that fit_classifiers can fit sets of one shape together.
+    real_X, real_y = _arrays(real_train)
+    training_sets = [(real_X, real_y)]
+    plans = {}  # method -> (synthetic rows, index of its mixed set, of its synthetic set)
     for method, sequences in synthetic_by_method.items():
         usable = [s for s in sequences
                   if s.window_start in train_starts.get(s.ticker, ())]
         synth_rows = [extract_features(s.values, "synthetic", s.ticker) for s in usable]
         if not synth_rows:
             # mixing zero synthetic rows degenerates to the real training set
-            report.methods[method] = MethodEval(
-                auc_real=auc_real, auc_synthetic=None, auc_mixed=auc_real,
-                n_synthetic_rows=0,
-                annotation="skipped: no synthetic rows in the training range",
-            )
+            plans[method] = (0, 0, None)
             continue
-        auc_mixed = _fit_and_score(hyperparams, real_train + synth_rows, test_X, test_y)
-        if len({r.label for r in synth_rows}) < 2:
-            report.methods[method] = MethodEval(
-                auc_real=auc_real, auc_synthetic=None, auc_mixed=auc_mixed,
-                n_synthetic_rows=len(synth_rows),
-                annotation="skipped synthetic-only training: single-class labels",
-            )
-            continue
-        auc_synth = _fit_and_score(hyperparams, synth_rows, test_X, test_y)
+        synth_X, synth_y = _arrays(synth_rows)
+        training_sets.append((np.concatenate([real_X, synth_X]),
+                              np.concatenate([real_y, synth_y])))
+        mixed = len(training_sets) - 1
+        synth = None
+        if np.unique(synth_y).size > 1:
+            training_sets.append((synth_X, synth_y))
+            synth = len(training_sets) - 1
+        plans[method] = (len(synth_rows), mixed, synth)
+
+    models = [LogisticClassifier(**hyperparams) for _ in training_sets]
+    fit_classifiers(models, training_sets)
+    aucs = [roc_auc(model.predict_proba(test_X), test_y) for model in models]
+
+    report = EvalReport(seed=seed)
+    for method, (n_synthetic, mixed, synth) in plans.items():
+        if not n_synthetic:
+            annotation = "skipped: no synthetic rows in the training range"
+        elif synth is None:
+            annotation = "skipped synthetic-only training: single-class labels"
+        else:
+            annotation = ""
         report.methods[method] = MethodEval(
-            auc_real=auc_real,
-            auc_synthetic=auc_synth,
-            auc_mixed=auc_mixed,
-            n_synthetic_rows=len(synth_rows),
+            auc_real=aucs[0],
+            auc_synthetic=None if synth is None else aucs[synth],
+            auc_mixed=aucs[mixed],
+            n_synthetic_rows=n_synthetic,
+            annotation=annotation,
         )
     return report
 
 
-def _fit_and_score(hyperparams: dict, rows: list[FeatureRow], test_X: np.ndarray,
-                   test_y: np.ndarray) -> float:
-    model = LogisticClassifier(**hyperparams)
-    X = np.array([r.vector() for r in rows])
-    y = np.array([r.label for r in rows])
-    model.fit(X, y)
-    return roc_auc(model.predict_proba(test_X), test_y)
+def _arrays(rows: list[FeatureRow]) -> tuple[np.ndarray, np.ndarray]:
+    """Feature matrix and label vector of ``rows``."""
+    return np.array([r.vector() for r in rows]), np.array([r.label for r in rows])

@@ -80,8 +80,9 @@ def load_series(path: str | Path) -> list[TimeSeries]:
     Rows are sorted by date within each ticker. Empty or unparseable close
     fields become NaN. Raises SchemaError on a bad header, and naming
     ``path:line`` on a row whose field count differs from the header's, a
-    blank ticker or an unparseable date; DuplicateRowError on a repeated
-    (ticker, date) key.
+    blank ticker or an unparseable date; DuplicateRowError naming
+    ``path:line`` of a repeated (ticker, date) key and the line of its
+    first occurrence.
     """
     path = Path(path)
     with path.open(newline="") as fh:
@@ -95,7 +96,7 @@ def load_series(path: str | Path) -> list[TimeSeries]:
         def error(problem: str) -> SchemaError:
             return SchemaError(f"{path}:{reader.line_num}: {problem}")
 
-        rows: dict[str, dict[date, float]] = {}
+        rows: dict[str, dict[date, tuple[float, int]]] = {}  # close, line
         for fields in reader:
             if not fields:  # blank line
                 continue
@@ -118,13 +119,15 @@ def load_series(path: str | Path) -> list[TimeSeries]:
                 close = math.nan
             per_ticker = rows.setdefault(ticker, {})
             if ts in per_ticker:
-                raise DuplicateRowError(f"{path}: duplicate row for ({ticker}, {ts})")
-            per_ticker[ts] = close
+                raise DuplicateRowError(
+                    f"{path}:{reader.line_num}: duplicate row for ({ticker}, {ts}), "
+                    f"first on line {per_ticker[ts][1]}")
+            per_ticker[ts] = (close, reader.line_num)
 
     out = []
     for ticker in sorted(rows):
         dates = sorted(rows[ticker])
-        values = np.array([rows[ticker][d] for d in dates], dtype=float)
+        values = np.array([rows[ticker][d][0] for d in dates], dtype=float)
         out.append(TimeSeries(ticker=ticker, timestamps=dates, values=values))
     return out
 

@@ -1,12 +1,13 @@
-"""``LogisticClassifier.fit`` against the reference loop byte for byte:
-weights, bias and every loss of the history, across block sizes, early
-stops and the sigmoid's two branches."""
+"""``LogisticClassifier.fit`` and ``fit_classifiers`` against the reference
+loop byte for byte: weights, bias and every loss of the history, across
+block sizes, early stops, groups of training sets and the sigmoid's two
+branches."""
 
 import numpy as np
 import pytest
 
 from vgsynth import evaluate
-from vgsynth.evaluate import LogisticClassifier, _sigmoid
+from vgsynth.evaluate import LogisticClassifier, _sigmoid, fit_classifiers
 
 from reference_fit import ReferenceLogisticClassifier, reference_sigmoid
 
@@ -26,6 +27,31 @@ def fit_data(seed, m, d=8, positive_rate=0.5, signal=1.0):
 def fit_both(X, y, **params):
     return (LogisticClassifier(**params).fit(X, y),
             ReferenceLogisticClassifier(**params).fit(X, y))
+
+
+def fit_group(sets, **params):
+    models = [LogisticClassifier(**params) for _ in sets]
+    fit_classifiers(models, sets)
+    return models
+
+
+def assert_same_as_alone(models, sets, **params):
+    """Each grouped fit equals the reference fit on its set alone."""
+    for model, (X, y) in zip(models, sets, strict=True):
+        assert_same_fit(model, ReferenceLogisticClassifier(**params).fit(X, y))
+
+
+def spy_on_descent(monkeypatch):
+    """Record the (sets, rows) shape of each group that descends."""
+    groups = []
+    descend = evaluate._descend
+
+    def spy(Z, *args):
+        groups.append(Z.shape[:2])
+        return descend(Z, *args)
+
+    monkeypatch.setattr(evaluate, "_descend", spy)
+    return groups
 
 
 def assert_same_fit(model, reference):
@@ -135,3 +161,67 @@ def test_sigmoid_matches_masked(n, sign):
     out = np.empty(n)
     assert _sigmoid(z, out=out) is out
     assert out.tobytes() == reference_sigmoid(z).tobytes()
+
+
+@pytest.mark.parametrize("m", [40, 80])
+@pytest.mark.parametrize("size", [1, 2, 5])
+def test_group_at_benchmark_shapes(size, m, monkeypatch):
+    """The benchmark's groups: up to five sets of 40 or 80 rows, 1500
+    iterations, no early stop, in one descent."""
+    groups = spy_on_descent(monkeypatch)
+    sets = [fit_data(seed, m) for seed in range(size)]
+    models = fit_group(sets, max_iter=1500, tol=0.0)
+    assert groups == [(size, m)]
+    assert_same_as_alone(models, sets, max_iter=1500, tol=0.0)
+
+
+def group_stopping_apart(m=60):
+    """Sets of one shape that reach the default tol at different
+    iterations (88, 46, 146 and 54 at 60 rows), so that sets leave the
+    group from its middle."""
+    sets = [fit_data(11, m, signal=signal) for signal in (1.0, 0.2, 2.0, 0.5)]
+    stops = [len(ReferenceLogisticClassifier().fit(X, y).loss_history_) for X, y in sets]
+    return sets, stops
+
+
+def test_sets_stop_apart_and_one_runs_to_max_iter():
+    sets, stops = group_stopping_apart()
+    assert len(set(stops)) == len(stops) and max(stops) < 10000
+    max_iter = sorted(stops)[-2] + 7  # above every stop but the last
+    models = fit_group(sets, max_iter=max_iter)
+    assert sorted(len(model.loss_history_) for model in models) == sorted(stops)[:-1] + [max_iter]
+    assert_same_as_alone(models, sets, max_iter=max_iter)
+
+
+@pytest.mark.parametrize("where", ["inside", "last_row", "first_row"])
+def test_group_stop_against_block_boundary(where, monkeypatch):
+    """The first set to stop does so inside a block, on a block's last row
+    or on the first row after a full block; the bound counts the whole
+    group's probabilities, and the block keeps its length as sets leave."""
+    m = 60
+    sets, stops = group_stopping_apart(m)
+    first = min(stops)
+    assert 20 < first
+    block = {"inside": first // 2 + 3, "last_row": first, "first_row": first - 1}[where]
+    monkeypatch.setattr(evaluate, "_LOSS_BLOCK_ELEMENTS", len(sets) * m * block)
+    assert_same_as_alone(fit_group(sets), sets)
+
+
+def test_mixed_row_counts_in_input_order(monkeypatch):
+    """Sets of three row counts descend in three groups, in order of first
+    appearance; each model gets its own set's fit."""
+    groups = spy_on_descent(monkeypatch)
+    sets = [fit_data(seed, m) for seed, m in enumerate([40, 80, 40, 33, 80, 40])]
+    models = fit_group(sets, max_iter=300, tol=0.0)
+    assert groups == [(3, 40), (2, 80), (1, 33)]
+    assert_same_as_alone(models, sets, max_iter=300, tol=0.0)
+
+
+def test_single_class_set_raises_before_any_descent(monkeypatch):
+    groups = spy_on_descent(monkeypatch)
+    sets = [fit_data(seed, 40) for seed in range(3)]
+    X, _ = sets[1]
+    sets[1] = (X, np.ones(40, dtype=int))
+    with pytest.raises(ValueError, match="training set must contain both classes"):
+        fit_group(sets)
+    assert groups == []

@@ -49,6 +49,20 @@ class TestLoadSeries:
         with pytest.raises(DuplicateRowError, match=r"AAA.*2021-01-01"):
             load_series(path)
 
+    def test_duplicate_row_names_both_lines(self, tmp_path):
+        """The repeat is on line 5 of the file (header, a blank line and
+        another ticker's row in between), its first occurrence on line 2."""
+        path = write_csv(tmp_path / "p.csv", [
+            "2021-01-01,AAA,1.0",
+            "2021-01-01,BBB,1.0",
+            "",
+            "2021-01-01,AAA,2.0",
+        ])
+        with pytest.raises(DuplicateRowError) as excinfo:
+            load_series(path)
+        assert str(excinfo.value) == (
+            f"{path}:5: duplicate row for (AAA, 2021-01-01), first on line 2")
+
     def test_missing_column_is_schema_error(self, tmp_path):
         path = write_csv(tmp_path / "p.csv", ["2021-01-01,1.0"], header="date,close")
         with pytest.raises(SchemaError, match="ticker"):

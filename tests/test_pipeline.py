@@ -5,9 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vgsynth import pipeline
+from vgsynth import evaluate, pipeline
 from vgsynth.corpus import make_desk_corpus, write_corpus_csv
-from vgsynth.evaluate import LogisticClassifier
 from vgsynth.pipeline import (ConfigError, RunConfig, read_sequences,
                               run_evaluation, run_generation, sequences_path,
                               write_sequences)
@@ -258,7 +257,7 @@ class TestEvaluation:
         by_method, _ = run_generation(config)
         by_method["vrp"] = by_method["vrp"][:1]
         fits = []
-        monkeypatch.setattr(LogisticClassifier, "fit", lambda *a, **k: fits.append(a))
+        monkeypatch.setattr(evaluate, "fit_classifiers", lambda *a, **k: fits.append(a))
         with pytest.raises(ValueError, match=r"'vrp'.s embedding would hold 2 points") as excinfo:
             run_evaluation(config, by_method)
         assert not isinstance(excinfo.value, ConfigError)

@@ -2,17 +2,25 @@
 window's NVG, walks cannot tell the two apart, HVG edges are NVG edges, NVG
 and HVG link every pair of consecutive points, walks emit only node values,
 DTW is symmetric and 0 on itself, AUC ignores a positive rescaling of the
-scores, and min-max scaling inverts."""
+scores, min-max scaling inverts, and ``load_series`` names the line of the
+one bad row in a file while loading shuffled rows with runs of missing
+closes."""
+
+import math
+import tempfile
+from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vgsynth.errors import DuplicateRowError, SchemaError
 from vgsynth.evaluate import roc_auc
 from vgsynth.generate import (NODE_STRATEGIES, RESTART_JUMPS, VALUE_POLICIES,
                               WalkConfig, dtw_distance, generate_sequence)
 from vgsynth.graphs import build_hvg, build_multigraph, build_nvg
-from vgsynth.ingest import inverse_scale
+from vgsynth.ingest import inverse_scale, load_series, slice_windows
 
 from conftest import make_scaled_window
 
@@ -114,3 +122,91 @@ def test_minmax_scale_inverts(raw):
     # 1.0000000002e-4, so the tolerance is relative to the largest magnitude
     restored = inverse_scale(make_scaled_window(raw)).raw_values
     np.testing.assert_allclose(restored, raw, rtol=0, atol=1e-9 * np.abs(raw).max())
+
+
+@st.composite
+def corpora(draw):
+    """One to three tickers' daily closes from 2021-01-01, each with a run
+    (possibly empty) of missing closes."""
+    tickers = draw(st.lists(st.sampled_from(["A", "BB", "C"]), min_size=1, max_size=3,
+                            unique=True))
+    corpus = {}
+    for ticker in tickers:
+        n = draw(st.integers(min_value=1, max_value=25))
+        values = draw(st.lists(st.floats(min_value=0.01, max_value=1e6), min_size=n, max_size=n))
+        gap = draw(st.integers(min_value=0, max_value=n))
+        for i in range(gap, min(n, gap + draw(st.integers(min_value=0, max_value=6)))):
+            values[i] = math.nan
+        corpus[ticker] = values
+    return corpus
+
+
+def corpus_rows(corpus, data) -> list[str]:
+    """The corpus as ``date,ticker,close`` rows in a drawn order; a missing
+    close is written as one of the spellings load_series reads as NaN."""
+    rows = []
+    for ticker, values in corpus.items():
+        for i, value in enumerate(values):
+            close = (data.draw(st.sampled_from(["", "nan", "n/a"])) if math.isnan(value)
+                     else repr(value))
+            rows.append(f"{(date(2021, 1, 1) + timedelta(days=i)).isoformat()},{ticker},{close}")
+    return data.draw(st.permutations(rows))
+
+
+def load_rows(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "prices.csv"
+        path.write_text("date,ticker,close\n" + "\n".join(rows) + "\n")
+        try:
+            return path, load_series(path), None
+        except ValueError as exc:
+            return path, None, exc
+
+
+# rows that fail on their own, each with the header's field count unless it
+# is the field count that is wrong
+BAD_ROWS = {
+    "bad date": ["2021-13-01,A,1.0", "01/02/2021,BB,2.0", ",C,3.0", "2021-02-30,A,"],
+    "blank ticker": ["2021-01-02,,1.0", "2021-01-02,  ,n/a"],
+    "field count": ["2021-01-02,A", "2021-01-02,A,1.0,9", "2021-01-02"],
+}
+
+
+@settings(deadline=None)
+@given(corpus=corpora(), data=st.data())
+def test_one_bad_row_fails_naming_its_line(corpus, data):
+    rows = corpus_rows(corpus, data)
+    kind = data.draw(st.sampled_from(["duplicate key", *BAD_ROWS]))
+    if kind == "duplicate key":
+        first = data.draw(st.integers(min_value=0, max_value=len(rows) - 1))
+        at = data.draw(st.integers(min_value=first + 1, max_value=len(rows)))
+        key = rows[first].rsplit(",", 1)[0]
+        rows.insert(at, f"{key},{data.draw(st.sampled_from(['1.0', '']))}")
+    else:
+        at = data.draw(st.integers(min_value=0, max_value=len(rows)))
+        rows.insert(at, data.draw(st.sampled_from(BAD_ROWS[kind])))
+    path, _, exc = load_rows(rows)
+    # line 1 is the header
+    assert str(exc).startswith(f"{path}:{at + 2}: ")
+    if kind == "duplicate key":
+        assert isinstance(exc, DuplicateRowError)
+        assert str(exc).endswith(f", first on line {first + 2}")
+    else:
+        assert isinstance(exc, SchemaError)
+
+
+@settings(deadline=None)
+@given(corpus=corpora(), data=st.data(), length=st.integers(min_value=2, max_value=6))
+def test_shuffled_rows_with_missing_runs_load_sorted(corpus, data, length):
+    _, series, exc = load_rows(corpus_rows(corpus, data))
+    assert exc is None
+    assert [s.ticker for s in series] == sorted(corpus)
+    for s in series:
+        values = corpus[s.ticker]
+        assert s.timestamps == [date(2021, 1, 1) + timedelta(days=i) for i in range(len(values))]
+        np.testing.assert_array_equal(s.values, values)
+        complete = [start for start in range(0, len(values) - length + 1, length)
+                    if not np.isnan(values[start:start + length]).any()]
+        windows = slice_windows(s, length)
+        assert [w.start_index for w in windows] == complete
+        assert not any(np.isnan(w.raw_values).any() for w in windows)
