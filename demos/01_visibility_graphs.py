@@ -15,8 +15,8 @@ window = minmax_scale(Window(ticker="DEMO", start_index=0, raw_values=prices))
 
 print("window (scaled):", np.round(window.scaled_values, 3))
 
-nvg = build_nvg(window)
-hvg = build_hvg(window)
+nvg = build_nvg([window])
+hvg = build_hvg([window])
 print(f"\nNVG: {len(nvg.edges)} edges")
 print(sorted(nvg.edges))
 print(f"\nHVG: {len(hvg.edges)} edges (always a subset of the NVG)")
@@ -30,9 +30,9 @@ print("\nbrute-force oracle agrees with both builders")
 
 # a tiny worked example: the middle of a valley sees both rims
 valley = minmax_scale(Window(ticker="V", start_index=0, raw_values=np.array([2.0, 1.0, 2.0])))
-print("\nvalley [2,1,2] HVG edges:", sorted(build_hvg(valley).edges), "(a triangle)")
+print("\nvalley [2,1,2] HVG edges:", sorted(build_hvg([valley]).edges), "(a triangle)")
 ramp = minmax_scale(Window(ticker="R", start_index=0, raw_values=np.array([1.0, 2.0, 3.0])))
-print("collinear ramp [1,2,3] NVG edges:", sorted(build_nvg(ramp).edges),
+print("collinear ramp [1,2,3] NVG edges:", sorted(build_nvg([ramp]).edges),
       "(strict visibility blocks the long edge)")
 
 dump_graph(nvg, "demo_nvg.txt")

@@ -12,7 +12,7 @@ from vgsynth import (WalkConfig, Window, build_nvg, downsample, dtw_distance,
 rng = np.random.default_rng(21)
 prices = 100 * np.exp(np.cumsum(0.004 + rng.standard_normal(20) * 0.015))
 window = minmax_scale(Window(ticker="DEMO", start_index=0, raw_values=prices))
-graph = build_nvg(window)
+graph = build_nvg([window])
 
 print("source window:", np.round(prices, 2))
 

@@ -27,12 +27,13 @@ print("edges by kind:", {k: by_kind.get(k, 0) for k in (VISIBILITY, CO_OCCURRENC
 merged = np.count_nonzero(np.diff(mg.value_ptr) > 1)
 print(f"merged nodes (equal time + exactly equal value): {merged}")
 
-# walk anchored at one ticker; switching prefers cross-ticker links
+# walk anchored at one window position (its ticker); switching prefers
+# cross-ticker links
 cfg = WalkConfig(node_strategy="random_neighbor_graph_switching", switch_prob=0.6,
                  target_length=12, seed=1)
-for ticker in mg.tickers:
-    seq = generate_sequence(mg, cfg, ticker=ticker)
-    print(f"walk anchored at {ticker}: {np.round(seq.values, 2)}")
+for position, window in enumerate(mg.windows):
+    seq = generate_sequence(mg, cfg, window=position)
+    print(f"walk anchored at {window.ticker}: {np.round(seq.values, 2)}")
 
 # values are conserved: every input value lives in exactly one node
 node_values = sorted(mg.values.tolist())

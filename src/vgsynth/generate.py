@@ -141,23 +141,22 @@ def replay_draws(seed: int, k: int):
 def generate_sequence(
     graph: Graph,
     config: WalkConfig,
-    ticker: str | None = None,
+    window: int = 0,
 ) -> SyntheticSequence:
-    """Walk ``graph`` and emit a sequence of ``config.target_length`` values.
-
-    ``ticker`` anchors the walk start at that ticker's first node and
-    selects the scale used for the inverse transform; without it the graph's
-    first ticker is used, which is the only one of a single window's graph.
+    """Walk ``graph`` from window position ``window`` and emit a sequence of
+    ``config.target_length`` values: the walk starts at the window's first
+    node, jumps uniformly within the window's node range, and takes the
+    window's ticker, start and scale.
 
     Every draw comes from ``np.random.default_rng(config.seed)``, replayed
     by :func:`replay_draws`; a step makes the draws listed under "Seed
     contract v1" in the README.
     """
     config.validate()
-    n = graph.num_nodes
-    start = graph.first_node(ticker) if config.start_node is None else config.start_node
-    if not 0 <= start < n:
-        raise ValueError(f"start_node {start} not in 0..{n - 1}")
+    first, past = graph.node_range[window].tolist()
+    start = graph.first_node(window) if config.start_node is None else config.start_node
+    if not first <= start < past:
+        raise ValueError(f"start_node {start} not in {first}..{past - 1}")
     indptr, indices, cross_indptr, cross_indices = graph.walk_csr
     node_values = graph.node_values
     strategy = config.node_strategy
@@ -190,7 +189,7 @@ def generate_sequence(
             current = start
             continue
         if uniform:
-            current = integers(n)
+            current = first + integers(past - first)
             continue
         lo, hi = indptr[current], indptr[current + 1]
         if lo == hi:
@@ -207,18 +206,12 @@ def generate_sequence(
         current = indices[lo + integers(hi - lo)]
 
     scaled_arr = np.array(scaled, dtype=float)
-    scale_min, scale_max, is_constant = graph.scale_for(ticker)
+    scale_min, scale_max, is_constant = graph.scale_for(window)
     values = inverse_transform(scaled_arr, scale_min, scale_max, is_constant)
-    return SyntheticSequence(
-        values=values,
-        scaled_values=scaled_arr,
-        method=graph.kind,
-        ticker=graph.tickers[0] if ticker is None else ticker,
-        window_start=graph.segment[0],
-        seed=config.seed,
-        scale_min=scale_min,
-        scale_max=scale_max,
-    )
+    source = graph.windows[window]
+    return SyntheticSequence(values=values, scaled_values=scaled_arr, method=graph.kind,
+                             ticker=source.ticker, window_start=source.start_index,
+                             seed=config.seed, scale_min=scale_min, scale_max=scale_max)
 
 
 def vrp_generate(window: Window, seed: int = 0) -> SyntheticSequence:

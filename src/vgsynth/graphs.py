@@ -1,11 +1,11 @@
-"""Visibility graphs over single windows and cross-ticker multigraphs.
+"""Visibility graphs over a unit's windows and cross-ticker multigraphs.
 
 Two points of a window see each other in the natural visibility graph (NVG)
 when the straight line between them passes strictly above every intermediate
 point; in the horizontal variant (HVG) every intermediate point must lie
 strictly below both endpoints. Strict inequalities are used throughout, so
 collinear points are not mutually visible and value plateaus only connect
-consecutive points.
+consecutive points. A ticker's windows share one block-diagonal graph.
 
 A multigraph joins the per-ticker NVGs of one time segment: nodes of
 different tickers at the same time index are linked by co-occurrence edges,
@@ -17,7 +17,7 @@ merged (their parallel edges add up as multiplicity).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import pairwise
 from pathlib import Path
 from types import MappingProxyType
@@ -44,26 +44,27 @@ DEFAULT_SIMILAR_VALUE_EPSILON = 0.01
 
 @dataclass(eq=False)
 class Graph:
-    """Undirected (multi)graph over the windows of one time segment, in arrays.
+    """Undirected (multi)graph over the equal-length windows of one unit, in
+    arrays. An NVG or HVG is block-diagonal, window w's time index t at node
+    w * length + t; a multigraph joins one segment's windows, and each of
+    its windows' walks ranges over all of its nodes.
 
     The constructor sorts the edges by (u, v, kind), raises ``ValueError``
     naming the first edge with a node id out of range, u >= v, an unknown
     kind, a multiplicity below 1 or a repeated key, and builds CSR adjacency
     with sorted neighbours: ``indptr``/``indices``/``mult`` (multiplicities
     summed across kinds) and ``cross_indptr``/``cross_indices`` (cross-ticker
-    kinds only). ``node_values[i]`` lists node i's values. A single window's
-    NVG or HVG is the one-ticker case.
+    kinds only). ``node_values[i]`` lists node i's values.
     """
 
     kind: str
-    segment: tuple[int, int]  # (start_index, length)
-    tickers: list[str]
-    merge_map: dict[tuple[str, int], int]  # (ticker, time index) -> node id
-    scales: dict[str, tuple[float, float, bool]]  # ticker -> (min, max, is_constant)
+    windows: list[Window]
+    node_of: np.ndarray  # (windows x length): node id of each window's time index
+    node_range: np.ndarray  # (windows x 2): first and past-last node of each window's walks
     node_time: np.ndarray  # time index of each node
     value_ptr: np.ndarray  # node i holds values[value_ptr[i]:value_ptr[i + 1]]
     values: np.ndarray  # scaled values, each node's in member order
-    value_ticker: np.ndarray  # index into ``tickers`` of each value
+    value_window: np.ndarray  # index into ``windows`` of each value
     edge_u: np.ndarray
     edge_v: np.ndarray
     edge_kind: np.ndarray  # index into EDGE_KINDS
@@ -136,16 +137,12 @@ class Graph:
     def cross_ticker_neighbor_ids(self, node_id: int) -> np.ndarray:
         return self.cross_indices[self.cross_indptr[node_id]:self.cross_indptr[node_id + 1]]
 
-    def node_tickers(self, node_id: int) -> list[str]:
-        lo, hi = self.value_ptr[node_id], self.value_ptr[node_id + 1]
-        return [self.tickers[i] for i in self.value_ticker[lo:hi]]
+    def first_node(self, window: int = 0) -> int:
+        """Node holding the first time index of window position ``window``."""
+        return int(self.node_of[window, 0])
 
-    def first_node(self, ticker: str | None = None) -> int:
-        """Node holding the first time index of ``ticker`` (default: the first ticker)."""
-        return self.merge_map[(self.tickers[0] if ticker is None else ticker, 0)]
-
-    def scale_for(self, ticker: str | None = None) -> tuple[float, float, bool]:
-        return self.scales[self.tickers[0] if ticker is None else ticker]
+    def scale_for(self, window: int = 0) -> tuple[float, float, bool]:
+        return _window_scale(self.windows[window])
 
 
 def _csr(u: np.ndarray, v: np.ndarray, weights: np.ndarray, n: int):
@@ -169,16 +166,20 @@ def _window_scale(window: Window) -> tuple[float, float, bool]:
     return (float(window.scale_min), float(window.scale_max), bool(window.is_constant))
 
 
-def _window_graph(kind: str, window: Window, heads, tails) -> Graph:
-    """One-ticker graph of a window with the visibility edges (heads, tails)."""
-    n, ticker = window.length, window.ticker
-    return Graph(kind=kind, segment=(window.start_index, n), tickers=[ticker],
-                 merge_map={(ticker, t): t for t in range(n)},
-                 scales={ticker: _window_scale(window)}, node_time=np.arange(n),
-                 value_ptr=np.arange(n + 1), values=np.array(window.scaled_values, dtype=float),
-                 value_ticker=np.zeros(n, dtype=np.int64), edge_u=heads, edge_v=tails,
-                 edge_kind=np.full(len(heads), KIND_CODE[VISIBILITY]),
-                 edge_mult=np.ones(len(heads), dtype=np.int64))
+def _window_graph(kind: str, windows: list[Window], visibility) -> Graph:
+    """Block-diagonal graph of equal-length scaled windows, window w's time
+    index t as node w * length + t, with the visibility edges ``(row, i, j)``
+    that ``visibility`` finds in the stacked scaled values."""
+    scaled = np.stack([_require_scaled(w) for w in windows])
+    count, n = scaled.shape
+    row, i, j = visibility(scaled)
+    node_of = np.arange(scaled.size).reshape(count, n)
+    return Graph(kind=kind, windows=list(windows), node_of=node_of,
+                 node_range=node_of[:, [0, -1]] + [0, 1], node_time=np.tile(np.arange(n), count),
+                 value_ptr=np.arange(scaled.size + 1), values=scaled.ravel(),
+                 value_window=np.repeat(np.arange(count), n), edge_u=row * n + i,
+                 edge_v=row * n + j, edge_kind=np.full(row.size, KIND_CODE[VISIBILITY]),
+                 edge_mult=np.ones(row.size, dtype=np.int64))
 
 
 def _visibility_edges(values: np.ndarray, horizontal: bool = False) -> tuple[np.ndarray, ...]:
@@ -206,17 +207,16 @@ def _visibility_edges(values: np.ndarray, horizontal: bool = False) -> tuple[np.
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
-def build_nvg(window: Window) -> Graph:
-    """Natural visibility graph of a scaled window."""
-    return _window_graph(NVG, window, *_visibility_edges(_require_scaled(window)[None, :])[1:])
+def build_nvg(windows: list[Window]) -> Graph:
+    """Natural visibility graph of each of a unit's windows, in one block-diagonal graph."""
+    return _window_graph(NVG, windows, _visibility_edges)
 
 
-def build_hvg(window: Window) -> Graph:
-    """Horizontal visibility graph of a scaled window: the NVG's kernel on
-    heights instead of slopes. Its edge set is a subset of the NVG's on any
-    window."""
-    return _window_graph(HVG, window,
-                         *_visibility_edges(_require_scaled(window)[None, :], horizontal=True)[1:])
+def build_hvg(windows: list[Window]) -> Graph:
+    """Horizontal visibility graph of each of a unit's scaled windows, in one
+    block-diagonal graph: the NVG's kernel on heights instead of slopes. Its
+    edge set is a subset of the NVG's on any windows."""
+    return _window_graph(HVG, windows, partial(_visibility_edges, horizontal=True))
 
 
 def _bruteforce(kind: str, window: Window, sees) -> Graph:
@@ -224,12 +224,12 @@ def _bruteforce(kind: str, window: Window, sees) -> Graph:
     for every i < k < j, each anchor's pairs at once over a masked (j, k) grid."""
     values = _require_scaled(window)
     n = values.size
-    visible = np.zeros((n, n), dtype=bool)
+    visible = np.zeros((1, n, n), dtype=bool)
     for i in range(n - 1):
         j = np.arange(i + 1, n)[:, None]
         k = np.arange(i + 1, n)[None, :]
-        visible[i, i + 1 :] = np.all(sees(values, i, j, k) | (k >= j), axis=1)
-    return _window_graph(kind, window, *np.nonzero(visible))
+        visible[0, i, i + 1 :] = np.all(sees(values, i, j, k) | (k >= j), axis=1)
+    return _window_graph(kind, [window], lambda scaled: np.nonzero(visible))
 
 
 def nvg_bruteforce(window: Window) -> Graph:
@@ -262,8 +262,7 @@ def build_multigraph(
                 f"{w.ticker}@{w.start_index} (len {w.length}) does not match "
                 f"segment start {start} (len {n})"
             )
-    tickers = [w.ticker for w in windows]
-    if len(set(tickers)) != len(tickers):
+    if len({w.ticker for w in windows}) != len(windows):
         raise ValueError("duplicate ticker within one segment")
 
     scaled = np.stack([_require_scaled(w) for w in windows])
@@ -297,13 +296,11 @@ def build_multigraph(
     key = (np.minimum(u, v) * len(first) + np.maximum(u, v)) * len(EDGE_KINDS) + kind
     key, mult = np.unique(key[u != v], return_counts=True)  # edges inside a merged node drop
     pair, kind = np.divmod(key, len(EDGE_KINDS))
-    return Graph(kind=NVMG, segment=(start, n), tickers=tickers,
-                 merge_map=dict(zip(((ticker, t) for ticker in tickers for t in range(n)),
-                                    remap.tolist())),
-                 scales={w.ticker: _window_scale(w) for w in windows},
+    return Graph(kind=NVMG, windows=list(windows), node_of=remap.reshape(len(windows), n),
+                 node_range=np.tile([0, len(first)], (len(windows), 1)),
                  node_time=time[np.sort(first)],
                  value_ptr=np.concatenate(([0], np.cumsum(np.bincount(remap)))),
-                 values=flat[members], value_ticker=members // n,
+                 values=flat[members], value_window=members // n,
                  edge_u=pair // len(first), edge_v=pair % len(first), edge_kind=kind,
                  edge_mult=mult)
 
@@ -319,6 +316,8 @@ def dump_graph(graph: Graph, path: str | Path) -> None:
         for (u, v, kind), mult in graph.edges.items():
             fh.write(f"{u} {v} {kind} {mult}\n")
         fh.write("# nodes: node_id time_indices values tickers\n")
+        tags = [graph.windows[w].ticker for w in graph.value_window.tolist()]
+        ptr = graph.value_ptr.tolist()
         for node, time in enumerate(graph.node_time.tolist()):
             vals = ",".join(repr(v) for v in graph.node_values[node])
-            fh.write(f"{node} {time} {vals} {','.join(graph.node_tickers(node))}\n")
+            fh.write(f"{node} {time} {vals} {','.join(tags[ptr[node]:ptr[node + 1]])}\n")

@@ -25,7 +25,7 @@ def check_visibility(n_windows: int, nvg_builder=build_nvg,
             window = minmax_scale(Window("T", 0, rng.random(length) * 40 + 10))
             for builder, oracle, name in ((nvg_builder, nvg_bruteforce, "nvg"),
                                           (hvg_builder, hvg_bruteforce, "hvg")):
-                fast, slow = set(builder(window).edges), set(oracle(window).edges)
+                fast, slow = set(builder([window]).edges), set(oracle(window).edges)
                 if fast != slow:
                     return False, (f"{name}: edge mismatch on pair {sorted(fast ^ slow)[0]} "
                                    f"(length {length})")

@@ -199,27 +199,31 @@ def prepare_windows(config: RunConfig,
 _BUILDERS = {"nvg": build_nvg, "hvg": build_hvg}
 
 
-def _generate_for_window(method: str, window: Window, config: RunConfig,
-                         graph: Graph | None = None) -> list[SyntheticSequence]:
-    """All kept sequences for one (method, window) pair.
-
-    nvg/hvg build the window's graph here; nvmg passes its segment's
-    multigraph. The graph is shared by the window's candidates: walks keep
-    their round-robin cursors in their own state and never change it.
-    """
-    if method in _BUILDERS:
-        graph = _BUILDERS[method](window)
-    candidates = []
-    for i in range(config.sequences_per_window):
-        seq_seed = derive_seed(config.seed, window.ticker, window.start_index, method, i)
-        if method == "vrp":
-            candidates.append(vrp_generate(window, seed=seq_seed))
-        else:
-            walk = config.walk_config(target_length=window.length, seed=seq_seed)
-            candidates.append(generate_sequence(graph, walk, ticker=window.ticker))
-    ds_seed = derive_seed(config.seed, window.ticker, window.start_index, method, "downsample")
-    return downsample(candidates, window, k=min(config.downsample_k, len(candidates)),
-                      mode=config.downsample_mode, seed=ds_seed)
+def _generate_unit(method: str, windows: list[Window],
+                   config: RunConfig) -> list[SyntheticSequence]:
+    """All kept sequences of one unit, window by window. The unit's one
+    graph, a ticker's block-diagonal NVG or HVG or a segment's multigraph, is
+    shared by the candidates of all its windows: walks keep their round-robin
+    cursors in their own state. vrp, and a ticker without windows, walk none."""
+    graph = None
+    if method == "nvmg":
+        graph = build_multigraph(windows, similar_value_epsilon=config.similar_value_epsilon)
+    elif method in _BUILDERS and windows:
+        graph = _BUILDERS[method](windows)
+    kept = []
+    for position, window in enumerate(windows):
+        candidates = []
+        for i in range(config.sequences_per_window):
+            seq_seed = derive_seed(config.seed, window.ticker, window.start_index, method, i)
+            if graph is None:
+                candidates.append(vrp_generate(window, seed=seq_seed))
+            else:
+                walk = config.walk_config(target_length=window.length, seed=seq_seed)
+                candidates.append(generate_sequence(graph, walk, window=position))
+        ds_seed = derive_seed(config.seed, window.ticker, window.start_index, method, "downsample")
+        kept += downsample(candidates, window, k=min(config.downsample_k, len(candidates)),
+                           mode=config.downsample_mode, seed=ds_seed)
+    return kept
 
 
 def run_generation(
@@ -227,8 +231,9 @@ def run_generation(
 ) -> tuple[dict[str, list[SyntheticSequence]], list[RuntimeRecord]]:
     """Generate sequences for every configured method.
 
-    Per-ticker units are timed for nvg/hvg/vrp; nvmg is timed per segment.
-    Output order is deterministic: sorted by (ticker, window start, seed).
+    Units are tickers for nvg/hvg/vrp and segments for nvmg; each unit's
+    graph is built once, and each unit is timed. Output order is
+    deterministic: sorted by (ticker, window start, seed).
     """
     config.validate()
     windows_by_ticker = prepare_windows(config, series_list)
@@ -250,13 +255,8 @@ def run_generation(
             units = [(ticker, "ticker", ws) for ticker, ws in sorted(windows_by_ticker.items())]
         sequences: list[SyntheticSequence] = []
         for unit_id, unit_kind, ws in units:
-            def task():
-                graph = (build_multigraph(ws, similar_value_epsilon=config.similar_value_epsilon)
-                         if method == "nvmg" else None)
-                return [seq for w in ws for seq in _generate_for_window(method, w, config, graph)]
-
-            result, record = time_unit(task, unit_id=unit_id, method=method,
-                                       unit_kind=unit_kind)
+            result, record = time_unit(lambda: _generate_unit(method, ws, config),
+                                       unit_id=unit_id, method=method, unit_kind=unit_kind)
             sequences.extend(result)
             records.append(record)
         # stable sort keeps generation order within a window

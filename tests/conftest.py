@@ -37,19 +37,19 @@ def random_scaled_window(rng, length, ticker="T", start=0):
 
 
 def make_graph(node_values, u=(), v=(), kind=None, mult=None):
-    """Hand-built one-ticker ``Graph``: node i holds the list ``node_values[i]``
+    """Hand-built one-window ``Graph``: node i holds the list ``node_values[i]``
     and edge e joins ``u[e]`` and ``v[e]`` with kind code ``kind[e]`` (default
     visibility) and multiplicity ``mult[e]`` (default 1)."""
     n = len(node_values)
     u = np.asarray(u, dtype=np.int64)
     counts = [len(values) for values in node_values]
-    return Graph(kind="nvg", segment=(0, n), tickers=["T"],
-                 merge_map={("T", i): i for i in range(n)},
-                 scales={"T": (0.0, 1.0, False)},
-                 node_time=np.arange(n),
+    window = Window(ticker="T", start_index=0, raw_values=np.zeros(n), scale_min=0.0,
+                    scale_max=1.0)
+    return Graph(kind="nvg", windows=[window], node_of=np.arange(n)[None, :],
+                 node_range=np.array([[0, n]]), node_time=np.arange(n),
                  value_ptr=np.concatenate(([0], np.cumsum(counts))).astype(np.int64),
                  values=np.array([x for values in node_values for x in values], dtype=float),
-                 value_ticker=np.zeros(sum(counts), dtype=np.int64),
+                 value_window=np.zeros(sum(counts), dtype=np.int64),
                  edge_u=u, edge_v=v,
                  edge_kind=np.full(u.size, KIND_CODE[VISIBILITY]) if kind is None else kind,
                  edge_mult=np.ones(u.size, dtype=np.int64) if mult is None else mult)

@@ -85,17 +85,18 @@ def next_value(graph: Graph, node_id: int, policy: str, state: _WalkState) -> fl
 def reference_generate_sequence(
     graph: Graph,
     config: WalkConfig,
-    ticker: str | None = None,
+    window: int = 0,
 ) -> SyntheticSequence:
     """Walk ``graph`` and emit a sequence of ``config.target_length`` values.
 
-    ``ticker`` anchors the walk start at that ticker's first node and
-    selects the scale used for the inverse transform; without it the graph's
-    first ticker is used, which is the only one of a single window's graph.
+    ``window`` anchors the walk start at that window position's first node
+    and selects its ticker, start and scale for the output. Uniform draws
+    span the whole graph, so a window of a block-diagonal unit graph is
+    compared with this walk on that window's graph built alone.
     """
     config.validate()
     rng = np.random.default_rng(config.seed)
-    start = graph.first_node(ticker) if config.start_node is None else config.start_node
+    start = graph.first_node(window) if config.start_node is None else config.start_node
     state = _WalkState(rng=rng)
 
     current = start
@@ -105,14 +106,14 @@ def reference_generate_sequence(
         scaled.append(next_value(graph, current, config.value_policy, state))
 
     scaled_arr = np.array(scaled, dtype=float)
-    scale_min, scale_max, is_constant = graph.scale_for(ticker)
+    scale_min, scale_max, is_constant = graph.scale_for(window)
     values = inverse_transform(scaled_arr, scale_min, scale_max, is_constant)
     return SyntheticSequence(
         values=values,
         scaled_values=scaled_arr,
         method=graph.kind,
-        ticker=graph.tickers[0] if ticker is None else ticker,
-        window_start=graph.segment[0],
+        ticker=graph.windows[window].ticker,
+        window_start=graph.windows[window].start_index,
         seed=config.seed,
         scale_min=scale_min,
         scale_max=scale_max,

@@ -150,7 +150,7 @@ def test_criterion_7_property_suites(tmp_path):
     # HVG subset of NVG + consecutive edges, 200 windows
     for _ in range(200):
         window = random_scaled(rng, int(rng.integers(2, 40)))
-        nvg, hvg = build_nvg(window), build_hvg(window)
+        nvg, hvg = build_nvg([window]), build_hvg([window])
         if not set(hvg.edges) <= set(nvg.edges):
             problems.append("hvg not subset of nvg")
             break
@@ -168,9 +168,9 @@ def test_criterion_7_property_suites(tmp_path):
     win_values = sorted(v for w in windows for v in w.scaled_values)
     if not np.array_equal(node_values, win_values):
         problems.append("multigraph values not conserved")
-    for ticker in mg.tickers:
+    for row in mg.node_of.tolist():
         for t in range(14):
-            u, v = mg.merge_map[(ticker, t)], mg.merge_map[(ticker, t + 1)]
+            u, v = row[t], row[t + 1]
             if (min(u, v), max(u, v), VISIBILITY) not in mg.edges:
                 problems.append("multigraph consecutive edge missing")
                 break

@@ -241,8 +241,8 @@ class TestSelftestCommand:
         assert out.count("PASS") == 3
 
     def test_corrupted_criterion_fails_with_pair(self, capsys):
-        def corrupted_nvg(window):
-            graph = build_nvg(window)
+        def corrupted_nvg(windows):
+            graph = build_nvg(windows)
             last = slice(None, -1)  # drop the last edge
             return replace(graph, edge_u=graph.edge_u[last], edge_v=graph.edge_v[last],
                            edge_kind=graph.edge_kind[last], edge_mult=graph.edge_mult[last])

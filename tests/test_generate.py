@@ -18,10 +18,10 @@ def graph_from_edges(n_nodes, edges, values=None):
                       [u for u, _ in edges], [v for _, v in edges], mult=list(edges.values()))
 
 
-def walk(graph, length, seed=0, ticker=None, **config):
+def walk(graph, length, seed=0, window=0, **config):
     """Scaled values of one ``generate_sequence`` walk."""
     cfg = WalkConfig(target_length=length, seed=seed, **config)
-    return generate_sequence(graph, cfg, ticker=ticker).scaled_values.tolist()
+    return generate_sequence(graph, cfg, window=window).scaled_values.tolist()
 
 
 class TestNextNode:
@@ -62,11 +62,11 @@ class TestNextNode:
         a = make_prescaled_window([0.2, 0.8], ticker="A")
         b = make_prescaled_window([0.5, 0.9], ticker="B")
         mg = build_multigraph([a, b], similar_value_epsilon=0.0)
-        start = mg.merge_map[("A", 0)]
+        start = mg.first_node(0)
         cross = set(mg.cross_ticker_neighbor_ids(start).tolist())
         assert cross  # co-occurrence link exists
         node_of = {value: node for node, (value,) in enumerate(mg.node_values)}
-        draws = {node_of[walk(mg, 2, seed=s, ticker="A", switch_prob=1.0,
+        draws = {node_of[walk(mg, 2, seed=s, window=0, switch_prob=1.0,
                               node_strategy="random_neighbor_graph_switching")[1]]
                  for s in range(100)}
         assert draws <= cross
@@ -105,7 +105,7 @@ class TestGenerateSequence:
     def test_length_and_containment(self, rng):
         for _ in range(20):
             window = random_scaled_window(rng, 20)
-            graph = build_nvg(window)
+            graph = build_nvg([window])
             cfg = WalkConfig(target_length=20, seed=int(rng.integers(1 << 30)))
             seq = generate_sequence(graph, cfg)
             assert seq.values.size == 20
@@ -114,20 +114,20 @@ class TestGenerateSequence:
 
     def test_seed_determinism(self, rng):
         window = random_scaled_window(rng, 20)
-        graph = build_nvg(window)
+        graph = build_nvg([window])
         cfg = WalkConfig(target_length=40, seed=123)
         a = generate_sequence(graph, cfg)
         b = generate_sequence(graph, cfg)
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_zero_target_length_rejected(self, rng):
-        graph = build_nvg(random_scaled_window(rng, 5))
+        graph = build_nvg([random_scaled_window(rng, 5)])
         with pytest.raises(ValueError):
             generate_sequence(graph, WalkConfig(target_length=0))
 
     def test_inverse_scaling_applied(self, rng):
         window = make_scaled_window([10.0, 20.0, 30.0, 15.0])
-        graph = build_nvg(window)
+        graph = build_nvg([window])
         seq = generate_sequence(graph, WalkConfig(target_length=10, seed=3))
         # every emitted price must be one of the window prices
         assert set(np.round(seq.values, 9)) <= set(np.round(window.raw_values, 9))
@@ -136,7 +136,7 @@ class TestGenerateSequence:
         a = make_scaled_window([10, 20, 30], ticker="A")
         b = make_scaled_window([100, 200, 300], ticker="B")
         mg = build_multigraph([a, b])
-        seq = generate_sequence(mg, WalkConfig(target_length=8, seed=5), ticker="B")
+        seq = generate_sequence(mg, WalkConfig(target_length=8, seed=5), window=1)
         assert seq.ticker == "B"
         assert seq.scale_min == 100 and seq.scale_max == 300
         assert seq.values.min() >= 100 and seq.values.max() <= 300

@@ -20,6 +20,12 @@ from conftest import (make_graph, make_prescaled_window, make_scaled_window,
                       random_scaled_window)
 
 
+def node_tickers(graph, node):
+    """Tickers of node ``node``'s values, in member order."""
+    lo, hi = graph.value_ptr[node], graph.value_ptr[node + 1]
+    return [graph.windows[w].ticker for w in graph.value_window[lo:hi]]
+
+
 def edge_set(graph):
     """(u, v) pairs of a single window's graph, whose edges are all visibility edges."""
     assert all(kind == VISIBILITY for (_, _, kind) in graph.edges)
@@ -28,49 +34,49 @@ def edge_set(graph):
 
 class TestNVG:
     def test_collinear_points_not_visible(self):
-        g = build_nvg(make_scaled_window([1, 2, 3]))
+        g = build_nvg([make_scaled_window([1, 2, 3])])
         assert edge_set(g) == {(0, 1), (1, 2)}
 
     def test_triangle(self):
-        g = build_nvg(make_scaled_window([3, 1, 2]))
+        g = build_nvg([make_scaled_window([3, 1, 2])])
         assert edge_set(g) == {(0, 1), (1, 2), (0, 2)}
 
     def test_length_two_single_edge(self):
-        g = build_nvg(make_scaled_window([4, 9]))
+        g = build_nvg([make_scaled_window([4, 9])])
         assert edge_set(g) == {(0, 1)}
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
-            build_nvg(make_prescaled_window([0.5]))
+            build_nvg([make_prescaled_window([0.5])])
 
     def test_linear_decreasing_is_path(self):
-        g = build_nvg(make_scaled_window([5, 4, 3, 2, 1]))
+        g = build_nvg([make_scaled_window([5, 4, 3, 2, 1])])
         assert edge_set(g) == {(i, i + 1) for i in range(4)}
 
     def test_convex_decreasing_matches_oracle(self):
         window = make_scaled_window([16, 8, 4, 2, 1])
-        assert edge_set(build_nvg(window)) == edge_set(nvg_bruteforce(window))
+        assert edge_set(build_nvg([window])) == edge_set(nvg_bruteforce(window))
         # convexity opens long-range sight lines
-        assert (0, 2) in edge_set(build_nvg(window))
+        assert (0, 2) in edge_set(build_nvg([window]))
 
 
 class TestHVG:
     def test_valley_triangle(self):
-        g = build_hvg(make_scaled_window([2, 1, 2]))
+        g = build_hvg([make_scaled_window([2, 1, 2])])
         assert edge_set(g) == {(0, 1), (1, 2), (0, 2)}
 
     def test_increasing_is_path(self):
-        g = build_hvg(make_scaled_window([1, 2, 3]))
+        g = build_hvg([make_scaled_window([1, 2, 3])])
         assert edge_set(g) == {(0, 1), (1, 2)}
 
     def test_plateau_only_consecutive(self):
-        g = build_hvg(make_prescaled_window([0.5, 0.5, 0.5]))
+        g = build_hvg([make_prescaled_window([0.5, 0.5, 0.5])])
         assert edge_set(g) == {(0, 1), (1, 2)}
 
     def test_subset_of_nvg(self, rng):
         for _ in range(200):
             window = random_scaled_window(rng, int(rng.integers(2, 40)))
-            assert edge_set(build_hvg(window)) <= edge_set(build_nvg(window))
+            assert edge_set(build_hvg([window])) <= edge_set(build_nvg([window]))
 
 
 class TestOracleEquivalence:
@@ -79,8 +85,8 @@ class TestOracleEquivalence:
         rng = np.random.default_rng(7 + length)
         for _ in range(50):
             window = random_scaled_window(rng, length)
-            assert edge_set(build_nvg(window)) == edge_set(nvg_bruteforce(window))
-            assert edge_set(build_hvg(window)) == edge_set(hvg_bruteforce(window))
+            assert edge_set(build_nvg([window])) == edge_set(nvg_bruteforce(window))
+            assert edge_set(build_hvg([window])) == edge_set(hvg_bruteforce(window))
 
     def test_oracles_match_per_pair_loops(self, rng):
         # the per-pair criteria written as plain loops, on tie-heavy windows
@@ -105,42 +111,42 @@ class TestOracleEquivalence:
             # the HVG's comparisons make no rounding, so ties must agree too;
             # the NVG's slopes and its oracle's sight-line heights can differ on
             # collinear ties, so build_nvg is not compared here
-            assert build_hvg(window).edges == hvg_bruteforce(window).edges
+            assert build_hvg([window]).edges == hvg_bruteforce(window).edges
 
     def test_long_window_spans_several_anchor_blocks(self, rng):
         n = 320
         assert 2**16 // n < n - 1  # the kernel runs more than one block of anchors
         ties = make_scaled_window(rng.integers(0, 4, n))
-        assert build_hvg(ties).edges == hvg_bruteforce(ties).edges
+        assert build_hvg([ties]).edges == hvg_bruteforce(ties).edges
         window = random_scaled_window(rng, n)
-        assert build_nvg(window).edges == nvg_bruteforce(window).edges
-        assert build_hvg(window).edges == hvg_bruteforce(window).edges
+        assert build_nvg([window]).edges == nvg_bruteforce(window).edges
+        assert build_hvg([window]).edges == hvg_bruteforce(window).edges
 
 
 class TestGraphInvariants:
     def test_comparing_two_builds_does_not_raise(self, rng):
         window = random_scaled_window(rng, 20)
-        first, second = build_nvg(window), build_nvg(window)
+        first, second = build_nvg([window]), build_nvg([window])
         assert first == first and first != second  # identity, not array-valued fields
         assert first.edges == second.edges
 
     def test_consecutive_edges_always_present(self, rng):
         for _ in range(50):
             window = random_scaled_window(rng, int(rng.integers(2, 40)))
-            for g in (build_nvg(window), build_hvg(window)):
+            for g in (build_nvg([window]), build_hvg([window])):
                 for i in range(window.length - 1):
                     assert (i, i + 1, VISIBILITY) in g.edges
 
     def test_no_self_loops_and_connected_degrees(self, rng):
         window = random_scaled_window(rng, 30)
-        g = build_nvg(window)
+        g = build_nvg([window])
         assert all(u != v for u, v, _ in g.edges)
         assert all(g.neighbor_ids(i).size >= 1 for i in range(g.num_nodes))
 
     def test_determinism(self, rng):
         raw = rng.random(25)
-        a = build_nvg(make_scaled_window(raw))
-        b = build_nvg(make_scaled_window(raw))
+        a = build_nvg([make_scaled_window(raw)])
+        b = build_nvg([make_scaled_window(raw)])
         assert a.edges == b.edges
         assert a.node_values == b.node_values
 
@@ -149,7 +155,7 @@ class TestMultigraph:
     def test_single_ticker_matches_nvg(self):
         window = make_scaled_window([3, 1, 2, 5], ticker="A")
         mg = build_multigraph([window])
-        vg = build_nvg(window)
+        vg = build_nvg([window])
         assert {(u, v) for (u, v, kind) in mg.edges if kind == VISIBILITY} == edge_set(vg)
         assert not any(kind != VISIBILITY for (_, _, kind) in mg.edges)
         assert mg.num_nodes == 4
@@ -160,7 +166,7 @@ class TestMultigraph:
         mg = build_multigraph([a, b])
         assert mg.num_nodes == 2
         assert mg.edges == {(0, 1, VISIBILITY): 2}
-        assert sorted(mg.node_tickers(0)) == ["A", "B"]
+        assert sorted(node_tickers(mg, 0)) == ["A", "B"]
         assert mg.node_values[0] == [0.0, 0.0]
 
     def test_similar_value_link(self):
@@ -189,10 +195,9 @@ class TestMultigraph:
     def test_consecutive_edges_per_ticker(self, rng):
         windows = [random_scaled_window(rng, 10, ticker=f"T{i}") for i in range(3)]
         mg = build_multigraph(windows)
-        for ticker in mg.tickers:
+        for row in mg.node_of.tolist():
             for t in range(9):
-                u = mg.merge_map[(ticker, t)]
-                v = mg.merge_map[(ticker, t + 1)]
+                u, v = row[t], row[t + 1]
                 assert (min(u, v), max(u, v), VISIBILITY) in mg.edges
 
     def test_segment_mismatch(self):
@@ -215,7 +220,7 @@ class TestMultigraph:
 def test_dump_graph_format(tmp_path, rng):
     window = random_scaled_window(rng, 8)
     path = tmp_path / "graph.txt"
-    dump_graph(build_nvg(window), path)
+    dump_graph(build_nvg([window]), path)
     lines = path.read_text().splitlines()
     assert lines[0].startswith("# edges:")
     edge_lines = [l for l in lines if not l.startswith("#") and l.count(" ") == 3]
@@ -252,7 +257,7 @@ class TestGraphConstructor:
         np.testing.assert_array_equal(g.cross_ticker_neighbor_ids(2), [0])
 
     def test_edges_view_is_read_only(self, rng):
-        g = build_nvg(random_scaled_window(rng, 10))
+        g = build_nvg([random_scaled_window(rng, 10)])
         with pytest.raises(TypeError):
             g.edges[(0, 1, VISIBILITY)] = 2
 
@@ -339,7 +344,7 @@ def reference_build_multigraph(
     # provisional node id: window position * length + local time index
     raw_edges: dict[tuple[int, int, str], int] = {}
     for wi, w in enumerate(windows):
-        vg = build_nvg(w)
+        vg = build_nvg([w])
         for (u, v, _) in vg.edges:
             raw_edges[(wi * n + u, wi * n + v, VISIBILITY)] = 1
     for a in range(n_windows):
@@ -438,15 +443,16 @@ def assert_matches_reference(windows, similar_value_epsilon=DEFAULT_SIMILAR_VALU
         i = node.node_id
         assert [int(mg.node_time[i])] == node.time_indices
         assert [v.hex() for v in mg.node_values[i]] == [v.hex() for v in node.values]
-        assert mg.node_tickers(i) == node.ticker_tags
+        assert node_tickers(mg, i) == node.ticker_tags
         for got, want in ((mg.neighbor_ids(i), ref._adjacency[i]),
                           (mg.weighted_neighbors(i)[1], ref._multiplicities[i]),
                           (mg.cross_ticker_neighbor_ids(i), ref._cross[i])):
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
-    assert mg.merge_map == ref.merge_map
+    assert {(w.ticker, t): node for w, row in zip(mg.windows, mg.node_of.tolist())
+            for t, node in enumerate(row)} == ref.merge_map
     for w in windows:
-        assert list(build_nvg(w).edges) == [(i, j, VISIBILITY) for i, j in reference_nvg_pairs(w)]
+        assert list(build_nvg([w]).edges) == [(i, j, VISIBILITY) for i, j in reference_nvg_pairs(w)]
     with tempfile.TemporaryDirectory() as tmp:
         dump_graph(mg, Path(tmp) / "array.txt")
         reference_dump_graph(ref, Path(tmp) / "reference.txt")
@@ -484,7 +490,7 @@ tie_segments = st.integers(min_value=2, max_value=40).flatmap(
 @given(segment=tie_segments, epsilon=st.sampled_from([0.0, 0.01, 0.34, 1.5]))
 def test_multigraph_matches_reference_on_ties(segment, epsilon):
     mg = assert_matches_reference(segment, epsilon)
-    for ticker in mg.tickers:  # consecutive points stay linked through merging
+    for row in mg.node_of.tolist():  # consecutive points stay linked through merging
         for t in range(segment[0].length - 1):
-            u, v = mg.merge_map[(ticker, t)], mg.merge_map[(ticker, t + 1)]
+            u, v = row[t], row[t + 1]
             assert v in mg.neighbor_ids(u)

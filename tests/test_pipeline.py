@@ -7,6 +7,7 @@ import pytest
 
 from vgsynth import evaluate, pipeline
 from vgsynth.corpus import make_desk_corpus, write_corpus_csv
+from vgsynth.graphs import Graph
 from vgsynth.pipeline import (ConfigError, RunConfig, read_sequences,
                               run_evaluation, run_generation, sequences_path,
                               write_sequences)
@@ -155,6 +156,27 @@ class TestGeneration:
         assert all(r.unit_kind == "segment" for r in records)
         assert len(records) == 6  # one per segment
         assert len(by_method["nvmg"]) == 3 * 6
+
+    def test_one_graph_per_graph_method_and_unit(self, tiny_corpus_csv, monkeypatch):
+        # each graph holds one unit's windows: a ticker's for nvg and hvg, a
+        # segment's for nvmg; vrp builds none
+        built = []
+        post_init = Graph.__post_init__
+
+        def spy(graph):
+            post_init(graph)
+            built.append((graph.kind, [(w.ticker, w.start_index) for w in graph.windows]))
+
+        monkeypatch.setattr(Graph, "__post_init__", spy)
+        config = tiny_config(tiny_corpus_csv, methods=("nvg", "hvg", "nvmg", "vrp"))
+        windows = [(w.ticker, w.start_index)
+                   for ws in pipeline.prepare_windows(config).values() for w in ws]
+        tickers = [[key for key in windows if key[0] == t] for t in sorted({t for t, _ in windows})]
+        segments = [[key for key in windows if key[1] == s] for s in sorted({s for _, s in windows})]
+        run_generation(config)
+        assert (len(tickers), len(segments)) == (3, 6)
+        assert built == ([("nvg", unit) for unit in tickers] + [("hvg", unit) for unit in tickers]
+                         + [("nvmg", unit) for unit in segments])
 
     def test_sequence_file_round_trip(self, tiny_corpus_csv, tmp_path):
         config = tiny_config(tiny_corpus_csv, methods=("nvg",))

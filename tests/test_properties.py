@@ -1,6 +1,7 @@
 """Property tests over random inputs: a one-window multigraph is that
 window's NVG, walks cannot tell the two apart, HVG edges are NVG edges, NVG
-and HVG link every pair of consecutive points, walks emit only node values,
+and HVG link every pair of consecutive points, each window's block of a
+unit's NVG or HVG is that window's graph built alone, walks emit only node values,
 DTW is symmetric and 0 on itself, AUC ignores a positive rescaling of the
 scores, min-max scaling inverts, and ``load_series`` names the line of the
 one bad row in a file while loading shuffled rows with runs of missing
@@ -43,6 +44,14 @@ segments = st.integers(min_value=2, max_value=30).flatmap(
     lambda n: st.lists(st.lists(prices, min_size=n, max_size=n), min_size=1, max_size=3)
 ).map(lambda rows: [make_scaled_window(row, ticker=f"T{i}", start=40)
                     for i, row in enumerate(rows)])
+# 1-4 windows of one ticker: each row continuous-or-tied or on three levels
+units = st.integers(min_value=2, max_value=30).flatmap(
+    lambda n: st.lists(st.one_of(st.lists(prices, min_size=n, max_size=n),
+                                 st.lists(st.sampled_from([1.0, 2.0, 3.0]), min_size=n,
+                                          max_size=n)),
+                       min_size=1, max_size=4)
+).map(lambda rows: [make_scaled_window(row, ticker="U", start=w * len(row))
+                    for w, row in enumerate(rows)])
 walks = st.builds(
     WalkConfig,
     node_strategy=st.sampled_from(NODE_STRATEGIES),
@@ -57,7 +66,7 @@ walks = st.builds(
 @settings(deadline=None)
 @given(window=windows)
 def test_one_window_multigraph_is_its_nvg(window):
-    nvg, mg = build_nvg(window), build_multigraph([window])
+    nvg, mg = build_nvg([window]), build_multigraph([window])
     assert mg.edges == nvg.edges
     assert mg.num_nodes == nvg.num_nodes
     for node in range(nvg.num_nodes):
@@ -67,8 +76,8 @@ def test_one_window_multigraph_is_its_nvg(window):
 @settings(deadline=None)
 @given(window=windows, walk=walks)
 def test_walks_agree_on_nvg_and_one_window_multigraph(window, walk):
-    on_nvg = generate_sequence(build_nvg(window), walk)
-    on_mg = generate_sequence(build_multigraph([window]), walk, ticker=window.ticker)
+    on_nvg = generate_sequence(build_nvg([window]), walk)
+    on_mg = generate_sequence(build_multigraph([window]), walk)
     np.testing.assert_array_equal(on_mg.values, on_nvg.values)
     np.testing.assert_array_equal(on_mg.scaled_values, on_nvg.scaled_values)
     assert (on_mg.ticker, on_mg.window_start) == (on_nvg.ticker, on_nvg.window_start) \
@@ -78,24 +87,45 @@ def test_walks_agree_on_nvg_and_one_window_multigraph(window, walk):
 @settings(deadline=None)
 @given(window=windows)
 def test_hvg_edges_are_nvg_edges(window):
-    assert set(build_hvg(window).edges) <= set(build_nvg(window).edges)
+    assert set(build_hvg([window]).edges) <= set(build_nvg([window]).edges)
 
 
 @settings(deadline=None)
 @given(window=st.one_of(tie_heavy_windows, windows))
 def test_nvg_and_hvg_link_consecutive_points(window):
-    for graph in (build_nvg(window), build_hvg(window)):
+    for graph in (build_nvg([window]), build_hvg([window])):
         linked = set(zip(graph.edge_u.tolist(), graph.edge_v.tolist()))
         assert all((i, i + 1) in linked for i in range(window.length - 1))
 
 
 @settings(deadline=None)
+@given(windows=units)
+def test_unit_graph_blocks_are_the_windows_graphs(windows):
+    """Window w's block, shifted back by its node offset, holds exactly the
+    edges of window w built alone (the one-window build, since the brute
+    force differs from it on collinear ties), and no edge joins two windows."""
+    for build in (build_nvg, build_hvg):
+        unit = build(windows)
+        assert unit.num_nodes == sum(w.length for w in windows)
+        for w, window in enumerate(windows):
+            lo, hi = unit.node_range[w].tolist()
+            assert unit.node_of[w].tolist() == list(range(lo, hi))
+            assert unit.values[lo:hi].tolist() == window.scaled_values.tolist()
+            u_inside = (unit.edge_u >= lo) & (unit.edge_u < hi)
+            v_inside = (unit.edge_v >= lo) & (unit.edge_v < hi)
+            assert (u_inside == v_inside).all()  # no edge leaves the block
+            block = {(u - lo, v - lo, kind): mult for (u, v, kind), mult in unit.edges.items()
+                     if lo <= u < hi}
+            assert block == build([window]).edges
+
+
+@settings(deadline=None)
 @given(segment=segments, walk=walks)
 def test_walk_values_are_node_values(segment, walk):
-    for graph, ticker in ((build_nvg(segment[0]), None), (build_hvg(segment[0]), None),
-                          (build_multigraph(segment), segment[-1].ticker)):
+    for graph, window in ((build_nvg([segment[0]]), 0), (build_hvg([segment[0]]), 0),
+                          (build_multigraph(segment), len(segment) - 1)):
         node_values = set(graph.values.tolist())
-        seq = generate_sequence(graph, walk, ticker=ticker)
+        seq = generate_sequence(graph, walk, window=window)
         assert set(seq.scaled_values.tolist()) <= node_values
 
 

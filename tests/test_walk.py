@@ -72,43 +72,63 @@ def tie_heavy_windows(rng, n_tickers, length, start=0):
             for i in range(n_tickers)]
 
 
+def unit_windows(rng, count, length, ties):
+    """``count`` consecutive windows of one ticker, on a few price levels
+    (``ties``) or continuous."""
+    return [make_scaled_window(rng.integers(0, 4, length) + rng.choice([0.0, 0.5], length)
+                               if ties else rng.random(length) * 40 + 10,
+                               ticker="U", start=w * length)
+            for w in range(count)]
+
+
 def graphs_under_test():
+    """``(graph, window, reference graph, reference window)``: the walk from
+    ``window`` of ``graph`` must equal the reference walk from the reference
+    window of the reference graph. Each window of a unit's NVG or HVG is
+    compared with its graph built alone, whose uniform draws span only it."""
     rng = np.random.default_rng(2024)
     graphs = []
     for length in (20, 60):
         window = tie_heavy_windows(rng, 1, length)[0]
-        graphs += [(build_nvg(window), None), (build_hvg(window), None)]
+        graphs += [(g, 0, g, 0) for g in (build_nvg([window]), build_hvg([window]))]
         for eps in (0.01, 0.2):
             windows = tie_heavy_windows(rng, 4, length, start=length)
             mg = build_multigraph(windows, similar_value_epsilon=eps)
             assert any(len(values) > 1 for values in mg.node_values)
-            graphs += [(mg, w.ticker) for w in windows[::3]]
+            graphs += [(mg, w, mg, w) for w in range(0, len(windows), 3)]
+    for ties in (True, False):
+        windows = unit_windows(rng, 4, 20, ties)
+        for build in (build_nvg, build_hvg):
+            unit = build(windows)
+            graphs += [(unit, w, build([window]), 0) for w, window in enumerate(windows)]
     return graphs
 
 
-def outcome(walker, graph, config, ticker):
+def outcome(walker, graph, config, window):
     """The bytes and provenance of a walk's output, or the type of the error
     it raised and the node it names."""
     try:
-        seq = walker(graph, config, ticker=ticker)
+        seq = walker(graph, config, window=window)
     except GraphIntegrityError as exc:
         return type(exc), str(exc).split(";")[0]
-    return seq.values.tobytes(), seq.scaled_values.tobytes(), seq.ticker, seq.seed
+    return (seq.values.tobytes(), seq.scaled_values.tobytes(), seq.ticker, seq.window_start,
+            seq.seed)
 
 
 @pytest.mark.parametrize("strategy", NODE_STRATEGIES)
 def test_walk_equals_reference_on_built_graphs(strategy):
-    for g, (graph, ticker) in enumerate(graphs_under_test()):
+    for g, (graph, window, reference, ref_window) in enumerate(graphs_under_test()):
         for policy in VALUE_POLICIES:
             for jump in RESTART_JUMPS:
                 for i in range(3):
                     config = WalkConfig(node_strategy=strategy, value_policy=policy,
-                                        restart_jump=jump, target_length=graph.segment[1],
+                                        restart_jump=jump,
+                                        target_length=graph.windows[window].length,
                                         seed=derive_seed(g, policy, jump, i),
                                         restart_prob=(0.15, 0.6, 1.0)[i],
                                         switch_prob=(0.5, 0.9, 0.0)[i])
-                    assert (outcome(generate_sequence, graph, config, ticker)
-                            == outcome(reference_generate_sequence, graph, config, ticker))
+                    assert (outcome(generate_sequence, graph, config, window)
+                            == outcome(reference_generate_sequence, reference, config, ref_window))
 
 
 def graph_with_isolated_node():
@@ -126,7 +146,7 @@ def first_failing_length(walker, graph, config):
     length L is the first L values of any longer walk of the same seed."""
     for length in range(1, 41):
         config.target_length = length
-        if isinstance(outcome(walker, graph, config, None)[0], type):
+        if isinstance(outcome(walker, graph, config, 0)[0], type):
             return length
     return None
 
@@ -142,8 +162,8 @@ def test_isolated_node_raises_at_the_same_step(strategy):
             length = first_failing_length(generate_sequence, graph, config)
             assert length == first_failing_length(reference_generate_sequence, graph, config)
             config.target_length = 40
-            assert (outcome(generate_sequence, graph, config, None)
-                    == outcome(reference_generate_sequence, graph, config, None))
+            assert (outcome(generate_sequence, graph, config, 0)
+                    == outcome(reference_generate_sequence, graph, config, 0))
             failing.append(length)
     if strategy == "uniform_random":
         assert set(failing) == {None}
@@ -163,6 +183,13 @@ def test_start_node_out_of_range_rejected_before_any_draw(start, monkeypatch):
     monkeypatch.setattr(generate, "replay_draws", no_draws)
     with pytest.raises(ValueError, match=rf"start_node {start} not in 0\.\.5"):
         generate_sequence(graph, WalkConfig(start_node=start))
+
+
+def test_start_node_outside_the_windows_block_rejected():
+    unit = build_nvg(unit_windows(np.random.default_rng(5), 3, 5, ties=False))
+    with pytest.raises(ValueError, match=r"start_node 4 not in 5\.\.9"):
+        generate_sequence(unit, WalkConfig(start_node=4), window=1)
+    assert generate_sequence(unit, WalkConfig(start_node=9), window=1).window_start == 5
 
 
 def test_walk_csr_reads_the_csr_arrays():
