@@ -303,6 +303,17 @@ def dtw_bruteforce(a: np.ndarray, b: np.ndarray) -> float:
     return float(rec(a.size - 1, b.size - 1))
 
 
+def ds_indices(n: int, k: int, seed: int) -> list[int]:
+    """The sorted positions DS keeps of ``n`` candidates, drawn uniformly
+    without replacement (no draw for k == n). They never depend on the
+    candidates, so they can be drawn before any candidate exists."""
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in 1..{n}, got {k}")
+    if k == n:
+        return list(range(n))
+    return sorted(np.random.default_rng(seed).choice(n, size=k, replace=False).tolist())
+
+
 def downsample(
     sequences: list[SyntheticSequence],
     reference: Window,
@@ -312,11 +323,11 @@ def downsample(
 ) -> list[SyntheticSequence]:
     """Keep ``k`` of the candidate sequences.
 
-    "ds" draws uniformly without replacement; "simds" keeps the k sequences
-    with the smallest DTW distance to the reference window's raw values, ties
-    broken by generation order. Selected sequences are returned in generation
-    order. Asking for more sequences than exist returns them all and emits a
-    DownsampleWarning.
+    "ds" keeps :func:`ds_indices` (the pipeline draws them first and passes
+    only those k); "simds" keeps the k sequences with the smallest DTW distance
+    to the reference window's raw values, ties broken by generation order. Kept
+    sequences are in generation order. Asking for more sequences than exist
+    returns them all and emits a DownsampleWarning.
     """
     if mode not in ("ds", "simds"):
         raise ValueError(f"unknown downsample mode {mode!r}")
@@ -328,17 +339,13 @@ def downsample(
             DownsampleWarning,
             stacklevel=2,
         )
-        return list(sequences)
-    if k == len(sequences):
+    if k >= len(sequences):
         return list(sequences)
 
     if mode == "ds":
-        rng = np.random.default_rng(seed)
-        chosen = sorted(rng.choice(len(sequences), size=k, replace=False))
-    else:
-        dists = dtw_distances([s.values for s in sequences], reference.raw_values)
-        chosen = sorted(np.argsort(dists, kind="stable")[:k])
-    return [sequences[int(i)] for i in chosen]
+        return [sequences[i] for i in ds_indices(len(sequences), k, seed)]
+    dists = dtw_distances([s.values for s in sequences], reference.raw_values)
+    return [sequences[int(i)] for i in sorted(np.argsort(dists, kind="stable")[:k])]
 
 
 def derive_seed(master_seed: int, *parts) -> int:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .embedding import MAX_EMBED_POINTS, OverlapResult, embedding_overlap
 from .evaluate import EvalReport, run_experiment
-from .generate import (SyntheticSequence, WalkConfig, derive_seed, downsample,
+from .generate import (SyntheticSequence, WalkConfig, derive_seed, downsample, ds_indices,
                        generate_sequence, vrp_generate)
 from .graphs import DEFAULT_SIMILAR_VALUE_EPSILON, Graph, build_hvg, build_multigraph, build_nvg
 from .ingest import TimeSeries, Window, load_series, minmax_scale, slice_windows
@@ -114,6 +114,9 @@ class RunConfig:
         if self.downsample_mode not in DOWNSAMPLE_MODES:
             raise ConfigError(f"unknown downsample mode {self.downsample_mode!r}; "
                               f"valid modes: {list(DOWNSAMPLE_MODES)}")
+        if self.downsample_k > self.sequences_per_window:
+            raise ConfigError(f"downsample.k ({self.downsample_k}) must not exceed "
+                              f"sequences_per_window ({self.sequences_per_window})")
         split = self.split
         if (not isinstance(split, (tuple, list)) or len(split) != 3
                 or not all(_is_number(r) and r >= 0 for r in split)
@@ -201,28 +204,29 @@ _BUILDERS = {"nvg": build_nvg, "hvg": build_hvg}
 
 def _generate_unit(method: str, windows: list[Window],
                    config: RunConfig) -> list[SyntheticSequence]:
-    """All kept sequences of one unit, window by window. The unit's one
-    graph, a ticker's block-diagonal NVG or HVG or a segment's multigraph, is
-    shared by the candidates of all its windows: walks keep their round-robin
-    cursors in their own state. vrp, and a ticker without windows, walk none."""
+    """All kept sequences of one unit, window by window. The unit's one graph
+    (a ticker's block-diagonal NVG or HVG, a segment's multigraph, none for
+    vrp) serves all its windows' walks, each with its own round-robin cursors.
+    DS draws its k indices first and generates only those: the same bytes."""
     graph = None
     if method == "nvmg":
         graph = build_multigraph(windows, similar_value_epsilon=config.similar_value_epsilon)
     elif method in _BUILDERS and windows:
         graph = _BUILDERS[method](windows)
+    n, k = config.sequences_per_window, config.downsample_k
     kept = []
     for position, window in enumerate(windows):
+        ds_seed = derive_seed(config.seed, window.ticker, window.start_index, method, "downsample")
+        indices = ds_indices(n, k, ds_seed) if config.downsample_mode == "ds" else range(n)
         candidates = []
-        for i in range(config.sequences_per_window):
+        for i in indices:
             seq_seed = derive_seed(config.seed, window.ticker, window.start_index, method, i)
             if graph is None:
                 candidates.append(vrp_generate(window, seed=seq_seed))
             else:
                 walk = config.walk_config(target_length=window.length, seed=seq_seed)
                 candidates.append(generate_sequence(graph, walk, window=position))
-        ds_seed = derive_seed(config.seed, window.ticker, window.start_index, method, "downsample")
-        kept += downsample(candidates, window, k=min(config.downsample_k, len(candidates)),
-                           mode=config.downsample_mode, seed=ds_seed)
+        kept += downsample(candidates, window, k=k, mode=config.downsample_mode, seed=ds_seed)
     return kept
 
 

@@ -77,6 +77,15 @@ class TestGenerateCommand:
         assert "split" in capsys.readouterr().err
         assert not (out / "sequences_vrp.jsonl").exists()
 
+    def test_downsample_k_above_candidates_exits_2_without_output(self, tmp_path, corpus_csv,
+                                                                  capsys):
+        out = tmp_path / "out"
+        cfg = config_file(tmp_path, corpus_csv, out, downsample={"mode": "ds", "k": 4})
+        assert main(["generate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "downsample.k (4)" in err and "sequences_per_window (3)" in err
+        assert not (out / "sequences_vrp.jsonl").exists()
+
     def test_any_valid_window_length_runs(self, tmp_path, corpus_csv):
         out = tmp_path / "out"
         cfg = config_file(tmp_path, corpus_csv, out)

@@ -3,7 +3,7 @@ import pytest
 
 from vgsynth.errors import GraphIntegrityError
 from vgsynth.generate import (DownsampleWarning, SyntheticSequence, WalkConfig,
-                              derive_seed, downsample, dtw_bruteforce,
+                              derive_seed, downsample, ds_indices, dtw_bruteforce,
                               dtw_distance, dtw_distances, generate_sequence,
                               vrp_generate)
 from vgsynth.graphs import build_multigraph, build_nvg
@@ -286,6 +286,11 @@ class TestDownsample:
         with pytest.warns(DownsampleWarning):
             out = downsample(seqs, ref, k=5, mode="ds", seed=0)
         assert out == seqs
+
+    @pytest.mark.parametrize("n, k", [(3, 0), (3, 4), (0, 1)])
+    def test_ds_indices_rejects_k_outside_1_to_n(self, n, k):
+        with pytest.raises(ValueError, match=f"k must be in 1..{n}, got {k}"):
+            ds_indices(n, k, 0)
 
 
 def test_derive_seed_stable_and_distinct():

@@ -7,7 +7,8 @@ import pytest
 
 from vgsynth import evaluate, pipeline
 from vgsynth.corpus import make_desk_corpus, write_corpus_csv
-from vgsynth.graphs import Graph
+from vgsynth.generate import derive_seed, downsample, generate_sequence, vrp_generate
+from vgsynth.graphs import Graph, build_hvg, build_multigraph, build_nvg
 from vgsynth.pipeline import (ConfigError, RunConfig, read_sequences,
                               run_evaluation, run_generation, sequences_path,
                               write_sequences)
@@ -125,6 +126,18 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=field.replace("_", "[_ ]")):
             run_generation(config)
 
+    @pytest.mark.parametrize("mode", ["ds", "simds"])
+    def test_downsample_k_above_candidates_rejected_before_generation(
+            self, tiny_corpus_csv, monkeypatch, mode):
+        def no_generation(*args, **kwargs):
+            raise AssertionError("generation ran before downsample.k was checked")
+
+        monkeypatch.setattr(pipeline, "prepare_windows", no_generation)
+        config = tiny_config(tiny_corpus_csv, sequences_per_window=4, downsample_k=5,
+                             downsample_mode=mode)
+        with pytest.raises(ConfigError, match=r"downsample\.k \(5\).*sequences_per_window \(4\)"):
+            run_generation(config)
+
     def test_boundary_values_accepted(self, tiny_corpus_csv):
         # the benchmark's classifier settings (tol 0, fixed 1500 iterations)
         tiny_config(tiny_corpus_csv, tol=0.0, max_iter=1500, l2=0, seed=np.int64(0),
@@ -235,6 +248,101 @@ class TestGeneration:
             write_sequences(by_method["nvg"], path)
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+ALL_METHODS = ("nvg", "hvg", "nvmg", "vrp")
+WINDOWS = 3 * 6  # tiny corpus: 3 tickers x 6 windows, also 6 segments x 3 windows
+
+
+class TestDownsamplePick:
+    """DS draws its pick before generating, so it generates only the k
+    candidates it keeps, and keeps exactly what ``downsample`` would keep of
+    all ``sequences_per_window`` candidates."""
+
+    @pytest.mark.parametrize("mode", ["ds", "simds"])
+    @pytest.mark.parametrize("k", [1, 3, 4])
+    def test_generates_k_candidates_per_window_under_ds_only(self, tiny_corpus_csv,
+                                                             monkeypatch, mode, k):
+        calls = []
+        walk, shuffle = pipeline.generate_sequence, pipeline.vrp_generate
+
+        def walk_spy(graph, *args, **kwargs):
+            calls.append(graph.kind)
+            return walk(graph, *args, **kwargs)
+
+        def shuffle_spy(*args, **kwargs):
+            calls.append("vrp")
+            return shuffle(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "generate_sequence", walk_spy)
+        monkeypatch.setattr(pipeline, "vrp_generate", shuffle_spy)
+        config = tiny_config(tiny_corpus_csv, methods=ALL_METHODS, sequences_per_window=4,
+                             downsample_mode=mode, downsample_k=k)
+        by_method, _ = run_generation(config)
+        per_window = k if mode == "ds" else config.sequences_per_window
+        assert {m: calls.count(m) for m in ALL_METHODS} == \
+            {m: WINDOWS * per_window for m in ALL_METHODS}
+        assert {m: len(s) for m, s in by_method.items()} == {m: WINDOWS * k for m in ALL_METHODS}
+
+    @staticmethod
+    def walk_everything(config, method):
+        """Each window's DS output computed the long way: generate all
+        ``sequences_per_window`` candidates, then ``downsample`` them."""
+        windows_by_ticker = pipeline.prepare_windows(config)
+        if method == "nvmg":
+            units = {}
+            for ticker in sorted(windows_by_ticker):
+                for w in windows_by_ticker[ticker]:
+                    units.setdefault(w.start_index, []).append(w)
+        else:
+            units = windows_by_ticker
+        kept = {}
+        for windows in units.values():
+            graph = None
+            if method == "nvmg":
+                graph = build_multigraph(
+                    windows, similar_value_epsilon=config.similar_value_epsilon)
+            elif method != "vrp":
+                graph = {"nvg": build_nvg, "hvg": build_hvg}[method](windows)
+            for position, window in enumerate(windows):
+                key = (window.ticker, window.start_index)
+                candidates = []
+                for i in range(config.sequences_per_window):
+                    seed = derive_seed(config.seed, *key, method, i)
+                    candidates.append(
+                        vrp_generate(window, seed=seed) if graph is None else generate_sequence(
+                            graph, config.walk_config(window.length, seed), window=position))
+                kept[key] = downsample(candidates, window, k=config.downsample_k, mode="ds",
+                                       seed=derive_seed(config.seed, *key, method, "downsample"))
+        return kept
+
+    @pytest.mark.parametrize("seed, k, value_policy, node_strategy", [
+        (0, 1, "random", "restart_random"),
+        (0, 3, "round_robin", "random_neighbor_graph_switching"),
+        (42, 2, "round_robin", "restart_random"),
+        (42, 4, "random", "random_neighbor_graph_switching"),
+        (7, 1, "round_robin", "uniform_random"),
+        (7, 3, "random", "degree_weighted"),
+    ])
+    def test_equals_downsampling_every_candidate(self, tiny_corpus_csv, seed, k, value_policy,
+                                                 node_strategy):
+        config = tiny_config(tiny_corpus_csv, methods=ALL_METHODS, sequences_per_window=4,
+                             downsample_mode="ds", downsample_k=k, seed=seed,
+                             value_policy=value_policy, node_strategy=node_strategy)
+        by_method, _ = run_generation(config)
+
+        def fingerprint(seq):
+            scaled = None if seq.scaled_values is None else seq.scaled_values.tobytes()
+            return seq.seed, seq.values.tobytes(), scaled
+
+        for method in ALL_METHODS:
+            got = {}
+            for seq in by_method[method]:
+                got.setdefault((seq.ticker, seq.window_start), []).append(fingerprint(seq))
+            expected = {key: [fingerprint(seq) for seq in kept]
+                        for key, kept in self.walk_everything(config, method).items()}
+            assert len(expected) == WINDOWS
+            assert got == expected
 
 
 class TestEvaluation:

@@ -2,10 +2,10 @@
 window's NVG, walks cannot tell the two apart, HVG edges are NVG edges, NVG
 and HVG link every pair of consecutive points, each window's block of a
 unit's NVG or HVG is that window's graph built alone, walks emit only node values,
-DTW is symmetric and 0 on itself, AUC ignores a positive rescaling of the
-scores, min-max scaling inverts, and ``load_series`` names the line of the
-one bad row in a file while loading shuffled rows with runs of missing
-closes."""
+DTW is symmetric and 0 on itself, ``ds_indices`` names the candidates DS
+downsampling keeps, AUC ignores a positive rescaling of the scores, min-max
+scaling inverts, and ``load_series`` names the line of the one bad row in a
+file while loading shuffled rows with runs of missing closes."""
 
 import math
 import tempfile
@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 from vgsynth.errors import DuplicateRowError, SchemaError
 from vgsynth.evaluate import roc_auc
 from vgsynth.generate import (NODE_STRATEGIES, RESTART_JUMPS, VALUE_POLICIES,
-                              WalkConfig, dtw_distance, generate_sequence)
+                              SyntheticSequence, WalkConfig, downsample, ds_indices,
+                              dtw_distance, generate_sequence)
 from vgsynth.graphs import build_hvg, build_multigraph, build_nvg
 from vgsynth.ingest import inverse_scale, load_series, slice_windows
 
@@ -134,6 +135,19 @@ def test_walk_values_are_node_values(segment, walk):
 def test_dtw_symmetric_and_zero_on_itself(a, b):
     assert dtw_distance(a, b) == dtw_distance(b, a)
     assert dtw_distance(a, a) == 0.0
+
+
+@settings(deadline=None)
+@given(n_k=st.integers(min_value=1, max_value=40).flatmap(
+           lambda n: st.tuples(st.just(n), st.integers(min_value=1, max_value=n))),
+       seed=st.integers(min_value=0, max_value=2**64 - 1))
+def test_ds_indices_are_the_positions_ds_keeps(n_k, seed):
+    n, k = n_k
+    candidates = [SyntheticSequence(values=[float(i)], scaled_values=None, method="vrp",
+                                    ticker="T", window_start=0, seed=i, scale_min=0.0,
+                                    scale_max=1.0) for i in range(n)]
+    kept = downsample(candidates, make_scaled_window([0.0, 1.0]), k=k, mode="ds", seed=seed)
+    assert [seq.seed for seq in kept] == ds_indices(n, k, seed)
 
 
 @settings(deadline=None)
