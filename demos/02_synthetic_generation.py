@@ -39,6 +39,6 @@ candidates = [generate_sequence(graph, WalkConfig(target_length=20, seed=s))
 dists = [dtw_distance(c.values, window.raw_values) for c in candidates]
 print("\nDTW distance of 10 candidate walks to the source window:")
 print(np.round(dists, 2))
-kept = downsample(candidates, window, k=3, mode="simds", seed=0)
+kept = downsample(candidates, [window], k=3)
 print("SimDS keeps the", len(kept), "closest; their distances:",
       np.round([dtw_distance(c.values, window.raw_values) for c in kept], 2))

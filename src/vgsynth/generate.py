@@ -235,7 +235,8 @@ def vrp_generate(window: Window, seed: int = 0) -> SyntheticSequence:
 
 
 def dtw_distances(candidates, reference) -> np.ndarray:
-    """Dynamic time warping distance of each candidate to ``reference``.
+    """Dynamic time warping distance of each candidate to ``reference``, one
+    sequence shared by all candidates or a list of one row per candidate.
 
     Absolute-difference local cost, full alignment, no window constraint.
     All candidates share one anti-diagonal wavefront: step d fills the cells
@@ -243,20 +244,23 @@ def dtw_distances(candidates, reference) -> np.ndarray:
     update, since each cell needs only the two previous anti-diagonals.
     Every cell is ``cost + min(up, left, diag)`` of the same operands as the
     textbook row-by-row recurrence, so the distances are bit-identical to
-    it. Shorter candidates are zero-padded; a candidate of length n is read
-    at cell (n, m), which depends only on cells of rows up to n, so the
-    padding never reaches it.
+    it. Shorter candidates and reference rows are zero-padded; candidate k of
+    length n against a reference of length m is read at cell (n, m), which
+    depends only on cells (i <= n, j <= m), so the padding never reaches it.
     """
-    b = np.asarray(reference, dtype=float)
     rows = [np.asarray(c, dtype=float) for c in candidates]
-    if b.size == 0 or not rows or any(r.size == 0 for r in rows):
-        raise ValueError("dtw_distances requires at least one candidate and "
-                         "non-empty sequences")
-    lengths = np.array([r.size for r in rows])
-    n, m = int(lengths.max()), b.size
-    a = np.zeros((len(rows), n + 1))  # a[k, i]: value i of candidate k, 1-based
-    for k, r in enumerate(rows):
-        a[k, 1:r.size + 1] = r
+    shared = not len(reference) or np.ndim(reference[0]) == 0
+    refs = [np.asarray(r, dtype=float) for r in ([reference] if shared else reference)]
+    if not rows or len(refs) not in (1, len(rows)) or any(r.size == 0 for r in rows + refs):
+        raise ValueError("dtw_distances requires candidates, one reference row or one per "
+                         "candidate, and non-empty sequences")
+    # a[k, i] and b[k, j]: value i of candidate k and value j of its reference, 1-based
+    a, b = (np.zeros((len(x), 1 + max(r.size for r in x))) for x in (rows, refs))
+    for padded, x in ((a, rows), (b, refs)):
+        for k, r in enumerate(x):
+            padded[k, 1:r.size + 1] = r
+    lengths, ref_lengths = (np.array([r.size for r in x]) for x in (rows, refs))
+    n, m = a.shape[1] - 1, b.shape[1] - 1
     # acc[d, k * (n + 1) + i] is cell (i, j = d - i) of candidate k's matrix.
     # Each diagonal is one flat row, so a step is three contiguous updates;
     # where the shifted slices pair cell i = 0 of one candidate with cell n
@@ -264,7 +268,7 @@ def dtw_distances(candidates, reference) -> np.ndarray:
     i = np.arange(n + 1)
     j = np.arange(n + m + 1)[:, None] - i
     inside = (i >= 1) & (j >= 1) & (j <= m)
-    cost = np.abs(a[None, :, :] - b[np.clip(j, 1, m) - 1][:, None, :])
+    cost = np.abs(a[None, :, :] - b[:, np.clip(j, 1, m)].transpose(1, 0, 2))
     acc = np.where(inside[:, None, :], cost, np.inf).reshape(n + m + 1, -1)
     acc[0, ::n + 1] = 0.0
     best = np.empty(acc.shape[1] - 1)
@@ -272,7 +276,7 @@ def dtw_distances(candidates, reference) -> np.ndarray:
         np.minimum(acc[d - 1, :-1], acc[d - 1, 1:], out=best)
         np.minimum(best, acc[d - 2, :-1], out=best)
         acc[d, 1:] += best
-    return acc[lengths + m, np.arange(len(rows)) * (n + 1) + lengths]
+    return acc[lengths + ref_lengths, np.arange(len(rows)) * (n + 1) + lengths]
 
 
 def dtw_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -316,36 +320,34 @@ def ds_indices(n: int, k: int, seed: int) -> list[int]:
 
 def downsample(
     sequences: list[SyntheticSequence],
-    reference: Window,
+    windows: list[Window],
     k: int,
-    mode: str = "ds",
-    seed: int = 0,
 ) -> list[SyntheticSequence]:
-    """Keep ``k`` of the candidate sequences.
+    """Keep, of each window's candidates, the ``k`` nearest by DTW to that
+    window's raw values (SimDS), in generation order, ties keeping the earlier.
 
-    "ds" keeps :func:`ds_indices` (the pipeline draws them first and passes
-    only those k); "simds" keeps the k sequences with the smallest DTW distance
-    to the reference window's raw values, ties broken by generation order. Kept
-    sequences are in generation order. Asking for more sequences than exist
-    returns them all and emits a DownsampleWarning.
+    ``sequences`` holds the candidates of ``windows`` in window order, the
+    same number for each, all scored in one :func:`dtw_distances` call. A
+    window with at most ``k`` candidates keeps them all: so DS, whose
+    :func:`ds_indices` pick precedes generation, keeps what it generated.
+    Fewer than ``k`` also emit a DownsampleWarning.
     """
-    if mode not in ("ds", "simds"):
-        raise ValueError(f"unknown downsample mode {mode!r}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if k > len(sequences):
-        warnings.warn(
-            f"requested {k} sequences but only {len(sequences)} candidates",
-            DownsampleWarning,
-            stacklevel=2,
-        )
-    if k >= len(sequences):
+    per = len(sequences) // len(windows) if windows else 0
+    if per * len(windows) != len(sequences):
+        raise ValueError(f"{len(sequences)} candidates do not split evenly over "
+                         f"{len(windows)} windows")
+    if windows and k > per:
+        warnings.warn(f"requested {k} sequences per window but only {per} candidates",
+                      DownsampleWarning, stacklevel=2)
+    if k >= per:
         return list(sequences)
-
-    if mode == "ds":
-        return [sequences[i] for i in ds_indices(len(sequences), k, seed)]
-    dists = dtw_distances([s.values for s in sequences], reference.raw_values)
-    return [sequences[int(i)] for i in sorted(np.argsort(dists, kind="stable")[:k])]
+    dists = dtw_distances([s.values for s in sequences],
+                          [w.raw_values for w in windows for _ in range(per)])
+    nearest = np.sort(np.argsort(dists.reshape(len(windows), per), axis=1, kind="stable")[:, :k])
+    nearest += per * np.arange(len(windows))[:, None]
+    return [sequences[i] for i in nearest.ravel().tolist()]
 
 
 def derive_seed(master_seed: int, *parts) -> int:

@@ -130,13 +130,6 @@ class Graph:
     def neighbor_ids(self, node_id: int) -> np.ndarray:
         return self.indices[self.indptr[node_id]:self.indptr[node_id + 1]]
 
-    def weighted_neighbors(self, node_id: int) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = self.indptr[node_id], self.indptr[node_id + 1]
-        return self.indices[lo:hi], self.mult[lo:hi]
-
-    def cross_ticker_neighbor_ids(self, node_id: int) -> np.ndarray:
-        return self.cross_indices[self.cross_indptr[node_id]:self.cross_indptr[node_id + 1]]
-
     def first_node(self, window: int = 0) -> int:
         """Node holding the first time index of window position ``window``."""
         return int(self.node_of[window, 0])

@@ -103,6 +103,11 @@ class RunConfig:
                 raise ConfigError(f"{name} must be a finite number >= 0, got {value!r}")
         if not (_is_number(self.perplexity) and self.perplexity > 0):
             raise ConfigError(f"perplexity must be a finite number > 0, got {self.perplexity!r}")
+        odd = ([self.methods] if not isinstance(self.methods, (list, tuple))
+               else [m for m in self.methods if not isinstance(m, str)])
+        if odd:
+            raise ConfigError(f"methods must be a list of strings, got "
+                              f"{type(odd[0]).__name__} {odd[0]!r}")
         if not self.methods:
             raise ConfigError("at least one method is required")
         unknown = [m for m in self.methods if m not in METHODS]
@@ -204,30 +209,30 @@ _BUILDERS = {"nvg": build_nvg, "hvg": build_hvg}
 
 def _generate_unit(method: str, windows: list[Window],
                    config: RunConfig) -> list[SyntheticSequence]:
-    """All kept sequences of one unit, window by window. The unit's one graph
-    (a ticker's block-diagonal NVG or HVG, a segment's multigraph, none for
-    vrp) serves all its windows' walks, each with its own round-robin cursors.
-    DS draws its k indices first and generates only those: the same bytes."""
+    """All kept sequences of one unit. The unit's one graph (a ticker's
+    block-diagonal NVG or HVG, a segment's multigraph, none for vrp) serves
+    all its windows' walks, each with its own round-robin cursors; DS draws
+    each window's k indices first and generates only those. One
+    ``downsample`` call then selects over all of the unit's candidates."""
     graph = None
     if method == "nvmg":
         graph = build_multigraph(windows, similar_value_epsilon=config.similar_value_epsilon)
     elif method in _BUILDERS and windows:
         graph = _BUILDERS[method](windows)
     n, k = config.sequences_per_window, config.downsample_k
-    kept = []
+    candidates = []
     for position, window in enumerate(windows):
-        ds_seed = derive_seed(config.seed, window.ticker, window.start_index, method, "downsample")
-        indices = ds_indices(n, k, ds_seed) if config.downsample_mode == "ds" else range(n)
-        candidates = []
+        identity = (config.seed, window.ticker, window.start_index, method)
+        indices = (ds_indices(n, k, derive_seed(*identity, "downsample"))
+                   if config.downsample_mode == "ds" else range(n))
         for i in indices:
-            seq_seed = derive_seed(config.seed, window.ticker, window.start_index, method, i)
             if graph is None:
-                candidates.append(vrp_generate(window, seed=seq_seed))
+                candidates.append(vrp_generate(window, seed=derive_seed(*identity, i)))
             else:
-                walk = config.walk_config(target_length=window.length, seed=seq_seed)
+                walk = config.walk_config(target_length=window.length,
+                                          seed=derive_seed(*identity, i))
                 candidates.append(generate_sequence(graph, walk, window=position))
-        kept += downsample(candidates, window, k=k, mode=config.downsample_mode, seed=ds_seed)
-    return kept
+    return downsample(candidates, windows, k=k)
 
 
 def run_generation(
@@ -287,25 +292,39 @@ def read_sequences(path: str | Path,
     """Read generated sequences and re-attach each one's source-window scale.
 
     Every record's (ticker, window_start) must name one of the windows in
-    ``windows_by_key``: a record that names none raises ValueError.
+    ``windows_by_key`` and hold as many values as that window. A record that
+    does not, or is not a complete JSON record, raises ValueError naming
+    ``path:line``; a record of the wrong length raises only once every
+    record's window was found, so a file written for other windows names a
+    window it lacks.
     """
-    out = []
+    out, wrong_length = [], None
     with Path(path).open() as fh:
         for lineno, line in enumerate(fh, 1):
-            rec = json.loads(line)
-            values = np.array(rec["values"], dtype=float)
-            key = (rec["ticker"], rec["window_start"])
-            window = windows_by_key.get(key)
+            try:
+                rec = json.loads(line)
+                values = np.array(rec["values"], dtype=float)
+                key = (rec["ticker"], rec["window_start"])
+                method, seed = rec["method"], rec["seed"]
+                window = windows_by_key.get(key)
+            except KeyError as exc:
+                raise ValueError(f"{path}:{lineno}: record has no field {exc}") from exc
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{lineno}: malformed record: {exc}") from exc
             if window is None:
                 raise ValueError(f"{path}:{lineno}: no input window for "
                                  f"(ticker, window_start) {key}")
+            if values.shape != (window.length,) and wrong_length is None:
+                wrong_length = ValueError(f"{path}:{lineno}: {values.size} values for a "
+                                          f"window of length {window.length}")
             lo, hi = window.scale_min, window.scale_max
             scaled = (values - lo) / (hi - lo) if hi > lo else np.full_like(values, 0.5)
             out.append(SyntheticSequence(
-                values=values, scaled_values=scaled, method=rec["method"],
-                ticker=rec["ticker"], window_start=rec["window_start"],
-                seed=rec["seed"], scale_min=lo, scale_max=hi,
+                values=values, scaled_values=scaled, method=method, ticker=key[0],
+                window_start=key[1], seed=seed, scale_min=lo, scale_max=hi,
             ))
+    if wrong_length is not None:
+        raise wrong_length
     return out
 
 

@@ -1,6 +1,7 @@
-"""The scalar walk that ``generate_sequence`` replaced, kept verbatim as the
-reference it must equal byte for byte: one ``np.random.Generator`` per walk,
-called once per draw, and numpy row slices of the graph per step.
+"""The scalar walk that ``generate_sequence`` replaced, kept with its draws
+unchanged as the reference it must equal byte for byte: one
+``np.random.Generator`` per walk, called once per draw, and numpy slices of
+the graph's CSR arrays per step.
 """
 
 from __future__ import annotations
@@ -46,12 +47,13 @@ def next_node(graph, current: int, config: WalkConfig, rng: np.random.Generator,
     if strategy == "random_neighbor":
         return _pick(rng, neighbors)
     if strategy == "random_neighbor_graph_switching":
-        cross = graph.cross_ticker_neighbor_ids(current)
+        cross = graph.cross_indices[graph.cross_indptr[current]:graph.cross_indptr[current + 1]]
         if cross.size and rng.random() < config.switch_prob:
             return _pick(rng, cross)
         return _pick(rng, neighbors)
     if strategy == "degree_weighted":
-        ids, mults = graph.weighted_neighbors(current)
+        lo, hi = graph.indptr[current], graph.indptr[current + 1]
+        ids, mults = graph.indices[lo:hi], graph.mult[lo:hi]
         if ids.size == 0:
             raise GraphIntegrityError(f"node {current} is isolated")
         probs = mults / mults.sum()

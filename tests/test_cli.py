@@ -69,6 +69,13 @@ class TestGenerateCommand:
         err = capsys.readouterr().err
         assert "wavelet" in err and "nvg" in err
 
+    def test_methods_string_exits_2_naming_the_type(self, tmp_path, corpus_csv, capsys):
+        out = tmp_path / "out"
+        cfg = config_file(tmp_path, corpus_csv, out, methods="nvg")
+        assert main(["generate", "--config", str(cfg)]) == 2
+        assert "methods must be a list of strings, got str 'nvg'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_split_exits_2_without_output(self, tmp_path, corpus_csv, capsys):
         out = tmp_path / "out"
         cfg = config_file(tmp_path, corpus_csv, out,
@@ -187,6 +194,19 @@ class TestEvaluateCommand:
         assert main(["evaluate", "--config", str(cfg), "--window", "30"]) == 1
         err = capsys.readouterr().err
         assert "sequences_vrp.jsonl" in err and "20)" in err
+        assert not (out / "report.json").exists()
+
+    def test_truncated_sequence_record_exits_1_naming_the_line(self, tmp_path,
+                                                                eval_corpus_csv, capsys):
+        out = tmp_path / "out"
+        cfg = config_file(tmp_path, eval_corpus_csv, out)
+        assert main(["generate", "--config", str(cfg)]) == 0
+        path = out / "sequences_vrp.jsonl"
+        path.write_text(path.read_text()[:-10])
+        line = len(path.read_text().splitlines())
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(cfg)]) == 1
+        assert f"error: {path}:{line}: malformed record" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
     def test_mixing_k_above_the_points_exits_2_without_report(self, tmp_path,

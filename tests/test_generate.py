@@ -63,7 +63,7 @@ class TestNextNode:
         b = make_prescaled_window([0.5, 0.9], ticker="B")
         mg = build_multigraph([a, b], similar_value_epsilon=0.0)
         start = mg.first_node(0)
-        cross = set(mg.cross_ticker_neighbor_ids(start).tolist())
+        cross = set(mg.cross_indices[mg.cross_indptr[start]:mg.cross_indptr[start + 1]].tolist())
         assert cross  # co-occurrence link exists
         node_of = {value: node for node, (value,) in enumerate(mg.node_values)}
         draws = {node_of[walk(mg, 2, seed=s, window=0, switch_prob=1.0,
@@ -225,7 +225,19 @@ class TestDTW:
             for cand, d in zip(cands, dtw_distances(cands, ref)):
                 assert d == pytest.approx(dtw_bruteforce(cand, ref), abs=1e-9)
 
-    @pytest.mark.parametrize("cands, ref", [([[1.0], []], [1.0]), ([[1.0]], []), ([], [1.0])])
+    def test_reference_row_per_candidate_equals_one_call_per_reference(self, rng):
+        for _ in range(100):
+            count = int(rng.integers(1, 12))
+            cands = [rng.random(int(rng.integers(1, 25))) for _ in range(count)]
+            refs = [rng.random(int(rng.integers(1, 25))) for _ in range(count)]
+            got = dtw_distances(cands, refs)
+            want = [dtw_distances([cand], ref)[0] for cand, ref in zip(cands, refs)]
+            assert [d.hex() for d in got.tolist()] == [float(d).hex() for d in want]
+            np.testing.assert_array_equal(dtw_distances(cands, np.stack([refs[0]] * count)),
+                                          dtw_distances(cands, refs[0]))
+
+    @pytest.mark.parametrize("cands, ref", [([[1.0], []], [1.0]), ([[1.0]], []), ([], [1.0]),
+                                            ([[1.0]], [[1.0], []]), ([[1.0]] * 3, [[1.0]] * 2)])
     def test_batched_empty_rejected(self, cands, ref):
         with pytest.raises(ValueError):
             dtw_distances(cands, ref)
@@ -242,14 +254,13 @@ class TestDownsample:
     def test_identity_when_k_equals_n(self, rng):
         seqs = [seq_of(rng.random(5), seed=i) for i in range(4)]
         ref = make_scaled_window(rng.random(5))
-        for mode in ("ds", "simds"):
-            assert downsample(seqs, ref, k=4, mode=mode, seed=0) == seqs
+        assert downsample(seqs, [ref], k=4) == seqs
 
     def test_simds_selects_exact_copy(self, rng):
         ref = make_scaled_window([1.0, 2.0, 3.0, 4.0])
         seqs = [seq_of(rng.random(4) + 10) for _ in range(5)]
         seqs.insert(2, seq_of([1.0, 2.0, 3.0, 4.0]))
-        kept = downsample(seqs, ref, k=1, mode="simds", seed=0)
+        kept = downsample(seqs, [ref], k=1)
         np.testing.assert_array_equal(kept[0].values, ref.raw_values)
 
     def test_simds_hand_computed_distances(self):
@@ -259,7 +270,7 @@ class TestDownsample:
         far = seq_of([0.0, 1.5, 1.5])        # dtw 3.0
         for s, d in ((near, 0.0), (mid, 1.5), (far, 3.0)):
             assert dtw_bruteforce(s.values, ref.raw_values) == pytest.approx(d)
-        kept = downsample([far, near, mid], ref, k=2, mode="simds", seed=0)
+        kept = downsample([far, near, mid], [ref], k=2)
         assert kept == [near, mid]
 
     def test_simds_tie_keeps_earlier(self):
@@ -269,23 +280,44 @@ class TestDownsample:
         second = seq_of([1.0, 0.0, 0.0])  # same distance as ``first``
         assert dtw_distance(first.values, ref.raw_values) == \
             dtw_distance(second.values, ref.raw_values)
-        assert downsample([far, first, second], ref, k=1, mode="simds") == [first]
-        assert downsample([far, second, first], ref, k=1, mode="simds") == [second]
+        assert downsample([far, first, second], [ref], k=1) == [first]
+        assert downsample([far, second, first], [ref], k=1) == [second]
+
+    def test_each_window_keeps_its_own_nearest(self):
+        """One call over two windows selects as two one-window calls do."""
+        low, high = make_scaled_window([0.0, 0.0, 0.0]), make_scaled_window([5.0, 5.0, 5.0])
+        seqs = [seq_of([v] * 3, seed=i) for i, v in enumerate([5.0, 1.0, 0.0, 0.0, 5.0, 4.0])]
+        kept = downsample(seqs, [low, high], k=2)
+        assert kept == downsample(seqs[:3], [low], k=2) + downsample(seqs[3:], [high], k=2)
+        assert [s.seed for s in kept] == [1, 2, 4, 5]
 
     def test_ds_is_seeded_subset(self, rng):
+        """DS's pick is ``ds_indices``, drawn before generation; ``downsample``
+        then keeps every one of the k candidates it is given."""
         seqs = [seq_of(rng.random(5), seed=i) for i in range(10)]
         ref = make_scaled_window(rng.random(5))
-        a = downsample(seqs, ref, k=3, mode="ds", seed=9)
-        b = downsample(seqs, ref, k=3, mode="ds", seed=9)
-        assert all(x is y for x, y in zip(a, b))
-        assert len(a) == 3 and all(any(s is t for t in seqs) for s in a)
+        picked = ds_indices(10, 3, 9)
+        assert picked == ds_indices(10, 3, 9) == sorted(set(picked))
+        assert len(picked) == 3 and set(picked) <= set(range(10))
+        kept = downsample([seqs[i] for i in picked], [ref], k=3)
+        assert [s.seed for s in kept] == picked
 
     def test_oversized_k_warns_and_returns_all(self, rng):
         seqs = [seq_of(rng.random(5))]
         ref = make_scaled_window(rng.random(5))
         with pytest.warns(DownsampleWarning):
-            out = downsample(seqs, ref, k=5, mode="ds", seed=0)
+            out = downsample(seqs, [ref], k=5)
         assert out == seqs
+
+    def test_no_windows_keeps_nothing(self):
+        assert downsample([], [], k=1) == []
+
+    @pytest.mark.parametrize("count, windows", [(3, 2), (1, 0)])
+    def test_uneven_split_rejected(self, rng, count, windows):
+        seqs = [seq_of(rng.random(3)) for _ in range(count)]
+        refs = [make_scaled_window(rng.random(3)) for _ in range(windows)]
+        with pytest.raises(ValueError, match="do not split evenly"):
+            downsample(seqs, refs, k=1)
 
     @pytest.mark.parametrize("n, k", [(3, 0), (3, 4), (0, 1)])
     def test_ds_indices_rejects_k_outside_1_to_n(self, n, k):

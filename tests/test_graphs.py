@@ -253,8 +253,8 @@ class TestGraphConstructor:
                        [1, 2, 3])
         assert list(g.edges.items()) == [((0, 1, VISIBILITY), 3), ((0, 2, SIMILAR_VALUE), 2),
                                          ((1, 2, VISIBILITY), 1)]
-        np.testing.assert_array_equal(g.weighted_neighbors(0)[1], [3, 2])
-        np.testing.assert_array_equal(g.cross_ticker_neighbor_ids(2), [0])
+        np.testing.assert_array_equal(g.mult[g.indptr[0]:g.indptr[1]], [3, 2])
+        np.testing.assert_array_equal(g.cross_indices[g.cross_indptr[2]:g.cross_indptr[3]], [0])
 
     def test_edges_view_is_read_only(self, rng):
         g = build_nvg([random_scaled_window(rng, 10)])
@@ -445,8 +445,9 @@ def assert_matches_reference(windows, similar_value_epsilon=DEFAULT_SIMILAR_VALU
         assert [v.hex() for v in mg.node_values[i]] == [v.hex() for v in node.values]
         assert node_tickers(mg, i) == node.ticker_tags
         for got, want in ((mg.neighbor_ids(i), ref._adjacency[i]),
-                          (mg.weighted_neighbors(i)[1], ref._multiplicities[i]),
-                          (mg.cross_ticker_neighbor_ids(i), ref._cross[i])):
+                          (mg.mult[mg.indptr[i]:mg.indptr[i + 1]], ref._multiplicities[i]),
+                          (mg.cross_indices[mg.cross_indptr[i]:mg.cross_indptr[i + 1]],
+                           ref._cross[i])):
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
     assert {(w.ticker, t): node for w, row in zip(mg.windows, mg.node_of.tolist())

@@ -5,9 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vgsynth import evaluate, pipeline
+from vgsynth import evaluate, generate, pipeline
 from vgsynth.corpus import make_desk_corpus, write_corpus_csv
-from vgsynth.generate import derive_seed, downsample, generate_sequence, vrp_generate
+from vgsynth.generate import (derive_seed, ds_indices, dtw_distances, generate_sequence,
+                              vrp_generate)
 from vgsynth.graphs import Graph, build_hvg, build_multigraph, build_nvg
 from vgsynth.pipeline import (ConfigError, RunConfig, read_sequences,
                               run_evaluation, run_generation, sequences_path,
@@ -42,6 +43,12 @@ class TestRunConfig:
         config = tiny_config(tiny_corpus_csv, methods=("nvg", "gan"))
         with pytest.raises(ConfigError, match=r"gan.*valid methods"):
             config.validate()
+
+    @pytest.mark.parametrize("methods, named", [("nvg", "str 'nvg'"), (["nvg", 1], "int 1"),
+                                                ({"nvg": 1}, "dict")])
+    def test_methods_not_a_list_of_strings_is_config_error(self, methods, named):
+        with pytest.raises(ConfigError, match=f"methods must be a list of strings, got {named}"):
+            RunConfig.from_dict({"input": "x", "methods": methods}).validate()
 
     def test_window_length_minimum(self, tiny_corpus_csv):
         with pytest.raises(ConfigError):
@@ -220,6 +227,28 @@ class TestGeneration:
         with pytest.raises(ValueError, match=rf"{path.name}.*{first[0]!r}, {first[1]}"):
             read_sequences(path, windows_by_key)
 
+    @pytest.mark.parametrize("corrupt, problem", [
+        (lambda line: line[:len(line) // 2], "malformed record"),
+        (lambda line: json.dumps({k: v for k, v in json.loads(line).items()
+                                  if k != "window_start"}), "record has no field 'window_start'"),
+        (lambda line: json.dumps({**json.loads(line), "values": ["x"] * 20}),
+         "malformed record: could not convert"),
+        (lambda line: json.dumps({**json.loads(line), "values": json.loads(line)["values"][1:]}),
+         "19 values for a window of length 20"),
+    ], ids=["truncated", "missing_field", "not_a_number", "wrong_length"])
+    def test_malformed_record_names_path_and_line(self, tiny_corpus_csv, tmp_path, corrupt,
+                                                  problem):
+        config = tiny_config(tiny_corpus_csv, methods=("vrp",))
+        path = sequences_path(tmp_path, "vrp")
+        write_sequences(run_generation(config)[0]["vrp"], path)
+        lines = path.read_text().splitlines()
+        lines[2] = corrupt(lines[2])
+        path.write_text("\n".join(lines) + "\n")
+        windows_by_key = {(w.ticker, w.start_index): w
+                          for ws in pipeline.prepare_windows(config).values() for w in ws}
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: {problem}"):
+            read_sequences(path, windows_by_key)
+
     @pytest.mark.parametrize("methods", [("nvg",), ("nvmg",), ("vrp", "nvmg")])
     def test_no_complete_window_rejected_before_any_unit(self, tmp_path, monkeypatch,
                                                          methods):
@@ -256,8 +285,9 @@ WINDOWS = 3 * 6  # tiny corpus: 3 tickers x 6 windows, also 6 segments x 3 windo
 
 class TestDownsamplePick:
     """DS draws its pick before generating, so it generates only the k
-    candidates it keeps, and keeps exactly what ``downsample`` would keep of
-    all ``sequences_per_window`` candidates."""
+    candidates it keeps; SimDS selects over a whole unit at once. Both keep
+    exactly what selecting from all ``sequences_per_window`` candidates, one
+    window at a time, keeps."""
 
     @pytest.mark.parametrize("mode", ["ds", "simds"])
     @pytest.mark.parametrize("k", [1, 3, 4])
@@ -285,10 +315,13 @@ class TestDownsamplePick:
         assert {m: len(s) for m, s in by_method.items()} == {m: WINDOWS * k for m in ALL_METHODS}
 
     @staticmethod
-    def walk_everything(config, method):
-        """Each window's DS output computed the long way: generate all
-        ``sequences_per_window`` candidates, then ``downsample`` them."""
-        windows_by_ticker = pipeline.prepare_windows(config)
+    def walk_everything(config, method, series_list=None):
+        """Each window's output computed the long way, one window at a time:
+        generate all ``sequences_per_window`` candidates, then keep DS's
+        ``ds_indices`` of them, or under SimDS the k nearest to the window's
+        raw closes by ``dtw_distances`` and a stable argsort. Also returns the
+        number of windows whose k-th and (k+1)-th nearest distances tie."""
+        windows_by_ticker = pipeline.prepare_windows(config, series_list)
         if method == "nvmg":
             units = {}
             for ticker in sorted(windows_by_ticker):
@@ -296,7 +329,8 @@ class TestDownsamplePick:
                     units.setdefault(w.start_index, []).append(w)
         else:
             units = windows_by_ticker
-        kept = {}
+        n, k = config.sequences_per_window, config.downsample_k
+        kept, ties = {}, 0
         for windows in units.values():
             graph = None
             if method == "nvmg":
@@ -307,14 +341,43 @@ class TestDownsamplePick:
             for position, window in enumerate(windows):
                 key = (window.ticker, window.start_index)
                 candidates = []
-                for i in range(config.sequences_per_window):
+                for i in range(n):
                     seed = derive_seed(config.seed, *key, method, i)
                     candidates.append(
                         vrp_generate(window, seed=seed) if graph is None else generate_sequence(
                             graph, config.walk_config(window.length, seed), window=position))
-                kept[key] = downsample(candidates, window, k=config.downsample_k, mode="ds",
-                                       seed=derive_seed(config.seed, *key, method, "downsample"))
-        return kept
+                if config.downsample_mode == "ds":
+                    picked = ds_indices(n, k, derive_seed(config.seed, *key, method,
+                                                          "downsample"))
+                else:
+                    dists = dtw_distances([c.values for c in candidates], window.raw_values)
+                    order = np.argsort(dists, kind="stable")
+                    ties += k < n and dists[order[k - 1]] == dists[order[k]]
+                    picked = sorted(order[:k].tolist())
+                kept[key] = [candidates[i] for i in picked]
+        return kept, ties
+
+    @staticmethod
+    def assert_equals_walk_everything(config, windows, series_list=None):
+        """Every method's output equals the reference on all ``windows``
+        windows; returns the reference's tie count summed over methods."""
+        by_method, _ = run_generation(config, series_list)
+
+        def fingerprint(seq):
+            scaled = None if seq.scaled_values is None else seq.scaled_values.tobytes()
+            return seq.seed, seq.values.tobytes(), scaled
+
+        ties = 0
+        for method in config.methods:
+            got = {}
+            for seq in by_method[method]:
+                got.setdefault((seq.ticker, seq.window_start), []).append(fingerprint(seq))
+            kept, method_ties = TestDownsamplePick.walk_everything(config, method, series_list)
+            expected = {key: [fingerprint(seq) for seq in seqs] for key, seqs in kept.items()}
+            assert len(expected) == windows
+            assert got == expected
+            ties += method_ties
+        return ties
 
     @pytest.mark.parametrize("seed, k, value_policy, node_strategy", [
         (0, 1, "random", "restart_random"),
@@ -329,20 +392,65 @@ class TestDownsamplePick:
         config = tiny_config(tiny_corpus_csv, methods=ALL_METHODS, sequences_per_window=4,
                              downsample_mode="ds", downsample_k=k, seed=seed,
                              value_policy=value_policy, node_strategy=node_strategy)
-        by_method, _ = run_generation(config)
+        self.assert_equals_walk_everything(config, WINDOWS)
 
-        def fingerprint(seq):
-            scaled = None if seq.scaled_values is None else seq.scaled_values.tobytes()
-            return seq.seed, seq.values.tobytes(), scaled
+    @pytest.mark.parametrize("seed, k, value_policy, node_strategy", [
+        (0, 1, "random", "restart_random"),
+        (0, 3, "round_robin", "random_neighbor_graph_switching"),
+        (42, 4, "random", "degree_weighted"),
+        (7, 1, "round_robin", "uniform_random"),
+        (7, 3, "random", "restart_random"),
+    ])
+    def test_simds_equals_selection_one_window_at_a_time(self, seed, k, value_policy,
+                                                         node_strategy):
+        """Holds on a corpus whose first window of one ticker is flat, so every
+        candidate of that window is at distance 0 and the tie keeps the
+        earliest k."""
+        series_list = make_desk_corpus(n_tickers=3, n_days=80, seed=11)
+        series_list[1].values[:20] = series_list[1].values[0]
+        config = tiny_config("", methods=ALL_METHODS, sequences_per_window=4,
+                             downsample_mode="simds", downsample_k=k, seed=seed,
+                             value_policy=value_policy, node_strategy=node_strategy)
+        ties = self.assert_equals_walk_everything(config, 3 * 4, series_list)
+        assert ties >= (len(ALL_METHODS) if k < 4 else 0)
 
-        for method in ALL_METHODS:
-            got = {}
-            for seq in by_method[method]:
-                got.setdefault((seq.ticker, seq.window_start), []).append(fingerprint(seq))
-            expected = {key: [fingerprint(seq) for seq in kept]
-                        for key, kept in self.walk_everything(config, method).items()}
-            assert len(expected) == WINDOWS
-            assert got == expected
+    @pytest.mark.parametrize("mode, k, scored", [("ds", 2, False), ("simds", 2, True),
+                                                 ("simds", 4, False)])
+    def test_one_selection_per_unit(self, tiny_corpus_csv, monkeypatch, mode, k, scored):
+        """One ``downsample`` call per unit, over all its windows, and under
+        SimDS with k < n one ``dtw_distances`` call over all its candidates."""
+        selections, scorings = [], []
+        select, score = pipeline.downsample, generate.dtw_distances
+
+        def select_spy(sequences, windows, k):
+            selections.append(len(windows))
+            return select(sequences, windows, k)
+
+        def score_spy(candidates, reference):
+            scorings.append(len(candidates))
+            return score(candidates, reference)
+
+        monkeypatch.setattr(pipeline, "downsample", select_spy)
+        monkeypatch.setattr(generate, "dtw_distances", score_spy)
+        config = tiny_config(tiny_corpus_csv, methods=ALL_METHODS, sequences_per_window=4,
+                             downsample_mode=mode, downsample_k=k)
+        _, records = run_generation(config)
+        # units: 3 tickers (nvg), 3 (hvg), 6 segments (nvmg), 3 tickers (vrp)
+        windows_per_unit = [6] * 6 + [3] * 6 + [6] * 3
+        assert selections == windows_per_unit and len(records) == len(windows_per_unit)
+        assert scorings == ([4 * w for w in windows_per_unit] if scored else [])
+
+    @pytest.mark.parametrize("mode", ["ds", "simds"])
+    def test_unit_without_windows_keeps_its_runtime_record(self, mode):
+        series_list = make_desk_corpus(n_tickers=3, n_days=60, seed=1)
+        series_list[0].values[::5] = np.nan
+        config = tiny_config("", methods=("nvg", "vrp", "nvmg"), sequences_per_window=4,
+                             downsample_mode=mode, downsample_k=1)
+        by_method, records = run_generation(config, series_list)
+        assert {m: len(s) for m, s in by_method.items()} == {"nvg": 6, "vrp": 6, "nvmg": 6}
+        assert len(records) == 9
+        assert [r.unit_id for r in records if r.method == "nvg"] == \
+            [s.ticker for s in sorted(series_list, key=lambda s: s.ticker)]
 
 
 class TestEvaluation:

