@@ -49,12 +49,12 @@ class Graph:
     w * length + t; a multigraph joins one segment's windows, and each of
     its windows' walks ranges over all of its nodes.
 
-    The constructor sorts the edges by (u, v, kind), raises ``ValueError``
-    naming the first edge with a node id out of range, u >= v, an unknown
-    kind, a multiplicity below 1 or a repeated key, and builds CSR adjacency
-    with sorted neighbours: ``indptr``/``indices``/``mult`` (multiplicities
-    summed across kinds) and ``cross_indptr``/``cross_indices`` (cross-ticker
-    kinds only). ``node_values[i]`` lists node i's values.
+    The constructor sorts the edges by (u, v, kind) unless they arrive sorted,
+    raises ``ValueError`` naming the first edge with a node id out of range,
+    u >= v, an unknown kind, a multiplicity below 1 or a repeated key, and builds
+    CSR adjacency with sorted neighbours: ``indptr``/``indices``/``mult``
+    (multiplicities summed across kinds) and ``cross_indptr``/``cross_indices``
+    (cross-ticker kinds only). ``node_values[i]`` lists node i's values.
     """
 
     kind: str
@@ -75,8 +75,9 @@ class Graph:
         u, v, kind, mult = (np.asarray(a, dtype=np.int64) for a in
                             (self.edge_u, self.edge_v, self.edge_kind, self.edge_mult))
         key = (u * n + v) * len(EDGE_KINDS) + kind
-        order = np.argsort(key, kind="stable")
-        u, v, kind, mult, key = (a[order] for a in (u, v, kind, mult, key))
+        if not (key[1:] > key[:-1]).all():
+            order = np.argsort(key, kind="stable")
+            u, v, kind, mult, key = (a[order] for a in (u, v, kind, mult, key))
         for bad, problem in (
                 ((np.minimum(u, v) < 0) | (np.maximum(u, v) >= n), f"node id not in 0..{n - 1}"),
                 (u == v, "self-loop"), (u > v, "endpoints must be ordered u < v"),
@@ -88,9 +89,8 @@ class Graph:
                 name = dict(enumerate(EDGE_KINDS)).get(int(kind[e]), f"kind code {kind[e]}")
                 raise ValueError(f"edge ({u[e]}, {v[e]}, {name}): {problem}")
         self.edge_u, self.edge_v, self.edge_kind, self.edge_mult = u, v, kind, mult
-        self.indptr, self.indices, self.mult = _csr(u, v, mult, n)
-        cross = kind != KIND_CODE[VISIBILITY]
-        self.cross_indptr, self.cross_indices, _ = _csr(u[cross], v[cross], mult[cross], n)
+        (self.indptr, self.indices, self.mult, self.cross_indptr,
+         self.cross_indices) = _csr(u, v, kind, mult, n)
         values = self.values.tolist()
         self.node_values = [values[lo:hi] for lo, hi in pairwise(self.value_ptr.tolist())]
         self._cdfs: dict[int, list[float]] = {}
@@ -138,13 +138,22 @@ class Graph:
         return _window_scale(self.windows[window])
 
 
-def _csr(u: np.ndarray, v: np.ndarray, weights: np.ndarray, n: int):
-    """Symmetric CSR ``(indptr, indices, summed weights)`` of the edges (u, v)."""
-    if not u.size:  # as for the cross-ticker edges of a one-ticker graph
-        return np.zeros(n + 1, dtype=np.int64), u, weights
-    key, pair = np.unique(np.concatenate((u * n + v, v * n + u)), return_inverse=True)
-    weights = np.bincount(pair, np.concatenate((weights, weights)), key.size).astype(np.int64)
-    return np.concatenate(([0], np.cumsum(np.bincount(key // n, minlength=n)))), key % n, weights
+def _csr(u: np.ndarray, v: np.ndarray, kind: np.ndarray, weights: np.ndarray, n: int):
+    """Symmetric CSR ``(indptr, indices, summed weights)`` of edges u < v sorted by
+    (u, v, kind), and ``(cross_indptr, cross_indices)`` over its cross-ticker pairs."""
+    pair = u * n + v
+    starts = np.flatnonzero(pair != np.concatenate(([-1], pair[:-1])))  # each pair's first edge
+    cross = kind[starts] != KIND_CODE[VISIBILITY]  # cross-ticker kinds have the lower codes
+    u, v, weights = u[starts], v[starts], np.add.reduceat(weights, starts)
+    # entry u in row v and entry v in row u; a stable sort by row (a radix
+    # sort while node ids fit in uint16) puts each row's lower neighbours, in
+    # u order, before its upper ones, in v order
+    row = np.concatenate((v, u))
+    order = np.argsort(row.astype(np.uint16) if n <= 1 << 16 else row, kind="stable")
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=n))))
+    indices, cross = np.concatenate((u, v))[order], np.concatenate((cross, cross))[order]
+    return (indptr, indices, np.concatenate((weights, weights))[order],
+            np.concatenate(([0], np.cumsum(cross)))[indptr], indices[cross])
 
 
 def _require_scaled(window: Window) -> np.ndarray:
@@ -176,27 +185,27 @@ def _window_graph(kind: str, windows: list[Window], visibility) -> Graph:
 
 
 def _visibility_edges(values: np.ndarray, horizontal: bool = False) -> tuple[np.ndarray, ...]:
-    """``(row, i, j)`` of the visibility edges of every row of ``values``. Anchor
-    i's grid holds the slopes (i, j) (NVG) or the heights ``values[j]`` (HVG,
-    ``horizontal``), -inf where j <= i; j is visible from i iff ``grid[j]``, and
-    for the HVG ``values[i]``, strictly exceed the grid's running maximum over
-    i < k < j. Anchors go in blocks over all rows at once; a block's grid holds
-    about 2**16 entries at most."""
-    n = values.shape[1]
+    """``(row, i, j)`` of the visibility edges of every row of ``values``, in
+    that order. Anchor i's grid holds the slopes (i, j) (NVG) or the heights
+    ``values[j]`` (HVG, ``horizontal``), -inf where j <= i; j is visible from
+    i iff ``grid[j]``, and for the HVG ``values[i]``, strictly exceed the
+    grid's running maximum over i < k < j. Anchors go in row-major blocks of
+    (row, anchor) pairs, each block's grid about 2**16 entries at most."""
+    rows, n = values.shape
     j = np.arange(n)
-    block = max(1, 2**16 // values.size)
+    block = max(1, 2**16 // n)
     parts = []
-    for lo in range(0, n - 1, block):
-        i = np.arange(lo, min(lo + block, n - 1))[:, None]
-        anchor = values[:, i]
-        grid = np.where(j > i, values[:, None, :] if horizontal
-                        else (values[:, None, :] - anchor) / (j - i).clip(1), -np.inf)
-        highest = np.maximum.accumulate(grid, axis=-1)[..., :-1]
-        visible = grid[..., 1:] > highest
+    for lo in range(0, rows * (n - 1), block):
+        row, i = np.divmod(np.arange(lo, min(lo + block, rows * (n - 1))), n - 1)
+        anchor, i = values[row, i][:, None], i[:, None]
+        grid = np.where(j > i, values[row] if horizontal
+                        else (values[row] - anchor) / np.maximum(j - i, 1), -np.inf)
+        highest = np.maximum.accumulate(grid, axis=-1)[:, :-1]
+        visible = grid[:, 1:] > highest
         if horizontal:
             visible &= anchor > highest
-        row, a, k = np.nonzero(visible)
-        parts.append((row, a + lo, k + 1))
+        a, k = np.nonzero(visible)
+        parts.append((row[a], i[a, 0], k + 1))
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
@@ -242,10 +251,14 @@ def build_multigraph(
 ) -> Graph:
     """Cross-ticker multigraph of one time segment: per-ticker NVGs, plus
     co-occurrence edges between tickers at equal time index and similar-value
-    edges between tickers whose scaled values differ by less than
-    ``similar_value_epsilon``. Nodes with equal time index and exactly equal
-    scaled value merge, numbered by first member; edges inside a merged node
-    drop and parallel edges of one kind add up as multiplicity."""
+    edges between tickers whose scaled values a, b have ``|a - b| <
+    similar_value_epsilon`` (none for 0, every cross-ticker pair for inf; a
+    negative or NaN epsilon raises ``ValueError`` first). Nodes with equal
+    time index and exactly equal scaled value merge, numbered by first
+    member; edges inside a merged node drop and parallel edges of one kind
+    add up as multiplicity. The edges reach ``Graph`` sorted."""
+    if not similar_value_epsilon >= 0:
+        raise ValueError(f"similar_value_epsilon must be >= 0, got {similar_value_epsilon!r}")
     if not windows:
         raise ValueError("at least one window required")
     start, n = windows[0].start_index, windows[0].length
@@ -263,15 +276,22 @@ def build_multigraph(
     time = np.tile(np.arange(n), len(windows))
 
     wi, i, j = _visibility_edges(scaled)
-    edges = [(wi * n + i, wi * n + j, VISIBILITY)]
-    block = max(1, 2**16 // n)  # later nodes per step: a grid of about 2**16 entries
-    for src in range(len(windows) - 1):
-        for lo in range((src + 1) * n, flat.size, block):
-            later = np.arange(lo, min(lo + block, flat.size))
-            edges.append((src * n + later % n, later, CO_OCCURRENCE))
-            ts, tl = np.nonzero(np.abs(scaled[src][:, None] - flat[lo:lo + block])
-                                < similar_value_epsilon)
-            edges.append((src * n + ts, later[tl], SIMILAR_VALUE))
+    # co-occurrence: node pairs (a * n + t, b * n + t) of windows a < b
+    a, b = np.multiply(np.triu_indices(len(windows), 1), n)[..., None] + np.arange(n)
+    # Similar-value pairs from one sorted sweep, each found from its smaller
+    # value x among the y up to the rounded x + epsilon, ties included, and
+    # kept if the exact predicate holds across windows. The bound loses no
+    # pair: |x - y| rounds to the float nearest y - x, so a float epsilon
+    # above it exceeds y - x, and rounding x + epsilon is monotone.
+    by_value = np.argsort(flat, kind="stable")
+    x = flat[by_value]
+    reach = np.searchsorted(x, x + similar_value_epsilon, "right") - np.arange(x.size) - 1
+    low = np.repeat(np.arange(x.size), reach)
+    high = low + 1 + np.arange(low.size) - np.repeat(np.cumsum(reach) - reach, reach)
+    p, q = by_value[low], by_value[high]
+    similar = (np.abs(x[low] - x[high]) < similar_value_epsilon) & (p // n != q // n)
+    edges = [(wi * n + i, wi * n + j, VISIBILITY), (a.ravel(), b.ravel(), CO_OCCURRENCE),
+             (p[similar], q[similar], SIMILAR_VALUE)]
 
     # merge nodes with equal time index and exactly equal scaled value; the
     # lexsort is stable, so each group's members stay in provisional order
@@ -279,8 +299,7 @@ def build_multigraph(
     starts = np.concatenate(([True], (np.diff(time[order]) != 0)
                              | (flat[order][1:] != flat[order][:-1])))
     first = order[starts]  # each group's smallest provisional id
-    node_of_group = np.argsort(np.argsort(first))
-    remap = node_of_group[np.cumsum(starts) - 1][np.argsort(order)]
+    remap = np.argsort(np.argsort(first))[np.cumsum(starts) - 1][np.argsort(order)]
     members = np.argsort(remap, kind="stable")
 
     heads, tails, kinds = zip(*edges)

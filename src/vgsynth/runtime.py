@@ -95,13 +95,25 @@ def write_runtime_log(records: list[RuntimeRecord], path: str | Path) -> None:
 
 
 def read_runtime_log(path: str | Path) -> list[RuntimeRecord]:
-    """Read a runtime log; a record without ``valid`` (older logs) is valid."""
+    """Read a runtime log; a record without ``valid`` (older logs) is valid.
+
+    A record that is not a complete JSON record, lacks a field, has a
+    non-integer ``elapsed_ms`` or an unknown ``unit_kind`` raises ValueError
+    naming ``path:line``.
+    """
     out = []
     with Path(path).open() as fh:
-        for line in fh:
-            rec = json.loads(line)
-            out.append(RuntimeRecord(unit_id=rec["unit_id"], method=rec["method"],
-                                     elapsed_ms=rec["elapsed_ms"],
-                                     unit_kind=rec["unit_kind"],
-                                     valid=rec.get("valid", True)))
+        for lineno, line in enumerate(fh, 1):
+            try:
+                rec = json.loads(line)
+                elapsed_ms = rec["elapsed_ms"]
+                if type(elapsed_ms) is not int:
+                    raise ValueError(f"elapsed_ms must be an integer, got {elapsed_ms!r}")
+                out.append(RuntimeRecord(unit_id=rec["unit_id"], method=rec["method"],
+                                         elapsed_ms=elapsed_ms, unit_kind=rec["unit_kind"],
+                                         valid=rec.get("valid", True)))
+            except KeyError as exc:
+                raise ValueError(f"{path}:{lineno}: record has no field {exc}") from exc
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{lineno}: malformed record: {exc}") from exc
     return out

@@ -262,6 +262,17 @@ class TestReportCommand:
     def test_empty_dir_exits_1(self, tmp_path):
         assert main(["report", "--out", str(tmp_path / "nothing")]) == 1
 
+    def test_truncated_runtime_log_exits_1_naming_the_line(self, tmp_path, corpus_csv, capsys):
+        out = tmp_path / "out"
+        assert main(["generate", "--input", str(corpus_csv), "--methods", "vrp",
+                     "--out", str(out)]) == 0
+        path = out / "runtime.jsonl"
+        path.write_text(path.read_text()[:-10])
+        line = len(path.read_text().splitlines())
+        capsys.readouterr()
+        assert main(["report", "--out", str(out)]) == 1
+        assert f"error: {path}:{line}: malformed record" in capsys.readouterr().err
+
 
 class TestSelftestCommand:
     def test_fresh_build_passes(self, capsys):

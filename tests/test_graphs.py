@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from vgsynth.corpus import make_desk_corpus
 from vgsynth.errors import SegmentMismatchError
-from vgsynth.graphs import (CO_OCCURRENCE, DEFAULT_SIMILAR_VALUE_EPSILON, KIND_CODE,
-                            NVMG, SIMILAR_VALUE, VISIBILITY, _require_scaled,
-                            _window_scale, build_hvg, build_multigraph, build_nvg,
-                            dump_graph, hvg_bruteforce, nvg_bruteforce)
+from vgsynth.graphs import (CO_OCCURRENCE, DEFAULT_SIMILAR_VALUE_EPSILON, EDGE_KINDS,
+                            KIND_CODE, NVMG, SIMILAR_VALUE, VISIBILITY, Graph,
+                            _require_scaled, _window_scale, build_hvg, build_multigraph,
+                            build_nvg, dump_graph, hvg_bruteforce, nvg_bruteforce)
 from vgsynth.ingest import Window, minmax_scale, slice_windows
 
 from conftest import (make_graph, make_prescaled_window, make_scaled_window,
@@ -143,6 +143,18 @@ class TestGraphInvariants:
         assert all(u != v for u, v, _ in g.edges)
         assert all(g.neighbor_ids(i).size >= 1 for i in range(g.num_nodes))
 
+    def test_adjacency_past_uint16_node_ids(self, rng):
+        # over 2**16 nodes the CSR's stable row sort runs on int64 ids; each
+        # window's rows must still be its own one-window graph's, shifted
+        windows = [random_scaled_window(rng, 20) for _ in range(3300)]
+        unit = build_nvg(windows)
+        assert unit.num_nodes > 2**16
+        for w in (0, 1700, 3299):
+            one, lo = build_nvg([windows[w]]), unit.indptr[w * 20]
+            np.testing.assert_array_equal(unit.indptr[w * 20:(w + 1) * 20 + 1] - lo, one.indptr)
+            np.testing.assert_array_equal(unit.indices[lo:unit.indptr[(w + 1) * 20]] - w * 20,
+                                          one.indices)
+
     def test_determinism(self, rng):
         raw = rng.random(25)
         a = build_nvg([make_scaled_window(raw)])
@@ -216,6 +228,29 @@ class TestMultigraph:
         assert kinds == {VISIBILITY}
         assert mg.num_nodes == 2
 
+    @pytest.mark.parametrize("epsilon", [-0.1, -1e-300, float("nan"), float("-inf")])
+    def test_negative_or_nan_epsilon_rejected_before_any_work(self, epsilon):
+        # no windows at all: the epsilon is checked first
+        message = f"similar_value_epsilon must be >= 0, got {epsilon!r}"
+        with pytest.raises(ValueError, match=message):
+            build_multigraph([], similar_value_epsilon=epsilon)
+        windows = [make_prescaled_window([0.2, 0.8], ticker=t) for t in "AB"]
+        with pytest.raises(ValueError, match=f"got {epsilon!r}"):
+            build_multigraph(windows, similar_value_epsilon=epsilon)
+
+    def test_zero_epsilon_links_no_values(self):
+        a = make_prescaled_window([0.2, 0.8, 0.5], ticker="A")
+        b = make_prescaled_window([0.8, 0.2, 0.5], ticker="B")  # 0.5 merges at time 2
+        mg = build_multigraph([a, b], similar_value_epsilon=0.0)
+        assert not any(kind == SIMILAR_VALUE for (_, _, kind) in mg.edges)
+
+    def test_infinite_epsilon_links_every_cross_window_pair(self, rng):
+        windows = [random_scaled_window(rng, 7, ticker=f"T{i}") for i in range(3)]
+        mg = build_multigraph(windows, similar_value_epsilon=float("inf"))
+        assert mg.num_nodes == 21  # continuous values: no merges
+        similar = {(u, v) for (u, v, kind) in mg.edges if kind == SIMILAR_VALUE}
+        assert similar == {(u, v) for u in range(21) for v in range(u + 1, 21) if u // 7 != v // 7}
+
 
 def test_dump_graph_format(tmp_path, rng):
     window = random_scaled_window(rng, 8)
@@ -244,8 +279,11 @@ class TestGraphConstructor:
     ], ids=["out_of_range", "reversed", "unknown_kind", "zero_multiplicity", "self_loop",
             "duplicate"])
     def test_bad_edge_rejected(self, u, v, kind, mult, message):
-        with pytest.raises(ValueError, match="^edge " + message):
-            make_graph([[0.0], [0.5], [1.0]], u, v, kind, mult)
+        # as given, then sorted by (u, v, kind): keys that strictly increase
+        # take the constructor's no-sort path, and a duplicate sits adjacent
+        for edges in (list(zip(u, v, kind, mult)), sorted(zip(u, v, kind, mult))):
+            with pytest.raises(ValueError, match="^edge " + message):
+                make_graph([[0.0], [0.5], [1.0]], *map(list, zip(*edges)))
 
     def test_unsorted_edges_are_sorted(self):
         g = make_graph([[0.0], [0.5], [1.0]], [1, 0, 0], [2, 2, 1],
@@ -255,6 +293,27 @@ class TestGraphConstructor:
                                          ((1, 2, VISIBILITY), 1)]
         np.testing.assert_array_equal(g.mult[g.indptr[0]:g.indptr[1]], [3, 2])
         np.testing.assert_array_equal(g.cross_indices[g.cross_indptr[2]:g.cross_indptr[3]], [0])
+
+    def test_builders_hand_over_sorted_edges(self, rng, monkeypatch):
+        # every builder's (u, v, kind) keys strictly increase, so no pipeline
+        # graph is re-sorted; 150 points run the visibility kernel in blocks
+        keys_increase = []
+        post_init = Graph.__post_init__
+
+        def spy(graph):
+            key = ((graph.edge_u * graph.num_nodes + graph.edge_v) * len(EDGE_KINDS)
+                   + graph.edge_kind)
+            keys_increase.append(bool((key[1:] > key[:-1]).all()))
+            post_init(graph)
+
+        monkeypatch.setattr(Graph, "__post_init__", spy)
+        for n in (20, 150):
+            ties = [make_scaled_window(rng.integers(0, 4, n), ticker=f"T{i}") for i in range(6)]
+            smooth = [random_scaled_window(rng, n, ticker=f"T{i}") for i in range(6)]
+            for windows in (ties, smooth):
+                for build in (build_nvg, build_hvg, build_multigraph):
+                    build(windows)
+        assert keys_increase == [True] * 12
 
     def test_edges_view_is_read_only(self, rng):
         g = build_nvg([random_scaled_window(rng, 10)])
@@ -495,3 +554,23 @@ def test_multigraph_matches_reference_on_ties(segment, epsilon):
         for t in range(segment[0].length - 1):
             u, v = row[t], row[t + 1]
             assert v in mg.neighbor_ids(u)
+
+
+@st.composite
+def ties_and_boundary_epsilon(draw):
+    """A tie-heavy segment and an epsilon at the edge of its similar-value
+    predicate: one of its pairwise scaled differences as is or one ulp off,
+    or 0 or inf."""
+    segment = draw(tie_segments)
+    values = np.concatenate([w.scaled_values for w in segment])
+    difference = draw(st.sampled_from(np.unique(np.abs(values[:, None] - values)).tolist()))
+    nudged = [np.nextafter(difference, -np.inf), difference, np.nextafter(difference, np.inf)]
+    epsilon = draw(st.sampled_from([0.0, np.inf] + [float(e) for e in nudged if e >= 0]))
+    return segment, epsilon
+
+
+@settings(deadline=None)
+@given(case=ties_and_boundary_epsilon())
+def test_similar_value_sweep_is_exact_at_its_boundary(case):
+    segment, epsilon = case
+    assert_matches_reference(segment, epsilon)

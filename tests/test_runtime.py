@@ -101,6 +101,24 @@ def test_log_without_valid_field_reads_as_valid(tmp_path):
     assert read_runtime_log(path) == [RuntimeRecord("t0", "nvg", 3)]
 
 
+GOOD_RECORD = '{"unit_id": "t0", "unit_kind": "ticker", "method": "nvg", "elapsed_ms": 3}'
+
+
+@pytest.mark.parametrize("record, problem", [
+    (GOOD_RECORD[:22], "malformed record: Unterminated string"),
+    ('{"unit_id": "t0", "method": "nvg", "elapsed_ms": 3}', "record has no field 'unit_kind'"),
+    (GOOD_RECORD.replace("3}", '"3"}'), "malformed record: elapsed_ms must be an integer, got '3'"),
+    (GOOD_RECORD.replace("3}", "3.5}"), "malformed record: elapsed_ms must be an integer, got 3.5"),
+    (GOOD_RECORD.replace("ticker", "desk"), "malformed record: unknown unit kind 'desk'"),
+], ids=["truncated", "missing_field", "string_elapsed", "float_elapsed", "unknown_unit_kind"])
+def test_malformed_log_record_names_the_line(tmp_path, record, problem):
+    path = tmp_path / "runtime.jsonl"
+    path.write_text(GOOD_RECORD + "\n" + record)  # a cut file ends without a newline
+    with pytest.raises(ValueError) as excinfo:
+        read_runtime_log(path)
+    assert str(excinfo.value).startswith(f"{path}:2: {problem}")
+
+
 def test_summary_table_contains_methods():
     records = [RuntimeRecord("t", "nvg", 39_000), RuntimeRecord("s", "nvmg", 65_000,
                                                                 unit_kind="segment")]
