@@ -19,11 +19,11 @@ from .ingest import TimeSeries
 BULL = {"drift": 0.008, "vol": 0.008}
 BEAR = {"drift": -0.008, "vol": 0.012}
 REGIME_STAY_PROB = 0.98
+START_PRICE = 100.0
 
 
-def make_desk_corpus(n_tickers: int = 20, n_days: int = 500, seed: int = 0,
-                     start_price: float = 100.0,
-                     stay_prob: float = REGIME_STAY_PROB) -> list[TimeSeries]:
+def make_desk_corpus(n_tickers: int = 20, n_days: int = 500,
+                     seed: int = 0) -> list[TimeSeries]:
     """Generate a corpus of regime-switching geometric random walks."""
     rng = np.random.default_rng(seed)
     first_day = date(2020, 1, 1)
@@ -31,13 +31,13 @@ def make_desk_corpus(n_tickers: int = 20, n_days: int = 500, seed: int = 0,
     out = []
     for t in range(n_tickers):
         regime = int(rng.integers(0, 2))
-        log_price = np.log(start_price * float(rng.uniform(0.5, 2.0)))
+        log_price = np.log(START_PRICE * float(rng.uniform(0.5, 2.0)))
         prices = np.empty(n_days)
         for i in range(n_days):
             params = BULL if regime == 0 else BEAR
             log_price += params["drift"] + params["vol"] * rng.standard_normal()
             prices[i] = np.exp(log_price)
-            if rng.random() > stay_prob:
+            if rng.random() > REGIME_STAY_PROB:
                 regime = 1 - regime
         out.append(TimeSeries(ticker=f"T{t:03d}", timestamps=dates, values=prices))
     return out

@@ -25,7 +25,9 @@ from .errors import UndefinedMetricError
 
 EARLY_EXAGGERATION = 12.0
 EXAGGERATION_ITERS = 250
+LEARNING_RATE = 200.0
 PERPLEXITY_TOL = 1e-5
+PERPLEXITY_STEPS = 100
 MAX_EMBED_POINTS = 2000
 
 
@@ -36,8 +38,8 @@ class Embedding:
     kl_trace: list[float]  # objective value per iteration
 
 
-def conditional_affinities(sq_distances: np.ndarray, perplexity: float,
-                           n_steps: int = 100) -> tuple[np.ndarray, np.ndarray]:
+def conditional_affinities(sq_distances: np.ndarray,
+                           perplexity: float) -> tuple[np.ndarray, np.ndarray]:
     """Row-stochastic Gaussian affinities matching the perplexity target.
 
     Returns (P, entropies): P[i] is a probability distribution over the other
@@ -55,7 +57,7 @@ def conditional_affinities(sq_distances: np.ndarray, perplexity: float,
         shift = d.min()
         ds = d - shift
         beta, beta_min, beta_max = 1.0, -np.inf, np.inf
-        for _ in range(n_steps):
+        for _ in range(PERPLEXITY_STEPS):
             w = np.exp(-ds * beta)
             s = w.sum()
             if s <= 0:
@@ -76,8 +78,7 @@ def conditional_affinities(sq_distances: np.ndarray, perplexity: float,
 
 
 def embed_2d(points, perplexity: float = 30.0, iterations: int = 1000,
-             seed: int = 0, max_points: int = MAX_EMBED_POINTS,
-             learning_rate: float = 200.0) -> Embedding:
+             seed: int = 0, max_points: int = MAX_EMBED_POINTS) -> Embedding:
     """Embed high-dimensional points into the plane.
 
     Inputs with more than ``max_points`` rows are subsampled (seeded,
@@ -150,7 +151,7 @@ def embed_2d(points, perplexity: float = 30.0, iterations: int = 1000,
         gains[inc] += 0.2
         gains[~inc] *= 0.8
         np.clip(gains, 0.01, None, out=gains)
-        update = momentum * update - learning_rate * gains * grad
+        update = momentum * update - LEARNING_RATE * gains * grad
         Y = Y + update
         Y = Y - Y.mean(axis=0)
 

@@ -50,8 +50,6 @@ class FeatureRow:
     variance: float
     value_range: float
     label: int
-    origin: str = "real"  # real | synthetic
-    group: str = ""  # ticker
 
     def vector(self) -> np.ndarray:
         return np.array([getattr(self, name) for name in FEATURE_NAMES], dtype=float)
@@ -95,7 +93,7 @@ def count_peaks(y: np.ndarray) -> int:
     return int(np.sum((inner > y[:-2]) & (inner > y[2:])))
 
 
-def extract_features(values: np.ndarray, origin: str = "real", group: str = "") -> FeatureRow:
+def extract_features(values: np.ndarray) -> FeatureRow:
     """Features over the first n-1 values; label from the final step.
 
     The label is 1 if the last value strictly exceeds the one before it,
@@ -117,8 +115,6 @@ def extract_features(values: np.ndarray, origin: str = "real", group: str = "") 
         variance=float(head.var()),
         value_range=float(head.max() - head.min()),
         label=int(values[-1] > values[-2]),
-        origin=origin,
-        group=group,
     )
 
 
@@ -447,8 +443,8 @@ def run_experiment(
     if not train_windows or not test_windows:
         raise ValueError("not enough windows for a chronological split")
 
-    real_train = [extract_features(w.raw_values, "real", w.ticker) for w in train_windows]
-    test_rows = [extract_features(w.raw_values, "real", w.ticker) for w in test_windows]
+    real_train = [extract_features(w.raw_values) for w in train_windows]
+    test_rows = [extract_features(w.raw_values) for w in test_windows]
     test_X, test_y = _arrays(test_rows)
 
     train_starts = {}
@@ -463,7 +459,7 @@ def run_experiment(
     for method, sequences in synthetic_by_method.items():
         usable = [s for s in sequences
                   if s.window_start in train_starts.get(s.ticker, ())]
-        synth_rows = [extract_features(s.values, "synthetic", s.ticker) for s in usable]
+        synth_rows = [extract_features(s.values) for s in usable]
         if not synth_rows:
             # mixing zero synthetic rows degenerates to the real training set
             plans[method] = (0, 0, None)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import GraphIntegrityError
 from .graphs import Graph
-from .ingest import Window, inverse_transform
+from .ingest import Window, inverse_transform, minmax_scale
 
 NODE_STRATEGIES = (
     "uniform_random",
@@ -74,8 +74,10 @@ class WalkConfig:
 class SyntheticSequence:
     """Generated sequence plus provenance.
 
-    ``values`` are in price space; ``scaled_values`` is the walk output in
-    [0, 1] (None only if the source window was never scaled).
+    ``values`` are in price space and ``scale_min``/``scale_max`` are the
+    source window's min-max map. ``scaled_values`` is the walk output in
+    [0, 1]; a sequence read back from a file carries None, and evaluation
+    maps ``values`` with the scale instead.
     """
 
     values: np.ndarray
@@ -146,7 +148,9 @@ def generate_sequence(
     """Walk ``graph`` from window position ``window`` and emit a sequence of
     ``config.target_length`` values: the walk starts at the window's first
     node, jumps uniformly within the window's node range, and takes the
-    window's ticker, start and scale.
+    ticker, start and scale of its source window, ``graph.windows[window]``.
+    The walk's scaled values are mapped to prices with that window's
+    ``(scale_min, scale_max)`` by :func:`~vgsynth.ingest.inverse_transform`.
 
     Every draw comes from ``np.random.default_rng(config.seed)``, replayed
     by :func:`replay_draws`; a step makes the draws listed under "Seed
@@ -206,37 +210,29 @@ def generate_sequence(
         current = indices[lo + integers(hi - lo)]
 
     scaled_arr = np.array(scaled, dtype=float)
-    scale_min, scale_max, is_constant = graph.scale_for(window)
-    values = inverse_transform(scaled_arr, scale_min, scale_max, is_constant)
     source = graph.windows[window]
-    return SyntheticSequence(values=values, scaled_values=scaled_arr, method=graph.kind,
-                             ticker=source.ticker, window_start=source.start_index,
-                             seed=config.seed, scale_min=scale_min, scale_max=scale_max)
+    return SyntheticSequence(
+        values=inverse_transform(scaled_arr, source.scale_min, source.scale_max),
+        scaled_values=scaled_arr, method=graph.kind, ticker=source.ticker,
+        window_start=source.start_index, seed=config.seed,
+        scale_min=source.scale_min, scale_max=source.scale_max)
 
 
 def vrp_generate(window: Window, seed: int = 0) -> SyntheticSequence:
-    """Shuffle-baseline: a uniformly random permutation of the window values."""
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(window.length)
-    values = window.raw_values[perm]
-    scaled = window.scaled_values[perm] if window.scaled_values is not None else None
-    lo = window.scale_min if window.scale_min is not None else float(window.raw_values.min())
-    hi = window.scale_max if window.scale_max is not None else float(window.raw_values.max())
+    """Shuffle-baseline: a uniformly random permutation of the window values,
+    which is min-max scaled first if it is not yet."""
+    if window.scaled_values is None:
+        window = minmax_scale(window)
+    perm = np.random.default_rng(seed).permutation(window.length)
     return SyntheticSequence(
-        values=values,
-        scaled_values=scaled,
-        method="vrp",
-        ticker=window.ticker,
-        window_start=window.start_index,
-        seed=seed,
-        scale_min=lo,
-        scale_max=hi,
-    )
+        values=window.raw_values[perm], scaled_values=window.scaled_values[perm],
+        method="vrp", ticker=window.ticker, window_start=window.start_index, seed=seed,
+        scale_min=window.scale_min, scale_max=window.scale_max)
 
 
-def dtw_distances(candidates, reference) -> np.ndarray:
-    """Dynamic time warping distance of each candidate to ``reference``, one
-    sequence shared by all candidates or a list of one row per candidate.
+def dtw_distances(candidates, references) -> np.ndarray:
+    """Dynamic time warping distance of each candidate to its own row of
+    ``references``, which holds one sequence per candidate.
 
     Absolute-difference local cost, full alignment, no window constraint.
     All candidates share one anti-diagonal wavefront: step d fills the cells
@@ -249,11 +245,11 @@ def dtw_distances(candidates, reference) -> np.ndarray:
     depends only on cells (i <= n, j <= m), so the padding never reaches it.
     """
     rows = [np.asarray(c, dtype=float) for c in candidates]
-    shared = not len(reference) or np.ndim(reference[0]) == 0
-    refs = [np.asarray(r, dtype=float) for r in ([reference] if shared else reference)]
-    if not rows or len(refs) not in (1, len(rows)) or any(r.size == 0 for r in rows + refs):
-        raise ValueError("dtw_distances requires candidates, one reference row or one per "
-                         "candidate, and non-empty sequences")
+    refs = [np.asarray(r, dtype=float) for r in references]
+    if not rows or len(refs) != len(rows) or any(r.ndim != 1 or r.size == 0
+                                                 for r in rows + refs):
+        raise ValueError("dtw_distances requires candidates, one reference row per "
+                         "candidate, and non-empty one-dimensional sequences")
     # a[k, i] and b[k, j]: value i of candidate k and value j of its reference, 1-based
     a, b = (np.zeros((len(x), 1 + max(r.size for r in x))) for x in (rows, refs))
     for padded, x in ((a, rows), (b, refs)):
@@ -281,7 +277,7 @@ def dtw_distances(candidates, reference) -> np.ndarray:
 
 def dtw_distance(a: np.ndarray, b: np.ndarray) -> float:
     """DTW distance of one pair; symmetric in its arguments."""
-    return float(dtw_distances([a], b)[0])
+    return float(dtw_distances([a], [b])[0])
 
 
 def dtw_bruteforce(a: np.ndarray, b: np.ndarray) -> float:

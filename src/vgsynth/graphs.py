@@ -134,9 +134,6 @@ class Graph:
         """Node holding the first time index of window position ``window``."""
         return int(self.node_of[window, 0])
 
-    def scale_for(self, window: int = 0) -> tuple[float, float, bool]:
-        return _window_scale(self.windows[window])
-
 
 def _csr(u: np.ndarray, v: np.ndarray, kind: np.ndarray, weights: np.ndarray, n: int):
     """Symmetric CSR ``(indptr, indices, summed weights)`` of edges u < v sorted by
@@ -162,10 +159,6 @@ def _require_scaled(window: Window) -> np.ndarray:
     if window.scaled_values is None:
         raise ValueError("window must be min-max scaled before graph construction")
     return np.asarray(window.scaled_values, dtype=float)
-
-
-def _window_scale(window: Window) -> tuple[float, float, bool]:
-    return (float(window.scale_min), float(window.scale_max), bool(window.is_constant))
 
 
 def _window_graph(kind: str, windows: list[Window], visibility) -> Graph:

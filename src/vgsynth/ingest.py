@@ -1,6 +1,12 @@
 """Load per-ticker close-price series, slice them into fixed-length windows,
 and apply reversible min-max scaling.
 
+This module owns the min-max map: :func:`forward_transform` takes prices to
+[0, 1] with a window's ``(scale_min, scale_max)`` and :func:`inverse_transform`
+takes them back. A window whose ``scale_max`` does not exceed its
+``scale_min`` is constant: it scales to 0.5 everywhere and inverts to
+``scale_min``. Graphs, walks and evaluation all go through these two maps.
+
 Input files are comma-delimited text with header ``date,ticker,close`` and
 ISO-8601 dates. A missing close is encoded as an empty field; unparseable
 closes are treated as missing as well.
@@ -52,8 +58,7 @@ class Window:
 
     ``scaled_values`` and the scale parameters are filled in by
     :func:`minmax_scale`; a freshly sliced window carries raw values only.
-    A constant window scales every value to 0.5 and sets ``is_constant`` so
-    the inverse transform can restore the original level.
+    A constant window (``scale_min == scale_max``) scales every value to 0.5.
     """
 
     ticker: str
@@ -62,7 +67,6 @@ class Window:
     scale_min: float | None = None
     scale_max: float | None = None
     scaled_values: np.ndarray | None = None
-    is_constant: bool = False
 
     def __post_init__(self):
         self.raw_values = np.asarray(self.raw_values, dtype=float)
@@ -157,30 +161,24 @@ def slice_windows(series: TimeSeries, length: int, stride: int | None = None) ->
 
 
 def minmax_scale(window: Window) -> Window:
-    """Return a copy of ``window`` with values scaled to [0, 1].
+    """Return a copy of ``window`` with values scaled to [0, 1] by
+    :func:`forward_transform` over its own minimum and maximum.
 
-    The minimum maps to 0 and the maximum to 1. A constant window maps every
-    value to 0.5 and sets the constant flag.
+    The minimum maps to 0 and the maximum to 1; a constant window maps every
+    value to 0.5.
     """
     raw = window.raw_values
     if np.isnan(raw).any():
         raise ValueError(f"{window.ticker}@{window.start_index}: window contains missing values")
     lo = float(raw.min())
     hi = float(raw.max())
-    if hi > lo:
-        scaled = (raw - lo) / (hi - lo)
-        constant = False
-    else:
-        scaled = np.full_like(raw, 0.5)
-        constant = True
     return Window(
         ticker=window.ticker,
         start_index=window.start_index,
         raw_values=raw.copy(),
         scale_min=lo,
         scale_max=hi,
-        scaled_values=scaled,
-        is_constant=constant,
+        scaled_values=forward_transform(raw, lo, hi),
     )
 
 
@@ -191,16 +189,23 @@ def inverse_scale(window: Window) -> Window:
     """
     if window.scaled_values is None or window.scale_min is None or window.scale_max is None:
         raise ValueError("window has not been scaled")
-    raw = inverse_transform(window.scaled_values, window.scale_min, window.scale_max,
-                            window.is_constant)
+    raw = inverse_transform(window.scaled_values, window.scale_min, window.scale_max)
     return Window(ticker=window.ticker, start_index=window.start_index, raw_values=raw)
 
 
-def inverse_transform(scaled: np.ndarray, scale_min: float, scale_max: float,
-                      is_constant: bool = False) -> np.ndarray:
-    """Inverse of the min-max map for an arbitrary array of scaled values."""
+def forward_transform(values: np.ndarray, scale_min: float, scale_max: float) -> np.ndarray:
+    """The min-max map of ``[scale_min, scale_max]`` onto [0, 1], for an
+    arbitrary array of prices; 0.5 everywhere when ``scale_max <= scale_min``."""
+    values = np.asarray(values, dtype=float)
+    if scale_max > scale_min:
+        return (values - scale_min) / (scale_max - scale_min)
+    return np.full_like(values, 0.5)
+
+
+def inverse_transform(scaled: np.ndarray, scale_min: float, scale_max: float) -> np.ndarray:
+    """Inverse of :func:`forward_transform` for an arbitrary array of scaled
+    values; ``scale_min`` everywhere when ``scale_max <= scale_min``."""
     scaled = np.asarray(scaled, dtype=float)
-    if is_constant or scale_max <= scale_min:
+    if scale_max <= scale_min:
         return np.full_like(scaled, scale_min)
     return scale_min + scaled * (scale_max - scale_min)
-

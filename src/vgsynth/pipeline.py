@@ -21,7 +21,8 @@ from .evaluate import EvalReport, run_experiment
 from .generate import (SyntheticSequence, WalkConfig, derive_seed, downsample, ds_indices,
                        generate_sequence, vrp_generate)
 from .graphs import DEFAULT_SIMILAR_VALUE_EPSILON, Graph, build_hvg, build_multigraph, build_nvg
-from .ingest import TimeSeries, Window, load_series, minmax_scale, slice_windows
+from .ingest import (TimeSeries, Window, forward_transform, load_series, minmax_scale,
+                     slice_windows)
 from .runtime import RuntimeRecord, aggregate, time_unit
 
 METHODS = ("nvg", "hvg", "nvmg", "vrp")
@@ -291,6 +292,10 @@ def read_sequences(path: str | Path,
                    windows_by_key: dict[tuple[str, int], Window]) -> list[SyntheticSequence]:
     """Read generated sequences and re-attach each one's source-window scale.
 
+    A sequence read back holds its prices and its window's
+    ``(scale_min, scale_max)``, and no scaled values: evaluation maps the
+    prices with that scale, as it does for sequences generated in-process.
+
     Every record's (ticker, window_start) must name one of the windows in
     ``windows_by_key`` and hold as many values as that window. A record that
     does not, or is not a complete JSON record, raises ValueError naming
@@ -317,28 +322,14 @@ def read_sequences(path: str | Path,
             if values.shape != (window.length,) and wrong_length is None:
                 wrong_length = ValueError(f"{path}:{lineno}: {values.size} values for a "
                                           f"window of length {window.length}")
-            lo, hi = window.scale_min, window.scale_max
-            scaled = (values - lo) / (hi - lo) if hi > lo else np.full_like(values, 0.5)
             out.append(SyntheticSequence(
-                values=values, scaled_values=scaled, method=method, ticker=key[0],
-                window_start=key[1], seed=seed, scale_min=lo, scale_max=hi,
+                values=values, scaled_values=None, method=method, ticker=key[0],
+                window_start=key[1], seed=seed, scale_min=window.scale_min,
+                scale_max=window.scale_max,
             ))
     if wrong_length is not None:
         raise wrong_length
     return out
-
-
-def scaled_vectors(sequences: list[SyntheticSequence]) -> np.ndarray:
-    """Stack sequences as scaled feature vectors for the embedding."""
-    rows = []
-    for seq in sequences:
-        if seq.scaled_values is not None:
-            rows.append(seq.scaled_values)
-        elif seq.scale_max > seq.scale_min:
-            rows.append((seq.values - seq.scale_min) / (seq.scale_max - seq.scale_min))
-        else:
-            rows.append(np.full_like(seq.values, 0.5))
-    return np.array(rows)
 
 
 def run_evaluation(
@@ -348,7 +339,10 @@ def run_evaluation(
     runtime_records: list[RuntimeRecord] | None = None,
     with_embedding: bool = True,
 ) -> tuple[EvalReport, dict[str, OverlapResult]]:
-    """Run the classification experiment and the embedding diagnostic."""
+    """Run the classification experiment and the embedding diagnostic. The
+    embedding reads a sequence as its prices mapped by its source window's
+    scale, so a sequence embeds the same whether generated in-process or
+    read back by :func:`read_sequences`."""
     config.validate()
     windows_by_ticker = prepare_windows(config, series_list)
     all_windows = [w for ws in windows_by_ticker.values() for w in ws]
@@ -373,8 +367,10 @@ def run_evaluation(
         for method, sequences in sequences_by_method.items():
             if not sequences:
                 continue
+            synthetic_vectors = np.array([forward_transform(s.values, s.scale_min, s.scale_max)
+                                          for s in sequences])
             overlap = embedding_overlap(
-                real_vectors, scaled_vectors(sequences),
+                real_vectors, synthetic_vectors,
                 perplexity=config.perplexity, iterations=config.embed_iterations,
                 seed=config.seed, k=config.mixing_k,
                 max_points=config.embed_max_points,

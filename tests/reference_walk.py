@@ -108,8 +108,8 @@ def reference_generate_sequence(
         scaled.append(next_value(graph, current, config.value_policy, state))
 
     scaled_arr = np.array(scaled, dtype=float)
-    scale_min, scale_max, is_constant = graph.scale_for(window)
-    values = inverse_transform(scaled_arr, scale_min, scale_max, is_constant)
+    scale_min, scale_max = graph.windows[window].scale_min, graph.windows[window].scale_max
+    values = inverse_transform(scaled_arr, scale_min, scale_max)
     return SyntheticSequence(
         values=values,
         scaled_values=scaled_arr,

@@ -8,6 +8,7 @@ from vgsynth import cli
 from vgsynth.cli import cmd_selftest, main
 from vgsynth.corpus import make_desk_corpus, write_corpus_csv
 from vgsynth.graphs import build_nvg
+from vgsynth.pipeline import RunConfig, run_evaluation, run_generation
 
 
 @pytest.fixture(scope="module")
@@ -245,6 +246,32 @@ class TestEvaluateCommand:
         cfg = config_file(tmp_path, corpus_csv, out)
         assert main(["evaluate", "--config", str(cfg)]) == 1
         assert "sequences_vrp.jsonl" in capsys.readouterr().err
+
+    def test_report_equals_the_in_process_report(self, tmp_path):
+        """``vgsynth generate`` then ``vgsynth evaluate`` report what
+        ``run_generation`` then ``run_evaluation`` do, for every method with
+        the embedding on: a graph walk's prices, read back from the file,
+        embed the same points as the sequences generated in-process."""
+        corpus = tmp_path / "prices.csv"
+        write_corpus_csv(make_desk_corpus(6, 200, seed=5), corpus)
+        out = tmp_path / "out"
+        cfg = config_file(tmp_path, corpus, out, seed=3,
+                          methods=["nvg", "hvg", "nvmg", "vrp"],
+                          sequences_per_window=10, downsample={"mode": "simds", "k": 1},
+                          evaluation={"perplexity": 10.0, "embed_iterations": 100,
+                                      "mixing_k": 5})
+        assert main(["generate", "--config", str(cfg)]) == 0
+        assert main(["evaluate", "--config", str(cfg)]) == 0
+        from_cli = json.loads((out / "report.json").read_text())
+
+        config = RunConfig.from_file(cfg)
+        report, _ = run_evaluation(config, run_generation(config)[0])
+        in_process = json.loads(json.dumps(report.to_dict()))
+        for fields in (from_cli, in_process):
+            del fields["runtime_totals_ms"]  # timings
+        assert sorted(in_process["methods"]) == ["hvg", "nvg", "nvmg", "vrp"]
+        assert all(m["mixing_score"] is not None for m in in_process["methods"].values())
+        assert from_cli == in_process
 
 
 class TestReportCommand:

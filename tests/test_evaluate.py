@@ -105,7 +105,7 @@ def blob_rows(rng, n=100, separation=6.0):
         center = np.zeros(8) if label == 0 else np.full(8, separation)
         for _ in range(n // 2):
             vec = center + rng.standard_normal(8)
-            rows.append(FeatureRow(*vec, label=label, origin="real", group="g"))
+            rows.append(FeatureRow(*vec, label=label))
     return rows
 
 
@@ -206,7 +206,7 @@ class TestRunExperiment:
     def test_shuffled_test_labels_give_chance_auc(self, rng):
         windows = trending_windows(rng)
         train, _, test = chronological_split(windows)
-        rows = [extract_features(w.raw_values, "real", w.ticker) for w in train]
+        rows = [extract_features(w.raw_values) for w in train]
         model = LogisticClassifier().fit(*xy(rows))
         test_X = np.array([extract_features(w.raw_values).vector() for w in test])
         labels = np.array([extract_features(w.raw_values).label for w in test])

@@ -12,7 +12,7 @@ from vgsynth.corpus import make_desk_corpus
 from vgsynth.errors import SegmentMismatchError
 from vgsynth.graphs import (CO_OCCURRENCE, DEFAULT_SIMILAR_VALUE_EPSILON, EDGE_KINDS,
                             KIND_CODE, NVMG, SIMILAR_VALUE, VISIBILITY, Graph,
-                            _require_scaled, _window_scale, build_hvg, build_multigraph,
+                            _require_scaled, build_hvg, build_multigraph,
                             build_nvg, dump_graph, hvg_bruteforce, nvg_bruteforce)
 from vgsynth.ingest import Window, minmax_scale, slice_windows
 
@@ -346,7 +346,6 @@ class ReferenceGraph:
     nodes: list[GraphNode]
     edges: dict[tuple[int, int, str], int]
     merge_map: dict[tuple[str, int], int]
-    scales: dict[str, tuple[float, float, bool]]
     _adjacency: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
     _multiplicities: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
     _cross: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
@@ -451,7 +450,6 @@ def reference_build_multigraph(
         nodes=nodes,
         edges=edges,
         merge_map=merge_map,
-        scales={w.ticker: _window_scale(w) for w in windows},
     )
 
 

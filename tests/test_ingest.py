@@ -144,12 +144,12 @@ class TestMinMaxScale:
         scaled = minmax_scale(make_window([2, 4, 6]))
         np.testing.assert_allclose(scaled.scaled_values, [0.0, 0.5, 1.0])
         assert scaled.scale_min == 2 and scaled.scale_max == 6
-        assert not scaled.is_constant
+        assert scaled.scale_min != scaled.scale_max
 
     def test_constant_window(self):
         scaled = minmax_scale(make_window([7, 7, 7]))
         np.testing.assert_allclose(scaled.scaled_values, [0.5, 0.5, 0.5])
-        assert scaled.is_constant
+        assert scaled.scale_min == scaled.scale_max
         restored = inverse_scale(scaled)
         np.testing.assert_allclose(restored.raw_values, [7, 7, 7])
 
