@@ -18,8 +18,8 @@ from .generate import (SyntheticSequence, WalkConfig, derive_seed, downsample,
                        dtw_distance, dtw_distances, generate_sequence,
                        vrp_generate)
 from .graphs import Graph, build_hvg, build_multigraph, build_nvg, dump_graph
-from .ingest import (TimeSeries, Window, inverse_scale, load_series,
-                     minmax_scale, slice_windows)
+from .ingest import (TimeSeries, Window, load_series, minmax_scale,
+                     slice_windows)
 from .pipeline import RunConfig, run_evaluation, run_generation
 from .runtime import RuntimeRecord, aggregate, format_duration, time_unit
 
@@ -34,7 +34,7 @@ __all__ = [
     "chronological_split", "derive_seed", "downsample", "dtw_distance",
     "dtw_distances", "dump_graph", "embed_2d", "embedding_overlap",
     "extract_features", "format_duration", "generate_sequence",
-    "inverse_scale", "load_series", "make_desk_corpus", "minmax_scale",
+    "load_series", "make_desk_corpus", "minmax_scale",
     "mixing_score", "roc_auc", "run_evaluation",
     "run_experiment", "run_generation", "slice_windows", "time_unit",
     "vrp_generate", "write_corpus_csv",

@@ -31,11 +31,6 @@ FEATURE_NAMES = (
     "value_range",
 )
 
-# Bound on the probabilities a group's descent keeps, over all of its
-# training sets, for one block of iterations until it computes their
-# losses: 2^16 float64, 512 KiB
-_LOSS_BLOCK_ELEMENTS = 2**16
-
 
 @dataclass
 class FeatureRow:
@@ -179,7 +174,7 @@ class LogisticClassifier:
         self.bias = 0.0
         self.mean_ = None
         self.scale_ = None
-        self.loss_history_: list[float] = []
+        self.n_iter_ = 0
 
     def _standardize(self, X: np.ndarray) -> np.ndarray:
         if self.mean_ is None:
@@ -205,9 +200,10 @@ def fit_classifiers(models: list[LogisticClassifier],
     Training sets of one shape whose models share their hyperparameters
     descend together in one loop, so an iteration costs the same numpy
     calls for the whole group as for one set. Each set keeps its own step
-    size and tol stop, and its weights, bias and loss history are the bytes
-    a fit on that set alone gives. Every set is checked before any descent:
-    a set without both classes raises ValueError.
+    size and tol stop. Its weights, bias and stop iteration are the bytes a
+    fit on that set alone gives, whatever the grouping; ``n_iter_`` is its
+    number of gradient evaluations. Every set is checked before any
+    descent: a set without both classes raises ValueError.
     """
     prepared = [_prepare(model, X, y)
                 for model, (X, y) in zip(models, training_sets, strict=True)]
@@ -219,8 +215,8 @@ def fit_classifiers(models: list[LogisticClassifier],
         Z, y, steps = (np.stack(parts) for parts in zip(*(prepared[i] for i in members)))
         head = models[members[0]]
         fits = _descend(Z, y, steps, head.l2, head.max_iter, head.tol)
-        for i, (w, b, history) in zip(members, fits):
-            models[i].weights, models[i].bias, models[i].loss_history_ = w, b, history
+        for i, (w, b, n_iter) in zip(members, fits):
+            models[i].weights, models[i].bias, models[i].n_iter_ = w, b, n_iter
 
 
 def _prepare(model: LogisticClassifier, X: np.ndarray,
@@ -244,81 +240,59 @@ def _prepare(model: LogisticClassifier, X: np.ndarray,
 
 
 def _descend(Z: np.ndarray, y: np.ndarray, steps: np.ndarray, l2: float, max_iter: int,
-             tol: float) -> list[tuple[np.ndarray, float, list[float]]]:
+             tol: float) -> list[tuple[np.ndarray, float, int]]:
     """Gradient descent on a group of training sets: standardized features
     ``Z`` (B, m, d), labels ``y`` (B, m) and step sizes ``steps`` (B,).
-    Returns each set's weights, bias and loss history.
+    Returns each set's weights, bias and number of gradient evaluations.
 
     Each set gets the reductions a loop over that set alone makes: a
     matrix-vector matmul for Z @ w and Z.T @ r, a (1, d) @ (d, 1) matmul,
-    which is BLAS's dot, for w.w and g.g, and add.reduce over its m
-    contiguous residuals. A set whose gradient norm falls below ``tol``
-    records that iteration's loss and leaves the group, whose arrays are
-    then compacted.
+    which is BLAS's dot, for g.g, and add.reduce over its m contiguous
+    residuals. A set whose gradient norm falls below ``tol`` leaves the
+    group before its update, and the group's arrays are then compacted.
     """
     n, m, d = Z.shape
     live = list(range(n))  # input position of each set still descending
     fits: list = [None] * n
     # Per-set vectors carry a trailing axis of 1, so that they are the
-    # stacked matmul's operands as they stand. Weights and gradients share
-    # one array, so that one matmul gives every w.w and g.g.
+    # stacked matmul's operands as they stand.
     y, steps = y[:, :, None], steps[:, None, None]
-    WG = np.zeros((2, n, d, 1))
-    b, grad_b = np.zeros((n, 1, 1)), np.empty((n, 1, 1))
-    # Each iteration's probabilities and dot products wait in a block of
-    # rows, whose losses are computed together once the block fills, a set
-    # stops or the loop ends.
-    block = max(1, min(max_iter, _LOSS_BLOCK_ELEMENTS // (n * m)))
-    probs, dots = np.empty((block, n, m, 1)), np.empty((block, 2, n, 1, 1))
+    w, grad_w = np.zeros((n, d, 1)), np.empty((n, d, 1))
+    b, grad_b, gg = np.zeros((n, 1, 1)), np.empty((n, 1, 1)), np.empty((n, 1, 1))
     logits, residual, scaled = np.empty((n, m, 1)), np.empty((n, m, 1)), np.empty((n, d, 1))
-    one_minus_y = 1 - y
     two_l2 = 2.0 * l2
-    histories: list[list[float]] = [[] for _ in range(n)]
-    w, grad_w = WG
-    Zt, WGt = Z.transpose(0, 2, 1), WG.transpose(0, 1, 3, 2)
-    row = 0
-    for _ in range(max_iter):
+    Zt = Z.transpose(0, 2, 1)
+    for iteration in range(1, max_iter + 1):
         np.matmul(Z, w, out=logits)
         logits += b
-        p = _sigmoid(logits, out=probs[row])
-        np.subtract(p, y, out=residual)
+        _sigmoid(logits, out=residual)
+        residual -= y
         np.matmul(Zt, residual, out=grad_w)
         grad_w /= m
         np.multiply(two_l2, w, out=scaled)
         grad_w += scaled
         np.add.reduce(residual, axis=1, keepdims=True, out=grad_b)
         grad_b /= m
-        np.matmul(WGt, WG, out=dots[row])
-        stop = np.sqrt(dots[row, 1] + grad_b * grad_b) < tol
-        row += 1
+        np.matmul(grad_w.transpose(0, 2, 1), grad_w, out=gg)
+        stop = np.sqrt(gg + grad_b * grad_b) < tol
         if np.count_nonzero(stop):
             stop = stop.ravel()
-            _record_losses(histories, probs[:row], dots[:row], l2, y, one_minus_y)
-            row = 0
             for j in np.flatnonzero(stop):
-                fits[live[j]] = (w[j, :, 0].copy(), float(b[j, 0, 0]), histories[j])
+                fits[live[j]] = (w[j, :, 0].copy(), float(b[j, 0, 0]), iteration)
             keep = ~stop
             live = [i for i, kept in zip(live, keep) if kept]
             if not live:
                 return fits
-            histories = [h for h, kept in zip(histories, keep) if kept]
-            Z, y, one_minus_y, steps, b, grad_b = (
-                a[keep] for a in (Z, y, one_minus_y, steps, b, grad_b))
-            WG = WG[:, keep]
+            Z, y, steps, w, grad_w, b, grad_b = (
+                a[keep] for a in (Z, y, steps, w, grad_w, b, grad_b))
             k = len(live)
-            probs, dots = probs[:, :k], dots[:, :, :k]
-            logits, residual, scaled = logits[:k], residual[:k], scaled[:k]
-            w, grad_w = WG
-            Zt, WGt = Z.transpose(0, 2, 1), WG.transpose(0, 1, 3, 2)
+            logits, residual, scaled, gg = logits[:k], residual[:k], scaled[:k], gg[:k]
+            Zt = Z.transpose(0, 2, 1)
         np.multiply(steps, grad_w, out=scaled)
         w -= scaled
         b -= steps * grad_b
-        if row == block:
-            _record_losses(histories, probs, dots, l2, y, one_minus_y)
-            row = 0
-    _record_losses(histories, probs[:row], dots[:row], l2, y, one_minus_y)
     for j, i in enumerate(live):
-        fits[i] = (w[j, :, 0].copy(), float(b[j, 0, 0]), histories[j])
+        fits[i] = (w[j, :, 0].copy(), float(b[j, 0, 0]), max_iter)
     return fits
 
 
@@ -333,18 +307,6 @@ def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     denom = 1.0 + e
     out = np.divide(1.0, denom, out=out)
     return np.divide(e, denom, out=out, where=z < 0)
-
-
-def _record_losses(histories: list[list[float]], probs: np.ndarray, dots: np.ndarray,
-                   l2: float, y: np.ndarray, one_minus_y: np.ndarray) -> None:
-    """Append to each set's loss history the training loss of each row of
-    iteration probabilities (rows, B, m, 1): mean cross-entropy plus the L2
-    penalty from that iteration's w.w, ``dots[:, 0]``."""
-    eps = 1e-12
-    ce = -np.mean(y * np.log(probs + eps) + one_minus_y * np.log(1 - probs + eps), axis=2)
-    losses = ce[:, :, 0] + l2 * dots[:, 0, :, 0, 0]
-    for history, set_losses in zip(histories, losses.T.tolist()):
-        history += set_losses
 
 
 @dataclass

@@ -182,17 +182,6 @@ def minmax_scale(window: Window) -> Window:
     )
 
 
-def inverse_scale(window: Window) -> Window:
-    """Map a scaled window back to raw price space.
-
-    For constant windows every value is restored to ``scale_min``.
-    """
-    if window.scaled_values is None or window.scale_min is None or window.scale_max is None:
-        raise ValueError("window has not been scaled")
-    raw = inverse_transform(window.scaled_values, window.scale_min, window.scale_max)
-    return Window(ticker=window.ticker, start_index=window.start_index, raw_values=raw)
-
-
 def forward_transform(values: np.ndarray, scale_min: float, scale_max: float) -> np.ndarray:
     """The min-max map of ``[scale_min, scale_max]`` onto [0, 1], for an
     arbitrary array of prices; 0.5 everywhere when ``scale_max <= scale_min``."""

@@ -1,6 +1,9 @@
 """The gradient-descent loop that ``LogisticClassifier.fit`` replaced, kept
-verbatim as the reference it must equal byte for byte: numpy temporaries
-allocated every iteration, a masked sigmoid, and one loss per iteration.
+verbatim as the reference: numpy temporaries allocated every iteration and a
+masked sigmoid. A fit must equal it in weight and bias bytes, and its
+``n_iter_`` must equal the reference's ``len(loss_history_)``, the
+iteration at which it stopped. The reference also records one training loss
+per iteration, which the shipped loop does not.
 """
 
 from __future__ import annotations

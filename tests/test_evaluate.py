@@ -133,9 +133,16 @@ class TestClassifier:
         assert a.bias == pytest.approx(b.bias, abs=1e-9)
 
     def test_loss_non_increasing(self, rng):
-        rows = blob_rows(rng, n=80, separation=1.0)
-        model = LogisticClassifier(max_iter=300).fit(*xy(rows))
-        losses = np.array(model.loss_history_)
+        """The regularised cross-entropy of each iterate, from fits that stop
+        after 1, 2, ..., 300 iterations on the same rows."""
+        X, labels = xy(blob_rows(rng, n=80, separation=1.0))
+        losses = []
+        for k in range(1, 301):
+            model = LogisticClassifier(max_iter=k).fit(X, labels)
+            p = model.predict_proba(X)
+            ce = -np.mean(labels * np.log(p + 1e-12) + (1 - labels) * np.log(1 - p + 1e-12))
+            losses.append(ce + model.l2 * np.dot(model.weights, model.weights))
+        assert model.n_iter_ == 300
         assert np.all(np.diff(losses) <= 1e-12)
 
     def test_single_class_rejected(self, rng):

@@ -1,7 +1,7 @@
 """``LogisticClassifier.fit`` and ``fit_classifiers`` against the reference
-loop byte for byte: weights, bias and every loss of the history, across
-block sizes, early stops, groups of training sets and the sigmoid's two
-branches."""
+loop: weights and bias byte for byte and the stop iteration, across row
+counts, iteration limits, early stops, groups of training sets and the
+sigmoid's two branches."""
 
 import numpy as np
 import pytest
@@ -57,10 +57,7 @@ def spy_on_descent(monkeypatch):
 def assert_same_fit(model, reference):
     assert model.weights.tobytes() == reference.weights.tobytes()
     assert np.float64(model.bias).tobytes() == np.float64(reference.bias).tobytes()
-    assert len(model.loss_history_) == len(reference.loss_history_)
-    assert all(type(loss) is float for loss in model.loss_history_)
-    assert (np.array(model.loss_history_).tobytes()
-            == np.array(reference.loss_history_).tobytes())
+    assert model.n_iter_ == len(reference.loss_history_)
 
 
 @pytest.mark.parametrize("m", [40, 80])
@@ -79,40 +76,19 @@ def test_default_tol(m):
     assert_same_fit(*fit_both(X, y))
 
 
-def test_large_m_spans_blocks():
-    """2000 rows give blocks of 32 iterations: three full ones and a tail."""
-    X, y = fit_data(10, 2000)
-    assert_same_fit(*fit_both(X, y, max_iter=100, tol=0.0))
-
-
-def test_block_holds_at_most_the_bound(monkeypatch):
-    """With more rows than one block's bound, each block is one iteration."""
-    monkeypatch.setattr(evaluate, "_LOSS_BLOCK_ELEMENTS", 100)
-    X, y = fit_data(3, 150)
-    assert_same_fit(*fit_both(X, y, max_iter=40, tol=0.0))
-
-
-@pytest.mark.parametrize("where", ["inside", "last_row", "first_row"])
-def test_tol_stop_against_block_boundary(where, monkeypatch):
-    """A tol stop inside a block, on a block's last row (flushed after the
-    loop) and on the first row after a full block (flushed in the loop)."""
-    m = 60
-    X, y = fit_data(4, m, signal=0.5)
-    stop = len(ReferenceLogisticClassifier(tol=1e-4).fit(X, y).loss_history_)
-    assert 20 < stop < 10000
-    block = {"inside": stop // 2 + 3, "last_row": stop, "first_row": stop - 1}[where]
-    monkeypatch.setattr(evaluate, "_LOSS_BLOCK_ELEMENTS", m * block)
-    model, reference = fit_both(X, y, tol=1e-4)
-    assert len(reference.loss_history_) == stop
+@pytest.mark.parametrize("data, params", [
+    pytest.param(dict(seed=10, m=2000), dict(max_iter=100, tol=0.0), id="2000_rows"),
+    pytest.param(dict(seed=3, m=150), dict(max_iter=40, tol=0.0), id="150_rows"),
+    pytest.param(dict(seed=4, m=60, signal=0.5), dict(tol=1e-4), id="tol_stop"),
+    *(pytest.param(dict(seed=5, m=50), dict(max_iter=k, tol=0.0), id=f"max_iter_{k}")
+      for k in (1, 299, 300, 301, 1000)),
+])
+def test_stop_iteration(data, params):
+    """Runs to max_iter at tol 0, and stops mid-run (iteration 22) at tol 1e-4."""
+    model, reference = fit_both(*fit_data(**data), **params)
+    if params["tol"]:
+        assert 20 < len(reference.loss_history_) < reference.max_iter
     assert_same_fit(model, reference)
-
-
-@pytest.mark.parametrize("max_iter", [1, 299, 300, 301, 1000])
-def test_max_iter_not_a_block_multiple(max_iter, monkeypatch):
-    m = 50
-    monkeypatch.setattr(evaluate, "_LOSS_BLOCK_ELEMENTS", m * 300)
-    X, y = fit_data(5, m)
-    assert_same_fit(*fit_both(X, y, max_iter=max_iter, tol=0.0))
 
 
 def test_zero_variance_column():
@@ -185,26 +161,16 @@ def group_stopping_apart(m=60):
 
 
 def test_sets_stop_apart_and_one_runs_to_max_iter():
+    """Sets leave the group at their own tol stops, the first mid-run. With
+    max_iter between the last two stops one set runs to it; with the
+    default max_iter every set stops on tol."""
     sets, stops = group_stopping_apart()
     assert len(set(stops)) == len(stops) and max(stops) < 10000
-    max_iter = sorted(stops)[-2] + 7  # above every stop but the last
-    models = fit_group(sets, max_iter=max_iter)
-    assert sorted(len(model.loss_history_) for model in models) == sorted(stops)[:-1] + [max_iter]
-    assert_same_as_alone(models, sets, max_iter=max_iter)
-
-
-@pytest.mark.parametrize("where", ["inside", "last_row", "first_row"])
-def test_group_stop_against_block_boundary(where, monkeypatch):
-    """The first set to stop does so inside a block, on a block's last row
-    or on the first row after a full block; the bound counts the whole
-    group's probabilities, and the block keeps its length as sets leave."""
-    m = 60
-    sets, stops = group_stopping_apart(m)
-    first = min(stops)
-    assert 20 < first
-    block = {"inside": first // 2 + 3, "last_row": first, "first_row": first - 1}[where]
-    monkeypatch.setattr(evaluate, "_LOSS_BLOCK_ELEMENTS", len(sets) * m * block)
-    assert_same_as_alone(fit_group(sets), sets)
+    for max_iter in (sorted(stops)[-2] + 7, 10000):  # above every stop but the last; the default
+        models = fit_group(sets, max_iter=max_iter)
+        assert (sorted(model.n_iter_ for model in models)
+                == sorted(min(stop, max_iter) for stop in stops))
+        assert_same_as_alone(models, sets, max_iter=max_iter)
 
 
 def test_mixed_row_counts_in_input_order(monkeypatch):

@@ -22,7 +22,7 @@ from vgsynth.generate import (NODE_STRATEGIES, RESTART_JUMPS, VALUE_POLICIES,
                               SyntheticSequence, WalkConfig, downsample, ds_indices,
                               dtw_distance, generate_sequence)
 from vgsynth.graphs import build_hvg, build_multigraph, build_nvg
-from vgsynth.ingest import inverse_scale, load_series, slice_windows
+from vgsynth.ingest import inverse_transform, load_series, slice_windows
 
 from conftest import make_scaled_window
 
@@ -168,7 +168,8 @@ def test_auc_unchanged_by_doubling_scores(scored):
 def test_minmax_scale_inverts(raw):
     # rounding happens at the window's scale: [1e-4, -2048.0] restores 1e-4 as
     # 1.0000000002e-4, so the tolerance is relative to the largest magnitude
-    restored = inverse_scale(make_scaled_window(raw)).raw_values
+    w = make_scaled_window(raw)
+    restored = inverse_transform(w.scaled_values, w.scale_min, w.scale_max)
     np.testing.assert_allclose(restored, raw, rtol=0, atol=1e-9 * np.abs(raw).max())
 
 
