@@ -79,15 +79,27 @@ def test_default_tol(m):
 @pytest.mark.parametrize("data, params", [
     pytest.param(dict(seed=10, m=2000), dict(max_iter=100, tol=0.0), id="2000_rows"),
     pytest.param(dict(seed=3, m=150), dict(max_iter=40, tol=0.0), id="150_rows"),
-    pytest.param(dict(seed=4, m=60, signal=0.5), dict(tol=1e-4), id="tol_stop"),
     *(pytest.param(dict(seed=5, m=50), dict(max_iter=k, tol=0.0), id=f"max_iter_{k}")
       for k in (1, 299, 300, 301, 1000)),
 ])
 def test_stop_iteration(data, params):
-    """Runs to max_iter at tol 0, and stops mid-run (iteration 22) at tol 1e-4."""
+    """At tol 0 every fit runs to max_iter."""
     model, reference = fit_both(*fit_data(**data), **params)
-    if params["tol"]:
-        assert 20 < len(reference.loss_history_) < reference.max_iter
+    assert len(reference.loss_history_) == params["max_iter"]
+    assert_same_fit(model, reference)
+
+
+@pytest.mark.parametrize("where", ["inside", "last_row", "first_row"])
+def test_tol_stop_against_block_boundary(where):
+    """A tol stop against the run's boundary, max_iter: inside the run, on
+    its last iteration (the stop makes no update) and on the first
+    iteration after it (the run ends on an update, one short of the stop)."""
+    X, y = fit_data(4, 60, signal=0.5)
+    stop = len(ReferenceLogisticClassifier(tol=1e-4).fit(X, y).loss_history_)
+    assert 20 < stop < 10000
+    max_iter = {"inside": 10000, "last_row": stop, "first_row": stop - 1}[where]
+    model, reference = fit_both(X, y, max_iter=max_iter, tol=1e-4)
+    assert len(reference.loss_history_) == min(stop, max_iter)
     assert_same_fit(model, reference)
 
 
@@ -160,17 +172,31 @@ def group_stopping_apart(m=60):
     return sets, stops
 
 
+def assert_group_stops(sets, stops, max_iter):
+    """Each set leaves the group at its own tol stop or at max_iter."""
+    models = fit_group(sets, max_iter=max_iter)
+    assert (sorted(model.n_iter_ for model in models)
+            == sorted(min(stop, max_iter) for stop in stops))
+    assert_same_as_alone(models, sets, max_iter=max_iter)
+
+
 def test_sets_stop_apart_and_one_runs_to_max_iter():
-    """Sets leave the group at their own tol stops, the first mid-run. With
-    max_iter between the last two stops one set runs to it; with the
-    default max_iter every set stops on tol."""
+    """With max_iter between the last two stops one set runs to it."""
     sets, stops = group_stopping_apart()
     assert len(set(stops)) == len(stops) and max(stops) < 10000
-    for max_iter in (sorted(stops)[-2] + 7, 10000):  # above every stop but the last; the default
-        models = fit_group(sets, max_iter=max_iter)
-        assert (sorted(model.n_iter_ for model in models)
-                == sorted(min(stop, max_iter) for stop in stops))
-        assert_same_as_alone(models, sets, max_iter=max_iter)
+    assert_group_stops(sets, stops, max_iter=sorted(stops)[-2] + 7)
+
+
+@pytest.mark.parametrize("where", ["inside", "last_row", "first_row"])
+def test_group_stop_against_block_boundary(where):
+    """The first set's tol stop against the group's max_iter: inside the run
+    (the default max_iter, every set stops on tol), on its last iteration,
+    and on the first iteration after it (every set runs to max_iter)."""
+    sets, stops = group_stopping_apart()
+    first = min(stops)
+    assert 20 < first and max(stops) < 10000
+    max_iter = {"inside": 10000, "last_row": first, "first_row": first - 1}[where]
+    assert_group_stops(sets, stops, max_iter)
 
 
 def test_mixed_row_counts_in_input_order(monkeypatch):
