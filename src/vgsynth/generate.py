@@ -98,46 +98,24 @@ class SyntheticSequence:
 _LOW32 = 0xFFFFFFFF
 
 
-def _raw_words(bitgen, k: int):
-    """The bit generator's raw 64-bit words as Python ints, drawn ``k`` at a time."""
-    while True:
-        yield from bitgen.random_raw(k).tolist()
-
-
-def replay_draws(seed: int, k: int):
-    """``(random, integers)`` that return exactly what ``random()`` and
-    ``integers(0, n)`` of ``np.random.default_rng(seed)`` return, called in
-    the same order, from its raw PCG64 words drawn ``k`` at a time.
-
-    ``random()`` is the word's top 53 bits times 2**-53. ``integers(n)``
-    draws nothing for n = 1; otherwise it is Lemire's bounded method on a
-    32-bit value, the low half of a fresh word or the high half saved by the
-    previous such call (a ``random()`` in between leaves it saved): with
-    m = x·n it rejects while m mod 2**32 < (2**32 − n) mod n and returns
-    m >> 32. It covers 1 <= n <= 2**32.
-    """
-    words = _raw_words(np.random.PCG64(seed), k)
-    half = None
-
-    def random() -> float:
-        return (next(words) >> 11) * 2.0**-53
-
-    def integers(n: int) -> int:
-        nonlocal half
-        if n == 1:
-            return 0
-        while True:
-            if half is None:
-                word = next(words)
-                x, half = word & _LOW32, word >> 32
-            else:
-                x, half = half, None
-            m = x * n
-            low = m & _LOW32
-            if low >= n or low >= (0x100000000 - n) % n:
-                return m >> 32
-
-    return random, integers
+def _lemire_reject(n: int, m: int, words: list[int], pos: int, half: int,
+                   bitgen: np.random.PCG64) -> tuple[int, int, int]:
+    """Finish a bounded draw ``integers(0, n)`` whose first product ``m`` has
+    a low half below ``n``: Lemire's method rejects while that low half is
+    below ``(2**32 - n) % n`` and tries the next 32-bit value. Each retry
+    first appends one word to ``words``, so the walk's list stays long
+    enough. Returns the accepted product and the walk's new ``(pos, half)``."""
+    threshold = (0x100000000 - n) % n
+    while (m & _LOW32) < threshold:
+        words += bitgen.random_raw(1).tolist()
+        if half < 0:
+            word = words[pos]
+            pos += 1
+            x, half = word & _LOW32, word >> 32
+        else:
+            x, half = half, -1
+        m = x * n
+    return m, pos, half
 
 
 def generate_sequence(
@@ -152,9 +130,9 @@ def generate_sequence(
     The walk's scaled values are mapped to prices with that window's
     ``(scale_min, scale_max)`` by :func:`~vgsynth.ingest.inverse_transform`.
 
-    Every draw comes from ``np.random.default_rng(config.seed)``, replayed
-    by :func:`replay_draws`; a step makes the draws listed under "Seed
-    contract v1" in the README.
+    Every draw is the one ``np.random.default_rng(config.seed)`` would make,
+    replayed from its raw PCG64 words; a step makes the draws listed under
+    "Seed contract v1" in the README.
     """
     config.validate()
     first, past = graph.node_range[window].tolist()
@@ -163,6 +141,9 @@ def generate_sequence(
         raise ValueError(f"start_node {start} not in {first}..{past - 1}")
     indptr, indices, cross_indptr, cross_indices = graph.walk_csr
     node_values = graph.node_values
+    # a uniform move draws an offset into the window's node range, read as
+    # ids the way a neighbour offset is read from ``indices``
+    nodes = range(past)
     strategy = config.node_strategy
     restart = strategy == "restart_random"
     uniform = strategy == "uniform_random" or (restart and config.restart_jump == "uniform")
@@ -170,9 +151,18 @@ def generate_sequence(
     weighted = strategy == "degree_weighted"
     restart_prob, switch_prob = config.restart_prob, config.switch_prob
     round_robin = config.value_policy == "round_robin"
-    # a step draws at most one double and two 32-bit halves, so a walk
-    # seldom needs more words than this (only after a Lemire rejection)
-    random, integers = replay_draws(config.seed, 2 * config.target_length)
+    length = config.target_length
+    # The draws read the generator's raw words from ``words`` at ``pos``.
+    # random() is a word's top 53 bits times 2**-53. integers(0, n) draws
+    # nothing for n = 1; otherwise it takes a 32-bit x, the low half of the
+    # next word or the high half ``half`` saved by the previous such draw
+    # (-1 when none is saved), and returns (x * n) >> 32 unless the low half
+    # of x * n is below n, where _lemire_reject decides. The first value
+    # takes at most a half word and each step at most two words, so without
+    # a rejection 2 * length words last the walk.
+    bitgen = np.random.PCG64(config.seed)
+    words = bitgen.random_raw(2 * length).tolist()
+    pos, half = 0, -1
     cursors: dict[int, int] = {}
     scaled = []
     current = start
@@ -186,28 +176,54 @@ def generate_sequence(
             cursors[current] = (cursor + 1) % count
             scaled.append(values[cursor])
         else:
-            scaled.append(values[integers(count)])
-        if len(scaled) == config.target_length:
+            if half < 0:
+                word = words[pos]
+                pos += 1
+                x, half = word & _LOW32, word >> 32
+            else:
+                x, half = half, -1
+            m = x * count
+            if (m & _LOW32) < count:
+                m, pos, half = _lemire_reject(count, m, words, pos, half, bitgen)
+            scaled.append(values[m >> 32])
+        if len(scaled) == length:
             break
-        if restart and random() < restart_prob:
-            current = start
-            continue
-        if uniform:
-            current = first + integers(past - first)
-            continue
-        lo, hi = indptr[current], indptr[current + 1]
-        if lo == hi:
-            raise GraphIntegrityError(
-                f"node {current} is isolated; consecutive-edge property violated")
-        if weighted:
-            current = indices[lo + bisect_right(graph.neighbor_cdf(current), random())]
-            continue
-        if switching:
-            cross_lo, cross_hi = cross_indptr[current], cross_indptr[current + 1]
-            if cross_lo < cross_hi and random() < switch_prob:
-                current = cross_indices[cross_lo + integers(cross_hi - cross_lo)]
+        if restart:
+            pos += 1
+            if (words[pos - 1] >> 11) * 2.0**-53 < restart_prob:
+                current = start
                 continue
-        current = indices[lo + integers(hi - lo)]
+        if uniform:
+            targets, lo, n = nodes, first, past - first
+        else:
+            lo, hi = indptr[current], indptr[current + 1]
+            if lo == hi:
+                raise GraphIntegrityError(
+                    f"node {current} is isolated; consecutive-edge property violated")
+            if weighted:
+                pos += 1
+                u = (words[pos - 1] >> 11) * 2.0**-53
+                current = indices[lo + bisect_right(graph.neighbor_cdf(current), u)]
+                continue
+            targets, n = indices, hi - lo
+            if switching:
+                cross_lo, cross_hi = cross_indptr[current], cross_indptr[current + 1]
+                if cross_lo < cross_hi:
+                    pos += 1
+                    if (words[pos - 1] >> 11) * 2.0**-53 < switch_prob:
+                        targets, lo, n = cross_indices, cross_lo, cross_hi - cross_lo
+        if n > 1:
+            if half < 0:
+                word = words[pos]
+                pos += 1
+                x, half = word & _LOW32, word >> 32
+            else:
+                x, half = half, -1
+            m = x * n
+            if (m & _LOW32) < n:
+                m, pos, half = _lemire_reject(n, m, words, pos, half, bitgen)
+            lo += m >> 32
+        current = targets[lo]
 
     scaled_arr = np.array(scaled, dtype=float)
     source = graph.windows[window]
@@ -250,57 +266,41 @@ def dtw_distances(candidates, references) -> np.ndarray:
                                                  for r in rows + refs):
         raise ValueError("dtw_distances requires candidates, one reference row per "
                          "candidate, and non-empty one-dimensional sequences")
-    # a[k, i] and b[k, j]: value i of candidate k and value j of its reference, 1-based
-    a, b = (np.zeros((len(x), 1 + max(r.size for r in x))) for x in (rows, refs))
-    for padded, x in ((a, rows), (b, refs)):
-        for k, r in enumerate(x):
-            padded[k, 1:r.size + 1] = r
+    count = len(rows)
     lengths, ref_lengths = (np.array([r.size for r in x]) for x in (rows, refs))
-    n, m = a.shape[1] - 1, b.shape[1] - 1
-    # acc[d, k * (n + 1) + i] is cell (i, j = d - i) of candidate k's matrix.
-    # Each diagonal is one flat row, so a step is three contiguous updates;
-    # where the shifted slices pair cell i = 0 of one candidate with cell n
-    # of the previous one, the cell's cost is inf and it stays inf.
+    n, m = int(lengths.max()), int(ref_lengths.max())
+    # a[i, k] and b[j, k]: value i + 1 of candidate k and value j + 1 of its
+    # reference, candidate fastest, each filled by one scatter
+    a, b = np.zeros((n, count)), np.zeros((m, count))
+    for padded, x, sizes in ((a, rows, lengths), (b, refs, ref_lengths)):
+        padded.T[np.arange(len(padded)) < sizes[:, None]] = np.concatenate(x)
+    # cost[(i - 1) * m + j - 1, k] is cell (i, j)'s local cost for candidate
+    # k; the last row is inf, the cost of every cell off the n x m grid
+    cost = np.empty((n * m + 1, count))
+    np.subtract(a[:, None, :], b[None, :, :], out=cost[:-1].reshape(n, m, count))
+    np.abs(cost, out=cost)
+    cost[-1] = np.inf
+    # acc[d, i, k] is cell (i, j = d - i) of candidate k's matrix, laid onto
+    # the diagonals by one take. A diagonal is one flat row with candidates
+    # fastest, so a step is three contiguous updates shifted by one cell
+    # (count entries); cells of different candidates never meet.
     i = np.arange(n + 1)
     j = np.arange(n + m + 1)[:, None] - i
     inside = (i >= 1) & (j >= 1) & (j <= m)
-    cost = np.abs(a[None, :, :] - b[:, np.clip(j, 1, m)].transpose(1, 0, 2))
-    acc = np.where(inside[:, None, :], cost, np.inf).reshape(n + m + 1, -1)
-    acc[0, ::n + 1] = 0.0
-    best = np.empty(acc.shape[1] - 1)
+    acc = cost.take(np.where(inside, (i - 1) * m + j - 1, n * m), axis=0)
+    acc[0, 0] = 0.0
+    diagonals = acc.reshape(n + m + 1, -1)
+    best = np.empty(n * count)
     for d in range(2, n + m + 1):
-        np.minimum(acc[d - 1, :-1], acc[d - 1, 1:], out=best)
-        np.minimum(best, acc[d - 2, :-1], out=best)
-        acc[d, 1:] += best
-    return acc[lengths + ref_lengths, np.arange(len(rows)) * (n + 1) + lengths]
+        np.minimum(diagonals[d - 1, :-count], diagonals[d - 1, count:], out=best)
+        np.minimum(best, diagonals[d - 2, :-count], out=best)
+        diagonals[d, count:] += best
+    return acc[lengths + ref_lengths, lengths, np.arange(count)]
 
 
 def dtw_distance(a: np.ndarray, b: np.ndarray) -> float:
     """DTW distance of one pair; symmetric in its arguments."""
     return float(dtw_distances([a], [b])[0])
-
-
-def dtw_bruteforce(a: np.ndarray, b: np.ndarray) -> float:
-    """Plain recursion over all warping paths; exponential, test oracle only."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.size == 0 or b.size == 0:
-        raise ValueError("dtw_bruteforce requires non-empty sequences")
-
-    def rec(i: int, j: int) -> float:
-        cost = abs(a[i] - b[j])
-        if i == 0 and j == 0:
-            return cost
-        best = np.inf
-        if i > 0:
-            best = min(best, rec(i - 1, j))
-        if j > 0:
-            best = min(best, rec(i, j - 1))
-        if i > 0 and j > 0:
-            best = min(best, rec(i - 1, j - 1))
-        return cost + best
-
-    return float(rec(a.size - 1, b.size - 1))
 
 
 def ds_indices(n: int, k: int, seed: int) -> list[int]:

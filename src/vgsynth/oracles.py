@@ -10,9 +10,33 @@ from __future__ import annotations
 import numpy as np
 
 from .evaluate import auc_bruteforce, roc_auc
-from .generate import dtw_bruteforce, dtw_distance
+from .generate import dtw_distance
 from .graphs import build_hvg, build_nvg, hvg_bruteforce, nvg_bruteforce
 from .ingest import Window, minmax_scale
+
+
+def dtw_bruteforce(a: np.ndarray, b: np.ndarray) -> float:
+    """DTW distance by plain recursion over all warping paths; exponential,
+    the reference ``check_dtw`` and the tests hold ``dtw_distances`` to."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.size == 0 or b.size == 0:
+        raise ValueError("dtw_bruteforce requires non-empty sequences")
+
+    def rec(i: int, j: int) -> float:
+        cost = abs(a[i] - b[j])
+        if i == 0 and j == 0:
+            return cost
+        best = np.inf
+        if i > 0:
+            best = min(best, rec(i - 1, j))
+        if j > 0:
+            best = min(best, rec(i, j - 1))
+        if i > 0 and j > 0:
+            best = min(best, rec(i - 1, j - 1))
+        return cost + best
+
+    return float(rec(a.size - 1, b.size - 1))
 
 
 def check_visibility(n_windows: int, nvg_builder=build_nvg,

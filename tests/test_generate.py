@@ -3,10 +3,10 @@ import pytest
 
 from vgsynth.errors import GraphIntegrityError
 from vgsynth.generate import (DownsampleWarning, SyntheticSequence, WalkConfig,
-                              derive_seed, downsample, ds_indices, dtw_bruteforce,
-                              dtw_distance, dtw_distances, generate_sequence,
-                              vrp_generate)
+                              derive_seed, downsample, ds_indices, dtw_distance,
+                              dtw_distances, generate_sequence, vrp_generate)
 from vgsynth.graphs import build_multigraph, build_nvg
+from vgsynth.oracles import dtw_bruteforce
 
 from conftest import (make_graph, make_prescaled_window, make_scaled_window,
                       random_scaled_window)
@@ -177,6 +177,45 @@ def dtw_row_loop(a, b):
     return float(acc[n, m])
 
 
+def reference_dtw_distances(candidates, references) -> np.ndarray:
+    """The candidate-major wavefront ``dtw_distances`` replaced, kept verbatim
+    as a second bit-exact reference: each candidate's matrix is one block of
+    a flat diagonal row, and the set-up gathers the references per diagonal."""
+    rows = [np.asarray(c, dtype=float) for c in candidates]
+    refs = [np.asarray(r, dtype=float) for r in references]
+    if not rows or len(refs) != len(rows) or any(r.ndim != 1 or r.size == 0
+                                                 for r in rows + refs):
+        raise ValueError("dtw_distances requires candidates, one reference row per "
+                         "candidate, and non-empty one-dimensional sequences")
+    # a[k, i] and b[k, j]: value i of candidate k and value j of its reference, 1-based
+    a, b = (np.zeros((len(x), 1 + max(r.size for r in x))) for x in (rows, refs))
+    for padded, x in ((a, rows), (b, refs)):
+        for k, r in enumerate(x):
+            padded[k, 1:r.size + 1] = r
+    lengths, ref_lengths = (np.array([r.size for r in x]) for x in (rows, refs))
+    n, m = a.shape[1] - 1, b.shape[1] - 1
+    # acc[d, k * (n + 1) + i] is cell (i, j = d - i) of candidate k's matrix.
+    # Each diagonal is one flat row, so a step is three contiguous updates;
+    # where the shifted slices pair cell i = 0 of one candidate with cell n
+    # of the previous one, the cell's cost is inf and it stays inf.
+    i = np.arange(n + 1)
+    j = np.arange(n + m + 1)[:, None] - i
+    inside = (i >= 1) & (j >= 1) & (j <= m)
+    cost = np.abs(a[None, :, :] - b[:, np.clip(j, 1, m)].transpose(1, 0, 2))
+    acc = np.where(inside[:, None, :], cost, np.inf).reshape(n + m + 1, -1)
+    acc[0, ::n + 1] = 0.0
+    best = np.empty(acc.shape[1] - 1)
+    for d in range(2, n + m + 1):
+        np.minimum(acc[d - 1, :-1], acc[d - 1, 1:], out=best)
+        np.minimum(best, acc[d - 2, :-1], out=best)
+        acc[d, 1:] += best
+    return acc[lengths + ref_lengths, np.arange(len(rows)) * (n + 1) + lengths]
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
 class TestDTW:
     def test_self_distance_zero(self, rng):
         x = rng.random(12)
@@ -233,6 +272,30 @@ class TestDTW:
             got = dtw_distances(cands, refs)
             want = [dtw_distances([cand], [ref])[0] for cand, ref in zip(cands, refs)]
             assert [d.hex() for d in got.tolist()] == [float(d).hex() for d in want]
+
+    @pytest.mark.parametrize("count", [40, 200])
+    def test_pipeline_shapes_equal_references(self, rng, count):
+        """A unit's SimDS batch: ``count`` walks of length 20 against their
+        windows' rows, as ticker units (40) and segment units (200) make."""
+        for _ in range(3):
+            refs = [rng.random(20) * 40 + 10 for _ in range(count // 10)]
+            cands = [rng.random(20) * 40 + 10 for _ in range(count)]
+            rows = [ref for ref in refs for _ in range(10)]
+            got = hexes(dtw_distances(cands, rows))
+            assert got == hexes(reference_dtw_distances(cands, rows))
+            assert got == hexes(dtw_row_loop(c, r) for c, r in zip(cands, rows))
+
+    @pytest.mark.parametrize("count", [40, 200])
+    def test_ragged_batches_with_length_one_rows_equal_references(self, rng, count):
+        for _ in range(3):
+            cands = [rng.random(int(rng.integers(1, 21))) for _ in range(count)]
+            refs = [rng.random(int(rng.integers(1, 21))) for _ in range(count)]
+            # length-1 candidates, length-1 references, and at 0, 35, ... both
+            cands[::7] = [rng.random(1) for _ in cands[::7]]
+            refs[::5] = [rng.random(1) for _ in refs[::5]]
+            got = hexes(dtw_distances(cands, refs))
+            assert got == hexes(reference_dtw_distances(cands, refs))
+            assert got == hexes(dtw_row_loop(c, r) for c, r in zip(cands, refs))
 
     @pytest.mark.parametrize("cands, ref", [([[1.0], []], [[1.0]] * 2), ([[1.0]], [[]]),
                                             ([], [1.0]), ([[1.0]], [[1.0], []]),

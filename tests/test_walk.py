@@ -1,8 +1,6 @@
-"""The walk replays numpy's draws: its helpers against ``np.random.Generator``
-itself, and ``generate_sequence`` against the scalar reference walk byte for
-byte, errors included."""
-
-from bisect import bisect_right
+"""The walk replays numpy's draws: ``generate_sequence`` against
+``np.random.Generator`` itself, and against the scalar reference walk byte
+for byte, errors included."""
 
 import numpy as np
 import pytest
@@ -10,8 +8,7 @@ import pytest
 from vgsynth import generate
 from vgsynth.errors import GraphIntegrityError
 from vgsynth.generate import (NODE_STRATEGIES, RESTART_JUMPS, VALUE_POLICIES,
-                              WalkConfig, derive_seed, generate_sequence,
-                              replay_draws)
+                              WalkConfig, derive_seed, generate_sequence)
 from vgsynth.graphs import (KIND_CODE, SIMILAR_VALUE, VISIBILITY, build_hvg,
                             build_multigraph, build_nvg)
 
@@ -22,47 +19,86 @@ from reference_walk import reference_generate_sequence
 # quarter of their 32-bit values, so the rejection loop runs often
 BOUNDS = (1, 2, 3, 7, 2**31 + 11, 3 * 2**30 + 1, 2**32 - 1)
 SEEDS = (0, 1, 17, 2**32, 2**64 - 1, derive_seed(7, "AAA", 0, "nvg", 3))
+# node i's values are i * STRIDE + 0, 1, ...: an emitted value names its node
+# and the draw that picked it
+STRIDE = 2**33
 
 
-@pytest.mark.parametrize("k", [1, 3, 64])
+def bounded_graph(bounds):
+    """A path over ``len(bounds)`` nodes whose node i holds ``bounds[i]``
+    values, so a random-policy walk draws ``integers(0, bounds[i])`` there."""
+    graph = make_graph([[0.0]] * len(bounds), u=range(len(bounds) - 1),
+                       v=range(1, len(bounds)))
+    graph.node_values = [range(i * STRIDE, i * STRIDE + b) for i, b in enumerate(bounds)]
+    return graph
+
+
+def generator_walk(gen, bounds, start, restart_prob, length):
+    """What the walk on ``bounded_graph(bounds)`` must emit, drawn by the
+    Generator's own calls: each step is ``random()`` for the restart, then
+    ``integers(0, nodes)`` unless it restarted, then the value's
+    ``integers(0, bound)`` (none for one value)."""
+    def emit(node):
+        return node * STRIDE + (int(gen.integers(0, bounds[node])) if bounds[node] > 1 else 0)
+
+    out = [emit(start)]
+    while len(out) < length:
+        node = start if gen.random() < restart_prob else int(gen.integers(0, len(bounds)))
+        out.append(emit(node))
+    return out
+
+
+def words_drawn(gen, seed, most=1000):
+    """How many raw words ``gen``, made by ``default_rng(seed)``, has drawn."""
+    fresh = np.random.PCG64(seed)
+    for words in range(most + 1):
+        if fresh.state["state"] == gen.bit_generator.state["state"]:
+            return words
+        fresh.random_raw()
+    raise AssertionError(f"drew more than {most} words")
+
+
+@pytest.mark.parametrize("length", [1, 3, 64])
 @pytest.mark.parametrize("seed", SEEDS)
-def test_replay_matches_generator(seed, k):
-    """``random()`` and ``integers(0, n)`` in a random interleaving, with
-    words drawn one, three or 64 at a time."""
-    gen = np.random.default_rng(seed)
-    random, integers = replay_draws(seed, k)
-    ops = np.random.default_rng(seed % 1000 + 1).integers(0, len(BOUNDS) + 1, 2000)
-    for op in ops.tolist():
-        if op == len(BOUNDS):
-            assert random() == gen.random()
-        else:
-            n = BOUNDS[op]
-            assert integers(n) == int(gen.integers(0, n)), n
+def test_replay_matches_generator(seed, length):
+    """The walk's ``random()`` and ``integers(0, n)`` in a random
+    interleaving, over every bound of ``BOUNDS`` and over graphs whose every
+    draw rejects often. The walk reads 2 * length words first; a rejection
+    appends more, which a 64-value walk on the 2**31 + 11 graph always needs."""
+    for bounds, start in ((BOUNDS, 4), ((2**31 + 11,) * 3, 0), ((3 * 2**30 + 1,) * 3, 0)):
+        graph = bounded_graph(bounds)
+        for restart_prob in (0.0, 0.5):
+            config = WalkConfig(node_strategy="restart_random", restart_jump="uniform",
+                                value_policy="random", restart_prob=restart_prob,
+                                target_length=length, seed=seed, start_node=start)
+            gen = np.random.default_rng(seed)
+            expected = generator_walk(gen, bounds, start, restart_prob, length)
+            assert generate_sequence(graph, config).scaled_values.tolist() == expected
+            if length == 64 and bounds[0] == 2**31 + 11 and restart_prob == 0.0:
+                assert words_drawn(gen, seed) > 2 * length
 
 
 def weighted_graph(seed, n=12):
-    """A path plus random chords with multiplicities 1-7."""
+    """A path plus random chords with multiplicities 1-7; node i holds
+    i % 3 + 1 values."""
     rng = np.random.default_rng(seed)
     pairs = {(i, i + 1) for i in range(n - 1)}
     pairs |= {tuple(sorted(p)) for p in rng.integers(0, n, (20, 2)).tolist() if p[0] != p[1]}
     u, v = np.array(sorted(pairs)).T
-    return make_graph([[i / n] for i in range(n)], u, v, mult=rng.integers(1, 8, u.size))
+    return make_graph([[(i + r / 4) / n for r in range(i % 3 + 1)] for i in range(n)], u, v,
+                      mult=rng.integers(1, 8, u.size))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_choice_replay_matches_generator(seed):
     """``Generator.choice(ids, p=...)`` is one double bisected into the
-    node's cached cdf; interleaved with ``integers`` it keeps the stream."""
+    node's cached cdf; interleaved with the value's ``integers`` it keeps
+    the stream, over 3000 steps of random multiplicities."""
     graph = weighted_graph(seed % 1000)
-    gen = np.random.default_rng(seed)
-    random, integers = replay_draws(seed, 5)
-    for step in range(3000):
-        node = step % graph.num_nodes
-        lo, hi = graph.indptr[node], graph.indptr[node + 1]
-        ids, mult = graph.indices[lo:hi], graph.mult[lo:hi]
-        expected = int(gen.choice(ids, p=mult / mult.sum()))
-        assert int(ids[bisect_right(graph.neighbor_cdf(node), random())]) == expected
-        assert integers(ids.size) == int(gen.integers(0, ids.size))
+    config = WalkConfig(node_strategy="degree_weighted", value_policy="random",
+                        target_length=3000, seed=seed)
+    assert (outcome(generate_sequence, graph, config, 0)
+            == outcome(reference_generate_sequence, graph, config, 0))
 
 
 def tie_heavy_windows(rng, n_tickers, length, start=0):
@@ -181,7 +217,11 @@ def test_start_node_out_of_range_rejected_before_any_draw(start, monkeypatch):
     def no_draws(*args):
         raise AssertionError("drew before checking start_node")
 
-    monkeypatch.setattr(generate, "replay_draws", no_draws)
+    # the walk seeds its words from np.random.PCG64 as generate sees it; an
+    # in-range start meets the spy, so the spy sits where the walk draws
+    monkeypatch.setattr(generate.np.random, "PCG64", no_draws)
+    with pytest.raises(AssertionError, match="drew before checking"):
+        generate_sequence(graph, WalkConfig(start_node=0))
     with pytest.raises(ValueError, match=rf"start_node {start} not in 0\.\.5"):
         generate_sequence(graph, WalkConfig(start_node=start))
 
