@@ -52,9 +52,10 @@ class Graph:
     The constructor sorts the edges by (u, v, kind) unless they arrive sorted,
     raises ``ValueError`` naming the first edge with a node id out of range,
     u >= v, an unknown kind, a multiplicity below 1 or a repeated key, and builds
-    CSR adjacency with sorted neighbours: ``indptr``/``indices``/``mult``
-    (multiplicities summed across kinds) and ``cross_indptr``/``cross_indices``
-    (cross-ticker kinds only). ``node_values[i]`` lists node i's values.
+    CSR adjacency with sorted neighbours: ``indptr``/``indices`` and
+    ``cross_indptr``/``cross_indices`` (cross-ticker kinds only). ``mult``,
+    each entry's multiplicities summed across kinds, is not built here but
+    on first read. ``node_values[i]`` lists node i's values.
     """
 
     kind: str
@@ -88,9 +89,9 @@ class Graph:
                 e = int(np.argmax(bad))
                 name = dict(enumerate(EDGE_KINDS)).get(int(kind[e]), f"kind code {kind[e]}")
                 raise ValueError(f"edge ({u[e]}, {v[e]}, {name}): {problem}")
+        del key
         self.edge_u, self.edge_v, self.edge_kind, self.edge_mult = u, v, kind, mult
-        (self.indptr, self.indices, self.mult, self.cross_indptr,
-         self.cross_indices) = _csr(u, v, kind, mult, n)
+        self.indptr, self.indices, self.cross_indptr, self.cross_indices = _csr(u, v, kind, n)
         values = self.values.tolist()
         self.node_values = [values[lo:hi] for lo, hi in pairwise(self.value_ptr.tolist())]
         self._cdfs: dict[int, list[float]] = {}
@@ -105,6 +106,15 @@ class Graph:
         kinds = map(EDGE_KINDS.__getitem__, self.edge_kind.tolist())
         keys = zip(self.edge_u.tolist(), self.edge_v.tolist(), kinds)
         return MappingProxyType(dict(zip(keys, self.edge_mult.tolist())))
+
+    @cached_property
+    def mult(self) -> np.ndarray:
+        """Multiplicity of each ``indices`` entry: its (u, v) pair's edge
+        multiplicities summed across kinds. Made on first read and kept; only
+        degree-weighted walks read it."""
+        starts, _, order = _pair_entries(self.edge_u, self.edge_v, self.num_nodes)
+        weights = np.add.reduceat(self.edge_mult, starts)
+        return np.concatenate((weights, weights))[order]
 
     @cached_property
     def walk_csr(self) -> tuple[list[int], memoryview, list[int], memoryview]:
@@ -135,22 +145,32 @@ class Graph:
         return int(self.node_of[window, 0])
 
 
-def _csr(u: np.ndarray, v: np.ndarray, kind: np.ndarray, weights: np.ndarray, n: int):
-    """Symmetric CSR ``(indptr, indices, summed weights)`` of edges u < v sorted by
-    (u, v, kind), and ``(cross_indptr, cross_indices)`` over its cross-ticker pairs."""
+def _pair_entries(u: np.ndarray, v: np.ndarray, n: int):
+    """For edges u < v sorted by (u, v, kind): ``starts``, the index of each
+    (u, v) pair's first edge; the CSR row pointers of those P pairs; and the
+    order that takes their 2P entries, ``concatenate((u[starts], v[starts]))``,
+    to CSR order."""
     pair = u * n + v
-    starts = np.flatnonzero(pair != np.concatenate(([-1], pair[:-1])))  # each pair's first edge
-    cross = kind[starts] != KIND_CODE[VISIBILITY]  # cross-ticker kinds have the lower codes
-    u, v, weights = u[starts], v[starts], np.add.reduceat(weights, starts)
+    starts = np.flatnonzero(pair != np.concatenate(([-1], pair[:-1])))
+    del pair
     # entry u in row v and entry v in row u; a stable sort by row (a radix
     # sort while node ids fit in uint16) puts each row's lower neighbours, in
     # u order, before its upper ones, in v order
-    row = np.concatenate((v, u))
+    row = np.concatenate((v[starts], u[starts]))
     order = np.argsort(row.astype(np.uint16) if n <= 1 << 16 else row, kind="stable")
     indptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=n))))
-    indices, cross = np.concatenate((u, v))[order], np.concatenate((cross, cross))[order]
-    return (indptr, indices, np.concatenate((weights, weights))[order],
-            np.concatenate(([0], np.cumsum(cross)))[indptr], indices[cross])
+    return starts, indptr, order
+
+
+def _csr(u: np.ndarray, v: np.ndarray, kind: np.ndarray, n: int):
+    """Symmetric CSR ``(indptr, indices)`` of edges u < v sorted by (u, v, kind),
+    and ``(cross_indptr, cross_indices)`` over its cross-ticker pairs."""
+    starts, indptr, order = _pair_entries(u, v, n)
+    cross = kind[starts] != KIND_CODE[VISIBILITY]  # cross-ticker kinds have the lower codes
+    cross = np.concatenate((cross, cross))[order]
+    indices = np.concatenate((u[starts], v[starts]))[order]
+    del starts, order
+    return indptr, indices, np.concatenate(([0], np.cumsum(cross)))[indptr], indices[cross]
 
 
 def _require_scaled(window: Window) -> np.ndarray:
@@ -267,25 +287,6 @@ def build_multigraph(
     scaled = np.stack([_require_scaled(w) for w in windows])
     flat = scaled.ravel()  # provisional node id: window position * n + time index
     time = np.tile(np.arange(n), len(windows))
-
-    wi, i, j = _visibility_edges(scaled)
-    # co-occurrence: node pairs (a * n + t, b * n + t) of windows a < b
-    a, b = np.multiply(np.triu_indices(len(windows), 1), n)[..., None] + np.arange(n)
-    # Similar-value pairs from one sorted sweep, each found from its smaller
-    # value x among the y up to the rounded x + epsilon, ties included, and
-    # kept if the exact predicate holds across windows. The bound loses no
-    # pair: |x - y| rounds to the float nearest y - x, so a float epsilon
-    # above it exceeds y - x, and rounding x + epsilon is monotone.
-    by_value = np.argsort(flat, kind="stable")
-    x = flat[by_value]
-    reach = np.searchsorted(x, x + similar_value_epsilon, "right") - np.arange(x.size) - 1
-    low = np.repeat(np.arange(x.size), reach)
-    high = low + 1 + np.arange(low.size) - np.repeat(np.cumsum(reach) - reach, reach)
-    p, q = by_value[low], by_value[high]
-    similar = (np.abs(x[low] - x[high]) < similar_value_epsilon) & (p // n != q // n)
-    edges = [(wi * n + i, wi * n + j, VISIBILITY), (a.ravel(), b.ravel(), CO_OCCURRENCE),
-             (p[similar], q[similar], SIMILAR_VALUE)]
-
     # merge nodes with equal time index and exactly equal scaled value; the
     # lexsort is stable, so each group's members stay in provisional order
     order = np.lexsort((flat, time))
@@ -294,20 +295,59 @@ def build_multigraph(
     first = order[starts]  # each group's smallest provisional id
     remap = np.argsort(np.argsort(first))[np.cumsum(starts) - 1][np.argsort(order)]
     members = np.argsort(remap, kind="stable")
-
-    heads, tails, kinds = zip(*edges)
-    u, v = remap[np.concatenate(heads)], remap[np.concatenate(tails)]
-    kind = np.repeat([KIND_CODE[k] for k in kinds], [h.size for h in heads])
-    key = (np.minimum(u, v) * len(first) + np.maximum(u, v)) * len(EDGE_KINDS) + kind
-    key, mult = np.unique(key[u != v], return_counts=True)  # edges inside a merged node drop
-    pair, kind = np.divmod(key, len(EDGE_KINDS))
+    u, v, kind, mult = _segment_edges(scaled, remap, len(first), similar_value_epsilon)
     return Graph(kind=NVMG, windows=list(windows), node_of=remap.reshape(len(windows), n),
                  node_range=np.tile([0, len(first)], (len(windows), 1)),
                  node_time=time[np.sort(first)],
                  value_ptr=np.concatenate(([0], np.cumsum(np.bincount(remap)))),
                  values=flat[members], value_window=members // n,
-                 edge_u=pair // len(first), edge_v=pair % len(first), edge_kind=kind,
-                 edge_mult=mult)
+                 edge_u=u, edge_v=v, edge_kind=kind, edge_mult=mult)
+
+
+def _segment_edges(scaled: np.ndarray, remap: np.ndarray, nodes: int, epsilon: float):
+    """Sorted ``(u, v, kind, mult)`` of a segment's multigraph over its merged
+    node ids: its windows' visibility, co-occurrence and similar-value edges,
+    those inside a merged node dropped and parallel ones of one kind counted.
+    Its temporaries, each dropped once read, are gone before the caller
+    builds the ``Graph``."""
+    count, n = scaled.shape
+    wi, i, j = _visibility_edges(scaled)
+    # co-occurrence: node pairs (a * n + t, b * n + t) of windows a < b
+    a, b = np.multiply(np.triu_indices(count, 1), n)[..., None] + np.arange(n)
+    p, q = _similar_value_pairs(scaled.ravel(), n, epsilon)
+    sizes = (wi.size, a.size, p.size)
+    u = remap[np.concatenate((wi * n + i, a.ravel(), p))]
+    del i, a, p
+    v = remap[np.concatenate((wi * n + j, b.ravel(), q))]
+    del wi, j, b, q
+    kind = np.repeat([KIND_CODE[VISIBILITY], KIND_CODE[CO_OCCURRENCE],
+                      KIND_CODE[SIMILAR_VALUE]], sizes)
+    key = (np.minimum(u, v) * nodes + np.maximum(u, v)) * len(EDGE_KINDS) + kind
+    key = key[u != v]  # edges inside a merged node drop
+    del u, v, kind
+    key, mult = np.unique(key, return_counts=True)
+    pair, kind = np.divmod(key, len(EDGE_KINDS))
+    del key
+    u, v = np.divmod(pair, nodes)
+    return u, v, kind, mult
+
+
+def _similar_value_pairs(flat: np.ndarray, n: int, epsilon: float):
+    """Provisional ids ``(p, q)`` of the pairs of values in different windows
+    (``n`` values each) with ``|a - b| < epsilon``, from one sorted sweep: each
+    pair is found from its smaller value x among the y up to the rounded
+    x + epsilon, ties included, and kept if the exact predicate holds across
+    windows. The bound loses no pair: |x - y| rounds to the float nearest
+    y - x, so a float epsilon above it exceeds y - x, and rounding x + epsilon
+    is monotone."""
+    by_value = np.argsort(flat, kind="stable")
+    x = flat[by_value]
+    reach = np.searchsorted(x, x + epsilon, "right") - np.arange(x.size) - 1
+    low = np.repeat(np.arange(x.size), reach)
+    high = low + 1 + np.arange(low.size) - np.repeat(np.cumsum(reach) - reach, reach)
+    p, q = by_value[low], by_value[high]
+    similar = (np.abs(x[low] - x[high]) < epsilon) & (p // n != q // n)
+    return p[similar], q[similar]
 
 
 def dump_graph(graph: Graph, path: str | Path) -> None:
@@ -318,7 +358,9 @@ def dump_graph(graph: Graph, path: str | Path) -> None:
     """
     with Path(path).open("w") as fh:
         fh.write("# edges: node_u node_v kind multiplicity\n")
-        for (u, v, kind), mult in graph.edges.items():
+        kinds = map(EDGE_KINDS.__getitem__, graph.edge_kind.tolist())
+        for u, v, kind, mult in zip(graph.edge_u.tolist(), graph.edge_v.tolist(), kinds,
+                                    graph.edge_mult.tolist()):
             fh.write(f"{u} {v} {kind} {mult}\n")
         fh.write("# nodes: node_id time_indices values tickers\n")
         tags = [graph.windows[w].ticker for w in graph.value_window.tolist()]

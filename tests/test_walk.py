@@ -2,6 +2,8 @@
 ``np.random.Generator`` itself, and against the scalar reference walk byte
 for byte, errors included."""
 
+from collections import defaultdict
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from vgsynth import generate
 from vgsynth.errors import GraphIntegrityError
 from vgsynth.generate import (NODE_STRATEGIES, RESTART_JUMPS, VALUE_POLICIES,
                               WalkConfig, derive_seed, generate_sequence)
-from vgsynth.graphs import (KIND_CODE, SIMILAR_VALUE, VISIBILITY, build_hvg,
+from vgsynth.graphs import (CO_OCCURRENCE, KIND_CODE, SIMILAR_VALUE, VISIBILITY, build_hvg,
                             build_multigraph, build_nvg)
 
 from conftest import make_graph, make_scaled_window
@@ -99,6 +101,49 @@ def test_choice_replay_matches_generator(seed):
                         target_length=3000, seed=seed)
     assert (outcome(generate_sequence, graph, config, 0)
             == outcome(reference_generate_sequence, graph, config, 0))
+
+
+def parallel_kinds_graph():
+    """Hand-built graph whose pairs carry parallel edges of two or three kinds."""
+    co, sim, vis = (KIND_CODE[k] for k in (CO_OCCURRENCE, SIMILAR_VALUE, VISIBILITY))
+    u, v, kind, mult = zip((0, 1, co, 2), (0, 1, sim, 3), (0, 1, vis, 1), (0, 3, sim, 4),
+                           (1, 2, vis, 1), (1, 3, co, 1), (1, 3, vis, 5), (2, 3, co, 2),
+                           (2, 3, sim, 1), (2, 3, vis, 7), (3, 4, vis, 1), (0, 4, co, 6))
+    return make_graph([[0.0], [0.25, 0.3], [0.5], [0.75], [1.0, 0.9, 0.8]], u, v,
+                      np.array(kind), np.array(mult))
+
+
+def merged_multigraph():
+    """Tie-heavy multigraph with merged nodes, onto which parallel edges of
+    one kind collapse."""
+    graph = build_multigraph(tie_heavy_windows(np.random.default_rng(9), 4, 30),
+                             similar_value_epsilon=0.2)
+    assert any(len(values) > 1 for values in graph.node_values)
+    assert (graph.edge_mult > 1).any()
+    return graph
+
+
+@pytest.mark.parametrize("build", [
+    parallel_kinds_graph,
+    merged_multigraph,
+    # past 2**16 nodes the CSR's row sort runs on int64 ids
+    lambda: build_nvg(unit_windows(np.random.default_rng(4), 3300, 20, ties=False)),
+], ids=["parallel_kinds", "merged_nodes", "past_uint16"])
+def test_lazy_mult_sums_each_pairs_edges(build):
+    graph = build()
+    assert "mult" not in graph.__dict__  # not built until read
+    sums = defaultdict(int)
+    for (u, v, _), mult in graph.edges.items():
+        sums[u, v] += mult
+    rows = np.repeat(np.arange(graph.num_nodes), np.diff(graph.indptr)).tolist()
+    assert graph.mult.dtype == np.int64
+    assert graph.mult.tolist() == [sums[min(r, c), max(r, c)]
+                                   for r, c in zip(rows, graph.indices.tolist())]
+    for window in (0, len(graph.windows) // 2, len(graph.windows) - 1):
+        config = WalkConfig(node_strategy="degree_weighted", value_policy="random",
+                            target_length=200, seed=derive_seed(window, "mult"))
+        assert (outcome(generate_sequence, graph, config, window)
+                == outcome(reference_generate_sequence, graph, config, window))
 
 
 def tie_heavy_windows(rng, n_tickers, length, start=0):
