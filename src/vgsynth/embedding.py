@@ -145,7 +145,9 @@ def embed_2d(points, perplexity: float = 30.0, iterations: int = 1000,
         np.fill_diagonal(L, row_sums)  # L = diag(row sums) - W
         grad = 4.0 * (L @ Y)
 
-        kl_trace.append(kl_const - 2.0 * float(Peff @ np.log(Q, out=Q)))  # Q is spent
+        # Q is spent. einsum sums in a fixed order; a BLAS dot would split
+        # the sum over threads, and the trace's bits with it
+        kl_trace.append(kl_const - 2.0 * float(np.einsum("i,i", Peff, np.log(Q, out=Q))))
 
         inc = (grad * update) < 0
         gains[inc] += 0.2

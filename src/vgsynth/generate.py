@@ -98,6 +98,78 @@ class SyntheticSequence:
 _LOW32 = 0xFFFFFFFF
 
 
+def _multipliers(init: int, mult: int, count: int) -> list[tuple[int, int]]:
+    """SeedSequence's running hash constant around each of ``count`` uses:
+    (the value xor-ed in, the value multiplied in). It never depends on the
+    entropy, so one list serves every seed."""
+    out = []
+    for _ in range(count):
+        after = init * mult & _LOW32
+        out.append((init, after))
+        init = after
+    return out
+
+
+# numpy's SeedSequence constants (bit_generator.pyx), one (xor, multiply)
+# row per use: 16 hashmix calls in mix_entropy (4 filling the pool, 12
+# mixing it) and 8 output words for generate_state(4, np.uint64)
+_HASHMIX = np.array(_multipliers(0x43B0D7E5, 0x931E8875, 16), dtype=np.uint32)
+_OUTPUT = np.array(_multipliers(0x8B51F9DD, 0x58F38DED, 8), dtype=np.uint32)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _hashmix(value: np.ndarray, xor, mult) -> np.ndarray:
+    value = (value ^ xor) * mult
+    value ^= value >> 16
+    return value
+
+
+def seed_states(seeds) -> np.ndarray:
+    """``np.random.SeedSequence(s).generate_state(4, np.uint64)`` of each
+    seed ``s`` in ``seeds`` (integers in [0, 2**64)), as one C-contiguous
+    ``(N, 4)`` uint64 array: the state ``PCG64(s)`` starts from.
+
+    numpy's per-seed loop, run once over all seeds in wrapping uint32
+    arithmetic. A seed's entropy words are its low and high 32 bits; a seed
+    below 2**32 has one word, and the pool word it lacks hashes a 0, which
+    is its high half, so every pool starts as (low, high, 0, 0)."""
+    # registering here rather than at import leaves numpy.random unloaded
+    # until a seed is used; a PreparedSeed made before it still seeds
+    # correctly, as its plain integer
+    np.random.bit_generator.ISeedSequence.register(PreparedSeed)
+    halves = np.asarray(seeds, dtype="<u8").reshape(-1).view("<u4").reshape(-1, 2)
+    pool = np.zeros((4, len(halves)), dtype=np.uint32)
+    pool[:2] = halves.T
+    pool = _hashmix(pool, _HASHMIX[:4, :1], _HASHMIX[:4, 1:])
+    rounds = iter(_HASHMIX[4:])
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = _MIX_L * pool[dst] - _MIX_R * _hashmix(pool[src], *next(rounds))
+                mixed ^= mixed >> 16
+                pool[dst] = mixed
+    words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _OUTPUT[:, :1], _OUTPUT[:, 1:])
+    # word 2j is the low half of state word j: numpy's own '<u4' -> '<u8' view
+    return np.ascontiguousarray(words.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
+
+
+class PreparedSeed(int):
+    """An integer seed carrying its :func:`seed_states` row. numpy's
+    ``PCG64(seed)`` and ``default_rng(seed)`` accept it as a seed sequence
+    (:func:`seed_states` registers it as one) and start from the same state
+    as from the plain integer, without hashing it again."""
+
+    def __new__(cls, seed: int, state: np.ndarray):
+        obj = super().__new__(cls, seed)
+        obj.state = state
+        return obj
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words == 4 and np.dtype(dtype) == np.uint64:
+            return self.state
+        return np.random.SeedSequence(int(self)).generate_state(n_words, dtype)
+
+
 def _lemire_reject(n: int, m: int, words: list[int], pos: int, half: int,
                    bitgen: np.random.PCG64) -> tuple[int, int, int]:
     """Finish a bounded draw ``integers(0, n)`` whose first product ``m`` has
@@ -132,7 +204,8 @@ def generate_sequence(
 
     Every draw is the one ``np.random.default_rng(config.seed)`` would make,
     replayed from its raw PCG64 words; a step makes the draws listed under
-    "Seed contract v1" in the README.
+    "Seed contract v1" in the README. The seed may be a :class:`PreparedSeed`;
+    the sequence records it as a plain int.
     """
     config.validate()
     first, past = graph.node_range[window].tolist()
@@ -230,7 +303,7 @@ def generate_sequence(
     return SyntheticSequence(
         values=inverse_transform(scaled_arr, source.scale_min, source.scale_max),
         scaled_values=scaled_arr, method=graph.kind, ticker=source.ticker,
-        window_start=source.start_index, seed=config.seed,
+        window_start=source.start_index, seed=int(config.seed),
         scale_min=source.scale_min, scale_max=source.scale_max)
 
 
@@ -242,7 +315,7 @@ def vrp_generate(window: Window, seed: int = 0) -> SyntheticSequence:
     perm = np.random.default_rng(seed).permutation(window.length)
     return SyntheticSequence(
         values=window.raw_values[perm], scaled_values=window.scaled_values[perm],
-        method="vrp", ticker=window.ticker, window_start=window.start_index, seed=seed,
+        method="vrp", ticker=window.ticker, window_start=window.start_index, seed=int(seed),
         scale_min=window.scale_min, scale_max=window.scale_max)
 
 

@@ -18,8 +18,8 @@ import numpy as np
 
 from .embedding import MAX_EMBED_POINTS, OverlapResult, embedding_overlap
 from .evaluate import EvalReport, run_experiment
-from .generate import (SyntheticSequence, WalkConfig, derive_seed, downsample, ds_indices,
-                       generate_sequence, vrp_generate)
+from .generate import (PreparedSeed, SyntheticSequence, WalkConfig, derive_seed, downsample,
+                       ds_indices, generate_sequence, seed_states, vrp_generate)
 from .graphs import DEFAULT_SIMILAR_VALUE_EPSILON, Graph, build_hvg, build_multigraph, build_nvg
 from .ingest import (TimeSeries, Window, forward_transform, load_series, minmax_scale,
                      slice_windows)
@@ -208,32 +208,60 @@ def prepare_windows(config: RunConfig,
 _BUILDERS = {"nvg": build_nvg, "hvg": build_hvg}
 
 
-def _generate_unit(method: str, windows: list[Window],
-                   config: RunConfig) -> list[SyntheticSequence]:
+def _seed_units(method: str, units: list[list[Window]],
+                config: RunConfig) -> list[tuple[list[int], np.ndarray, np.ndarray]]:
+    """Each unit's candidates to generate, as (window positions, uint64
+    seeds, ``(N, 4)`` seed states), in the order the unit generates them.
+
+    Two passes over all of a method's units: DS first seeds every window's
+    ``derive_seed(..., "downsample")`` draw and draws its k picks (none when
+    k == n), then every kept candidate's ``derive_seed(..., i)`` is hashed
+    into its PCG64 state by one :func:`seed_states` call. The seeds are the
+    ones a per-candidate ``default_rng(seed)`` would take."""
+    n, k = config.sequences_per_window, config.downsample_k
+    identities = [(config.seed, w.ticker, w.start_index, method) for ws in units for w in ws]
+    if config.downsample_mode == "ds" and k < n:
+        draw_seeds = [derive_seed(*identity, "downsample") for identity in identities]
+        picks = [ds_indices(n, k, PreparedSeed(seed, state))
+                 for seed, state in zip(draw_seeds, seed_states(draw_seeds))]
+    else:
+        picks = [range(n)] * len(identities)
+    # a uint64 array, not a list of ints: fewer small objects outlive this
+    # pass, which kept the process's peak RSS up
+    seeds = np.fromiter((derive_seed(*identity, i) for identity, picked in zip(identities, picks)
+                         for i in picked), dtype=np.uint64)
+    states = seed_states(seeds)
+    plans, first, picks = [], 0, iter(picks)
+    for ws in units:
+        positions = [position for position in range(len(ws)) for _ in next(picks)]
+        last = first + len(positions)
+        plans.append((positions, seeds[first:last], states[first:last]))
+        first = last
+    return plans
+
+
+def _generate_unit(method: str, windows: list[Window], config: RunConfig,
+                   plan: tuple[list[int], np.ndarray, np.ndarray]) -> list[SyntheticSequence]:
     """All kept sequences of one unit. The unit's one graph (a ticker's
     block-diagonal NVG or HVG, a segment's multigraph, none for vrp) serves
-    all its windows' walks, each with its own round-robin cursors; DS draws
-    each window's k indices first and generates only those. One
+    all its windows' walks, each with its own round-robin cursors; only the
+    candidates in ``plan`` (see :func:`_seed_units`) are generated. One
     ``downsample`` call then selects over all of the unit's candidates."""
     graph = None
     if method == "nvmg":
         graph = build_multigraph(windows, similar_value_epsilon=config.similar_value_epsilon)
     elif method in _BUILDERS and windows:
         graph = _BUILDERS[method](windows)
-    n, k = config.sequences_per_window, config.downsample_k
     candidates = []
-    for position, window in enumerate(windows):
-        identity = (config.seed, window.ticker, window.start_index, method)
-        indices = (ds_indices(n, k, derive_seed(*identity, "downsample"))
-                   if config.downsample_mode == "ds" else range(n))
-        for i in indices:
-            if graph is None:
-                candidates.append(vrp_generate(window, seed=derive_seed(*identity, i)))
-            else:
-                walk = config.walk_config(target_length=window.length,
-                                          seed=derive_seed(*identity, i))
-                candidates.append(generate_sequence(graph, walk, window=position))
-    return downsample(candidates, windows, k=k)
+    positions, seeds, states = plan
+    for position, seed, state in zip(positions, seeds.tolist(), states):
+        seed = PreparedSeed(seed, state)
+        if graph is None:
+            candidates.append(vrp_generate(windows[position], seed=seed))
+        else:
+            walk = config.walk_config(target_length=windows[position].length, seed=seed)
+            candidates.append(generate_sequence(graph, walk, window=position))
+    return downsample(candidates, windows, k=config.downsample_k)
 
 
 def run_generation(
@@ -242,8 +270,9 @@ def run_generation(
     """Generate sequences for every configured method.
 
     Units are tickers for nvg/hvg/vrp and segments for nvmg; each unit's
-    graph is built once, and each unit is timed. Output order is
-    deterministic: sorted by (ticker, window start, seed).
+    graph is built once, and each unit is timed. A method's seeds are
+    hashed before its first unit starts, so unit times hold no seed hashing.
+    Output order is deterministic: sorted by (ticker, window start, seed).
     """
     config.validate()
     windows_by_ticker = prepare_windows(config, series_list)
@@ -263,9 +292,10 @@ def run_generation(
             units = [(f"segment_{start}", "segment", ws) for start, ws in sorted(segments.items())]
         else:
             units = [(ticker, "ticker", ws) for ticker, ws in sorted(windows_by_ticker.items())]
+        plans = _seed_units(method, [ws for _, _, ws in units], config)
         sequences: list[SyntheticSequence] = []
-        for unit_id, unit_kind, ws in units:
-            result, record = time_unit(lambda: _generate_unit(method, ws, config),
+        for (unit_id, unit_kind, ws), plan in zip(units, plans):
+            result, record = time_unit(lambda: _generate_unit(method, ws, config, plan),
                                        unit_id=unit_id, method=method, unit_kind=unit_kind)
             sequences.extend(result)
             records.append(record)

@@ -240,3 +240,28 @@ def test_package_import_leaves_scipy_spatial_unloaded():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True, timeout=60)
     assert done.stdout.strip() == "False"
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@pytest.mark.skipif(_usable_cpus() < 2, reason="needs 2 CPUs for a 2-thread BLAS")
+def test_kl_trace_independent_of_blas_threads():
+    """The KL trace has the same bits with one BLAS thread as with two: a
+    threaded dot product splits its sum, and its bits, over the threads."""
+    code = ("import numpy as np; from vgsynth.embedding import embed_2d; "
+            "X = np.random.default_rng(11).standard_normal((400, 5)); "
+            "print(np.array(embed_2d(X, perplexity=30, iterations=300).kl_trace).tobytes().hex())")
+    src = str(Path(vgsynth.__file__).resolve().parents[1])
+    traces = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, check=True, timeout=120)
+        traces.append(done.stdout.strip())
+    assert len(traces[0]) == 300 * 16
+    assert traces[0] == traces[1]
