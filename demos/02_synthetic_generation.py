@@ -17,14 +17,12 @@ graph = build_nvg([window])
 print("source window:", np.round(prices, 2))
 
 for strategy in ("restart_random", "random_neighbor", "uniform_random", "degree_weighted"):
-    cfg = WalkConfig(node_strategy=strategy, target_length=20, seed=3)
-    seq = generate_sequence(graph, cfg)
+    seq = generate_sequence(graph, WalkConfig(node_strategy=strategy), seed=3)
     print(f"\n{strategy:>24}: {np.round(seq.values, 2)}")
 
 # restart walks jump back to the first time index ~15% of the time
-cfg = WalkConfig(node_strategy="restart_random", restart_prob=0.15, seed=5,
-                 target_length=2000)
-seq = generate_sequence(graph, cfg)
+cfg = WalkConfig(node_strategy="restart_random", restart_prob=0.15)
+seq = generate_sequence(graph, cfg, seed=5, length=2000)
 restarts = np.mean(seq.scaled_values == window.scaled_values[0])
 print(f"\nshare of steps emitting the start value (2000 steps): {restarts:.3f}")
 
@@ -33,9 +31,9 @@ shuffled = vrp_generate(window, seed=11)
 print("\nVRP shuffle:", np.round(shuffled.values, 2))
 assert sorted(shuffled.values) == sorted(prices)
 
-# similarity downsampling: keep the walks closest to the source (DTW)
-candidates = [generate_sequence(graph, WalkConfig(target_length=20, seed=s))
-              for s in range(10)]
+# similarity downsampling: keep the walks closest to the source (DTW); a
+# walk is as long as its window unless given a length
+candidates = [generate_sequence(graph, WalkConfig(), seed=s) for s in range(10)]
 dists = [dtw_distance(c.values, window.raw_values) for c in candidates]
 print("\nDTW distance of 10 candidate walks to the source window:")
 print(np.round(dists, 2))

@@ -29,10 +29,9 @@ print(f"merged nodes (equal time + exactly equal value): {merged}")
 
 # walk anchored at one window position (its ticker); switching prefers
 # cross-ticker links
-cfg = WalkConfig(node_strategy="random_neighbor_graph_switching", switch_prob=0.6,
-                 target_length=12, seed=1)
+cfg = WalkConfig(node_strategy="random_neighbor_graph_switching", switch_prob=0.6)
 for position, window in enumerate(mg.windows):
-    seq = generate_sequence(mg, cfg, window=position)
+    seq = generate_sequence(mg, cfg, window=position, seed=1)
     print(f"walk anchored at {window.ticker}: {np.round(seq.values, 2)}")
 
 # values are conserved: every input value lives in exactly one node

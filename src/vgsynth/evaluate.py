@@ -11,7 +11,7 @@ chronological per ticker so no future window leaks into training.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -122,22 +122,12 @@ def roc_auc(scores, labels) -> float:
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("roc_auc needs both classes present")
-    ranks = _average_ranks(scores)
+    # 1-based ranks, each tie group's average: its last rank minus half its span
+    _, inv, cnt = np.unique(scores, return_inverse=True, return_counts=True)
+    ends = np.cumsum(cnt)
+    ranks = (ends - (cnt - 1) / 2)[inv]
     pos_rank_sum = float(ranks[labels == 1].sum())
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-
-
-def _average_ranks(scores: np.ndarray) -> np.ndarray:
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(scores.size, dtype=float)
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and scores[order[j + 1]] == scores[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
 
 
 def auc_bruteforce(scores, labels) -> float:
@@ -333,17 +323,7 @@ class EvalReport:
             "seed": self.seed,
             "config": self.config,
             "runtime_totals_ms": dict(self.runtime_totals),
-            "methods": {
-                name: {
-                    "auc_real": ev.auc_real,
-                    "auc_synthetic": ev.auc_synthetic,
-                    "auc_mixed": ev.auc_mixed,
-                    "mixing_score": ev.mixing_score,
-                    "n_synthetic_rows": ev.n_synthetic_rows,
-                    "annotation": ev.annotation,
-                }
-                for name, ev in self.methods.items()
-            },
+            "methods": {name: asdict(ev) for name, ev in self.methods.items()},
         }
 
     def write(self, path: str | Path) -> None:
@@ -355,15 +335,10 @@ class EvalReport:
     def from_dict(cls, data: dict) -> "EvalReport":
         report = cls(seed=data.get("seed", 0), config=data.get("config", {}),
                      runtime_totals=dict(data.get("runtime_totals_ms", {})))
+        # an older report may lack an optional field or hold one no longer read
+        names = [f.name for f in fields(MethodEval)]
         for name, ev in data.get("methods", {}).items():
-            report.methods[name] = MethodEval(
-                auc_real=ev["auc_real"],
-                auc_synthetic=ev["auc_synthetic"],
-                auc_mixed=ev["auc_mixed"],
-                mixing_score=ev.get("mixing_score"),
-                n_synthetic_rows=ev.get("n_synthetic_rows", 0),
-                annotation=ev.get("annotation", ""),
-            )
+            report.methods[name] = MethodEval(**{k: ev[k] for k in names if k in ev})
         return report
 
 

@@ -37,9 +37,9 @@ class DownsampleWarning(UserWarning):
     """Fewer candidate sequences than requested; all were returned."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class WalkConfig:
-    """Parameters of one generation walk.
+    """The walk section of a run's config file, checked once when made.
 
     ``restart_jump`` selects what a non-restart step of the restart strategy
     does: move to a uniform random neighbor ("neighbor", the classic walk
@@ -48,14 +48,11 @@ class WalkConfig:
 
     node_strategy: str = "restart_random"
     value_policy: str = "round_robin"
-    target_length: int = 20
-    seed: int = 0
     restart_prob: float = 0.15
     switch_prob: float = 0.5
     restart_jump: str = "neighbor"
-    start_node: int | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.node_strategy not in NODE_STRATEGIES:
             raise ValueError(f"unknown node strategy {self.node_strategy!r}")
         if self.value_policy not in VALUE_POLICIES:
@@ -66,8 +63,6 @@ class WalkConfig:
             p = getattr(self, name)
             if not (isinstance(p, Real) and not isinstance(p, bool) and 0.0 <= p <= 1.0):
                 raise ValueError(f"{name} must be a number in [0, 1], got {p!r}")
-        if self.target_length < 1:
-            raise ValueError(f"target_length must be >= 1, got {self.target_length}")
 
 
 @dataclass(eq=False)
@@ -194,24 +189,30 @@ def generate_sequence(
     graph: Graph,
     config: WalkConfig,
     window: int = 0,
+    *,
+    seed: int = 0,
+    length: int | None = None,
 ) -> SyntheticSequence:
     """Walk ``graph`` from window position ``window`` and emit a sequence of
-    ``config.target_length`` values: the walk starts at the window's first
-    node, jumps uniformly within the window's node range, and takes the
-    ticker, start and scale of its source window, ``graph.windows[window]``.
-    The walk's scaled values are mapped to prices with that window's
-    ``(scale_min, scale_max)`` by :func:`~vgsynth.ingest.inverse_transform`.
+    ``length`` values, by default as many as the window holds: the walk
+    starts at the window's first node, jumps uniformly within the window's
+    node range, and takes the ticker, start and scale of its source window,
+    ``graph.windows[window]``. The walk's scaled values are mapped to prices
+    with that window's ``(scale_min, scale_max)`` by
+    :func:`~vgsynth.ingest.inverse_transform`.
 
-    Every draw is the one ``np.random.default_rng(config.seed)`` would make,
+    Every draw is the one ``np.random.default_rng(seed)`` would make,
     replayed from its raw PCG64 words; a step makes the draws listed under
     "Seed contract v1" in the README. The seed may be a :class:`PreparedSeed`;
     the sequence records it as a plain int.
     """
-    config.validate()
+    source = graph.windows[window]
+    if length is None:
+        length = source.length
+    if length < 1:
+        raise ValueError(f"length must be >= 1, got {length}")
     first, past = graph.node_range[window].tolist()
-    start = graph.first_node(window) if config.start_node is None else config.start_node
-    if not first <= start < past:
-        raise ValueError(f"start_node {start} not in {first}..{past - 1}")
+    start = graph.first_node(window)
     indptr, indices, cross_indptr, cross_indices = graph.walk_csr
     node_values = graph.node_values
     # a uniform move draws an offset into the window's node range, read as
@@ -224,7 +225,6 @@ def generate_sequence(
     weighted = strategy == "degree_weighted"
     restart_prob, switch_prob = config.restart_prob, config.switch_prob
     round_robin = config.value_policy == "round_robin"
-    length = config.target_length
     # The draws read the generator's raw words from ``words`` at ``pos``.
     # random() is a word's top 53 bits times 2**-53. integers(0, n) draws
     # nothing for n = 1; otherwise it takes a 32-bit x, the low half of the
@@ -233,7 +233,7 @@ def generate_sequence(
     # of x * n is below n, where _lemire_reject decides. The first value
     # takes at most a half word and each step at most two words, so without
     # a rejection 2 * length words last the walk.
-    bitgen = np.random.PCG64(config.seed)
+    bitgen = np.random.PCG64(seed)
     words = bitgen.random_raw(2 * length).tolist()
     pos, half = 0, -1
     cursors: dict[int, int] = {}
@@ -299,11 +299,10 @@ def generate_sequence(
         current = targets[lo]
 
     scaled_arr = np.array(scaled, dtype=float)
-    source = graph.windows[window]
     return SyntheticSequence(
         values=inverse_transform(scaled_arr, source.scale_min, source.scale_max),
         scaled_values=scaled_arr, method=graph.kind, ticker=source.ticker,
-        window_start=source.start_index, seed=int(config.seed),
+        window_start=source.start_index, seed=int(seed),
         scale_min=source.scale_min, scale_max=source.scale_max)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from numbers import Integral, Real
 from pathlib import Path
 
@@ -32,8 +32,7 @@ DOWNSAMPLE_MODES = ("ds", "simds")
 # config-file section -> {option in the section: RunConfig field}
 _SECTIONS = {
     "downsample": {"mode": "downsample_mode", "k": "downsample_k"},
-    "walk": {name: name for name in ("node_strategy", "value_policy", "restart_prob",
-                                     "switch_prob", "restart_jump")},
+    "walk": {f.name: f.name for f in fields(WalkConfig)},
     "evaluation": {name: name for name in ("split", "l2", "max_iter", "tol", "perplexity",
                                            "embed_iterations", "mixing_k",
                                            "embed_max_points")},
@@ -129,20 +128,13 @@ class RunConfig:
                 or abs(sum(split) - 1.0) > 1e-9):
             raise ConfigError(f"split must be 3 ratios >= 0 that sum to 1, got {split!r}")
         try:
-            self.walk_config(target_length=self.window_length).validate()
+            self.walk_config()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
-    def walk_config(self, target_length: int, seed: int = 0) -> WalkConfig:
-        return WalkConfig(
-            node_strategy=self.node_strategy,
-            value_policy=self.value_policy,
-            target_length=target_length,
-            seed=seed,
-            restart_prob=self.restart_prob,
-            switch_prob=self.switch_prob,
-            restart_jump=self.restart_jump,
-        )
+    def walk_config(self) -> WalkConfig:
+        """The config file's walk section as one checked :class:`WalkConfig`."""
+        return WalkConfig(**{name: getattr(self, name) for name in _SECTIONS["walk"]})
 
     def to_dict(self) -> dict:
         out: dict = {}
@@ -240,13 +232,14 @@ def _seed_units(method: str, units: list[list[Window]],
     return plans
 
 
-def _generate_unit(method: str, windows: list[Window], config: RunConfig,
+def _generate_unit(method: str, windows: list[Window], config: RunConfig, walk: WalkConfig,
                    plan: tuple[list[int], np.ndarray, np.ndarray]) -> list[SyntheticSequence]:
     """All kept sequences of one unit. The unit's one graph (a ticker's
     block-diagonal NVG or HVG, a segment's multigraph, none for vrp) serves
-    all its windows' walks, each with its own round-robin cursors; only the
-    candidates in ``plan`` (see :func:`_seed_units`) are generated. One
-    ``downsample`` call then selects over all of the unit's candidates."""
+    all its windows' walks under ``walk``, each with its own seed and
+    round-robin cursors; only the candidates in ``plan`` (see
+    :func:`_seed_units`) are generated. One ``downsample`` call then selects
+    over all of the unit's candidates."""
     graph = None
     if method == "nvmg":
         graph = build_multigraph(windows, similar_value_epsilon=config.similar_value_epsilon)
@@ -259,8 +252,7 @@ def _generate_unit(method: str, windows: list[Window], config: RunConfig,
         if graph is None:
             candidates.append(vrp_generate(windows[position], seed=seed))
         else:
-            walk = config.walk_config(target_length=windows[position].length, seed=seed)
-            candidates.append(generate_sequence(graph, walk, window=position))
+            candidates.append(generate_sequence(graph, walk, window=position, seed=seed))
     return downsample(candidates, windows, k=config.downsample_k)
 
 
@@ -275,6 +267,7 @@ def run_generation(
     Output order is deterministic: sorted by (ticker, window start, seed).
     """
     config.validate()
+    walk = config.walk_config()
     windows_by_ticker = prepare_windows(config, series_list)
     if not any(windows_by_ticker.values()):
         source = config.input if series_list is None else "the given series"
@@ -295,7 +288,7 @@ def run_generation(
         plans = _seed_units(method, [ws for _, _, ws in units], config)
         sequences: list[SyntheticSequence] = []
         for (unit_id, unit_kind, ws), plan in zip(units, plans):
-            result, record = time_unit(lambda: _generate_unit(method, ws, config, plan),
+            result, record = time_unit(lambda: _generate_unit(method, ws, config, walk, plan),
                                        unit_id=unit_id, method=method, unit_kind=unit_kind)
             sequences.extend(result)
             records.append(record)

@@ -36,16 +36,19 @@ def random_scaled_window(rng, length, ticker="T", start=0):
     return make_scaled_window(raw, ticker=ticker, start=start)
 
 
-def make_graph(node_values, u=(), v=(), kind=None, mult=None):
+def make_graph(node_values, u=(), v=(), kind=None, mult=None, start=0):
     """Hand-built one-window ``Graph``: node i holds the list ``node_values[i]``
     and edge e joins ``u[e]`` and ``v[e]`` with kind code ``kind[e]`` (default
-    visibility) and multiplicity ``mult[e]`` (default 1)."""
+    visibility) and multiplicity ``mult[e]`` (default 1). Node ``start`` is
+    the window's first node, where its walks start."""
     n = len(node_values)
+    node_of = np.arange(n)[None, :]
+    node_of[0, 0] = start
     u = np.asarray(u, dtype=np.int64)
     counts = [len(values) for values in node_values]
     window = Window(ticker="T", start_index=0, raw_values=np.zeros(n), scale_min=0.0,
                     scale_max=1.0)
-    return Graph(kind="nvg", windows=[window], node_of=np.arange(n)[None, :],
+    return Graph(kind="nvg", windows=[window], node_of=node_of,
                  node_range=np.array([[0, n]]), node_time=np.arange(n),
                  value_ptr=np.concatenate(([0], np.cumsum(counts))).astype(np.int64),
                  values=np.array([x for values in node_values for x in values], dtype=float),

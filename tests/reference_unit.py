@@ -24,6 +24,7 @@ def generate_unit(method: str, windows: list[Window],
     elif method in _BUILDERS and windows:
         graph = _BUILDERS[method](windows)
     n, k = config.sequences_per_window, config.downsample_k
+    walk = config.walk_config()
     candidates = []
     for position, window in enumerate(windows):
         identity = (config.seed, window.ticker, window.start_index, method)
@@ -33,9 +34,8 @@ def generate_unit(method: str, windows: list[Window],
             if graph is None:
                 candidates.append(vrp_generate(window, seed=derive_seed(*identity, i)))
             else:
-                walk = config.walk_config(target_length=window.length,
-                                          seed=derive_seed(*identity, i))
-                candidates.append(generate_sequence(graph, walk, window=position))
+                candidates.append(generate_sequence(graph, walk, window=position,
+                                                    seed=derive_seed(*identity, i)))
     return downsample(candidates, windows, k=k)
 
 

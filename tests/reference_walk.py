@@ -88,22 +88,29 @@ def reference_generate_sequence(
     graph: Graph,
     config: WalkConfig,
     window: int = 0,
+    *,
+    seed: int = 0,
+    length: int | None = None,
 ) -> SyntheticSequence:
-    """Walk ``graph`` and emit a sequence of ``config.target_length`` values.
+    """Walk ``graph`` and emit a sequence of ``length`` values, by default
+    the window's length.
 
     ``window`` anchors the walk start at that window position's first node
     and selects its ticker, start and scale for the output. Uniform draws
     span the whole graph, so a window of a block-diagonal unit graph is
     compared with this walk on that window's graph built alone.
     """
-    config.validate()
-    rng = np.random.default_rng(config.seed)
-    start = graph.first_node(window) if config.start_node is None else config.start_node
+    if length is None:
+        length = graph.windows[window].length
+    if length < 1:
+        raise ValueError(f"length must be >= 1, got {length}")
+    rng = np.random.default_rng(seed)
+    start = graph.first_node(window)
     state = _WalkState(rng=rng)
 
     current = start
     scaled = [next_value(graph, current, config.value_policy, state)]
-    while len(scaled) < config.target_length:
+    while len(scaled) < length:
         current = next_node(graph, current, config, rng, start)
         scaled.append(next_value(graph, current, config.value_policy, state))
 
@@ -116,7 +123,7 @@ def reference_generate_sequence(
         method=graph.kind,
         ticker=graph.windows[window].ticker,
         window_start=graph.windows[window].start_index,
-        seed=config.seed,
+        seed=seed,
         scale_min=scale_min,
         scale_max=scale_max,
     )

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vgsynth.errors import UndefinedMetricError
-from vgsynth.evaluate import (EvalReport, FeatureRow, LogisticClassifier,
+from vgsynth.evaluate import (EvalReport, FeatureRow, LogisticClassifier, MethodEval,
                               auc_bruteforce, chronological_split,
                               extract_features, roc_auc, run_experiment)
 from vgsynth.generate import SyntheticSequence
@@ -235,3 +235,12 @@ class TestRunExperiment:
             back = EvalReport.from_dict(json.load(fh))
         assert back.methods["copy"].auc_real == report.methods["copy"].auc_real
         assert back.seed == report.seed
+        assert back.to_dict() == report.to_dict()
+
+    def test_older_report_reads_with_defaults(self):
+        old = {"methods": {"nvg": {"auc_real": 0.6, "auc_synthetic": 0.4, "auc_mixed": None,
+                                   "retired_field": 1}}}
+        back = EvalReport.from_dict(old)
+        assert back.methods["nvg"] == MethodEval(auc_real=0.6, auc_synthetic=0.4,
+                                                 auc_mixed=None)
+        assert back.seed == 0 and back.config == {} and back.runtime_totals == {}

@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
@@ -12,16 +15,19 @@ from conftest import (make_graph, make_prescaled_window, make_scaled_window,
                       random_scaled_window)
 
 
-def graph_from_edges(n_nodes, edges, values=None):
-    """Hand-built one-ticker graph for walk tests; values default to node index / 10."""
+def graph_from_edges(n_nodes, edges, values=None, start=0):
+    """Hand-built one-ticker graph for walk tests, walked from node ``start``;
+    values default to node index / 10."""
     return make_graph([[values[i] if values else i / 10.0] for i in range(n_nodes)],
-                      [u for u, _ in edges], [v for _, v in edges], mult=list(edges.values()))
+                      [u for u, _ in edges], [v for _, v in edges], mult=list(edges.values()),
+                      start=start)
 
 
 def walk(graph, length, seed=0, window=0, **config):
     """Scaled values of one ``generate_sequence`` walk."""
-    cfg = WalkConfig(target_length=length, seed=seed, **config)
-    return generate_sequence(graph, cfg, window=window).scaled_values.tolist()
+    walked = generate_sequence(graph, WalkConfig(**config), window=window, seed=seed,
+                               length=length)
+    return walked.scaled_values.tolist()
 
 
 class TestNextNode:
@@ -29,15 +35,15 @@ class TestNextNode:
 
     def test_unique_neighbor_is_forced(self):
         path = graph_from_edges(3, {(0, 1): 1, (1, 2): 1})
-        steps = [walk(path, 2, seed=s, node_strategy="random_neighbor", start_node=0)[1]
+        steps = [walk(path, 2, seed=s, node_strategy="random_neighbor")[1]
                  for s in range(20)]
         assert all(value == 0.1 for value in steps)  # node 1
 
     def test_restart_prob_one_always_restarts(self):
-        path = graph_from_edges(3, {(0, 1): 1, (1, 2): 1})
         cfg = dict(node_strategy="restart_random", restart_prob=1.0)
-        assert all(v == 0.1 for v in walk(path, 51, start_node=1, **cfg))
-        assert all(v == 0.0 for v in walk(path, 51, **cfg))  # first node
+        for start in (1, 0):
+            path = graph_from_edges(3, {(0, 1): 1, (1, 2): 1}, start=start)
+            assert walk(path, 51, **cfg) == [start / 10] * 51
 
     def test_degree_weighted_follows_multiplicities(self):
         star = graph_from_edges(3, {(0, 1): 3, (0, 2): 1})
@@ -48,13 +54,13 @@ class TestNextNode:
         assert abs(freq_x - 0.75) <= 0.02
 
     def test_isolated_node_is_integrity_error(self):
-        lonely = graph_from_edges(3, {(0, 1): 1})  # node 2 isolated
+        lonely = graph_from_edges(3, {(0, 1): 1}, start=2)  # node 2 isolated
         with pytest.raises(GraphIntegrityError, match="node 2 is isolated"):
-            walk(lonely, 2, node_strategy="random_neighbor", start_node=2)
+            walk(lonely, 2, node_strategy="random_neighbor")
 
     def test_uniform_random_covers_all_nodes(self):
         g = graph_from_edges(4, {(0, 1): 1, (1, 2): 1, (2, 3): 1})
-        seen = set(walk(g, 201, seed=5, node_strategy="uniform_random", start_node=0)[1:])
+        seen = set(walk(g, 201, seed=5, node_strategy="uniform_random")[1:])
         assert seen == {0.0, 0.1, 0.2, 0.3}
 
     def test_graph_switching_prefers_cross_edges(self):
@@ -98,16 +104,15 @@ class TestNextValue:
 class TestGenerateSequence:
     def test_single_node_graph(self):
         g = graph_from_edges(1, {}, values=[5.0])
-        cfg = WalkConfig(node_strategy="uniform_random", target_length=3, seed=1)
-        seq = generate_sequence(g, cfg)
+        seq = generate_sequence(g, WalkConfig(node_strategy="uniform_random"), seed=1,
+                                length=3)
         np.testing.assert_array_equal(seq.values, [5.0, 5.0, 5.0])
 
     def test_length_and_containment(self, rng):
         for _ in range(20):
             window = random_scaled_window(rng, 20)
             graph = build_nvg([window])
-            cfg = WalkConfig(target_length=20, seed=int(rng.integers(1 << 30)))
-            seq = generate_sequence(graph, cfg)
+            seq = generate_sequence(graph, WalkConfig(), seed=int(rng.integers(1 << 30)))
             assert seq.values.size == 20
             node_values = set(graph.values.tolist())
             assert set(seq.scaled_values.tolist()) <= node_values
@@ -115,20 +120,19 @@ class TestGenerateSequence:
     def test_seed_determinism(self, rng):
         window = random_scaled_window(rng, 20)
         graph = build_nvg([window])
-        cfg = WalkConfig(target_length=40, seed=123)
-        a = generate_sequence(graph, cfg)
-        b = generate_sequence(graph, cfg)
+        a = generate_sequence(graph, WalkConfig(), seed=123, length=40)
+        b = generate_sequence(graph, WalkConfig(), seed=123, length=40)
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_zero_target_length_rejected(self, rng):
         graph = build_nvg([random_scaled_window(rng, 5)])
-        with pytest.raises(ValueError):
-            generate_sequence(graph, WalkConfig(target_length=0))
+        with pytest.raises(ValueError, match="length must be >= 1, got 0"):
+            generate_sequence(graph, WalkConfig(), length=0)
 
     def test_inverse_scaling_applied(self, rng):
         window = make_scaled_window([10.0, 20.0, 30.0, 15.0])
         graph = build_nvg([window])
-        seq = generate_sequence(graph, WalkConfig(target_length=10, seed=3))
+        seq = generate_sequence(graph, WalkConfig(), seed=3, length=10)
         # every emitted price must be one of the window prices
         assert set(np.round(seq.values, 9)) <= set(np.round(window.raw_values, 9))
 
@@ -136,10 +140,26 @@ class TestGenerateSequence:
         a = make_scaled_window([10, 20, 30], ticker="A")
         b = make_scaled_window([100, 200, 300], ticker="B")
         mg = build_multigraph([a, b])
-        seq = generate_sequence(mg, WalkConfig(target_length=8, seed=5), window=1)
+        seq = generate_sequence(mg, WalkConfig(), window=1, seed=5, length=8)
         assert seq.ticker == "B"
         assert seq.scale_min == 100 and seq.scale_max == 300
         assert seq.values.min() >= 100 and seq.values.max() <= 300
+
+
+class TestWalkConfig:
+    @pytest.mark.parametrize("name, value", [
+        ("node_strategy", "sideways"), ("value_policy", "last"), ("restart_jump", "far"),
+        ("restart_prob", 1.5), ("restart_prob", True), ("switch_prob", -0.1),
+        ("switch_prob", "0.5")])
+    def test_bad_value_raises_at_construction(self, name, value):
+        with pytest.raises(ValueError, match=re.escape(repr(value))):
+            WalkConfig(**{name: value})
+
+    def test_fields_cannot_be_assigned(self):
+        config = WalkConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.restart_prob = 2.0
+        assert config == WalkConfig()
 
 
 class TestVRP:

@@ -587,6 +587,6 @@ def test_multigraph_build_memory():
     assert peak <= 26.6 * 2**20 / 2
     assert retained < 8.7 * 2**20
     # only degree-weighted walks make the multiplicities
-    generate_sequence(graph, WalkConfig(node_strategy="random_neighbor_graph_switching",
-                                        target_length=60, seed=1), window=3)
+    generate_sequence(graph, WalkConfig(node_strategy="random_neighbor_graph_switching"),
+                      window=3, seed=1)
     assert "mult" not in graph.__dict__

@@ -198,6 +198,22 @@ class TestGeneration:
         assert built == ([("nvg", unit) for unit in tickers] + [("hvg", unit) for unit in tickers]
                          + [("nvmg", unit) for unit in segments])
 
+    def test_one_walk_config_per_run(self, monkeypatch):
+        # the walk section is made once to check the config and once for the
+        # run, never per walk
+        made = []
+        init = generate.WalkConfig.__init__
+
+        def spy(config, *args, **kwargs):
+            init(config, *args, **kwargs)
+            made.append(config)
+
+        monkeypatch.setattr(generate.WalkConfig, "__init__", spy)
+        by_method, _ = run_generation(RunConfig(methods=("nvg", "hvg", "nvmg", "vrp")),
+                                      make_desk_corpus(4, 60, seed=5))
+        assert all(by_method[m] for m in ("nvg", "hvg", "nvmg"))
+        assert len(made) <= 2
+
     def test_sequence_file_round_trip(self, tiny_corpus_csv, tmp_path):
         config = tiny_config(tiny_corpus_csv, methods=("nvg",))
         by_method, _ = run_generation(config)
@@ -344,7 +360,7 @@ class TestDownsamplePick:
                     seed = derive_seed(config.seed, *key, method, i)
                     candidates.append(
                         vrp_generate(window, seed=seed) if graph is None else generate_sequence(
-                            graph, config.walk_config(window.length, seed), window=position))
+                            graph, config.walk_config(), window=position, seed=seed))
                 if config.downsample_mode == "ds":
                     picked = ds_indices(n, k, derive_seed(config.seed, *key, method,
                                                           "downsample"))

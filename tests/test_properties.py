@@ -53,14 +53,15 @@ units = st.integers(min_value=2, max_value=30).flatmap(
                        min_size=1, max_size=4)
 ).map(lambda rows: [make_scaled_window(row, ticker="U", start=w * len(row))
                     for w, row in enumerate(rows)])
-walks = st.builds(
-    WalkConfig,
-    node_strategy=st.sampled_from(NODE_STRATEGIES),
-    value_policy=st.sampled_from(VALUE_POLICIES),
-    target_length=st.integers(min_value=1, max_value=80),
-    seed=st.integers(min_value=0, max_value=2**32),
-    restart_prob=st.floats(min_value=0.0, max_value=1.0),
-    restart_jump=st.sampled_from(RESTART_JUMPS),
+# (config, the walk's seed and length)
+walks = st.tuples(
+    st.builds(WalkConfig,
+              node_strategy=st.sampled_from(NODE_STRATEGIES),
+              value_policy=st.sampled_from(VALUE_POLICIES),
+              restart_prob=st.floats(min_value=0.0, max_value=1.0),
+              restart_jump=st.sampled_from(RESTART_JUMPS)),
+    st.fixed_dictionaries({"seed": st.integers(min_value=0, max_value=2**32),
+                           "length": st.integers(min_value=1, max_value=80)}),
 )
 
 
@@ -77,8 +78,9 @@ def test_one_window_multigraph_is_its_nvg(window):
 @settings(deadline=None)
 @given(window=windows, walk=walks)
 def test_walks_agree_on_nvg_and_one_window_multigraph(window, walk):
-    on_nvg = generate_sequence(build_nvg([window]), walk)
-    on_mg = generate_sequence(build_multigraph([window]), walk)
+    config, run = walk
+    on_nvg = generate_sequence(build_nvg([window]), config, **run)
+    on_mg = generate_sequence(build_multigraph([window]), config, **run)
     np.testing.assert_array_equal(on_mg.values, on_nvg.values)
     np.testing.assert_array_equal(on_mg.scaled_values, on_nvg.scaled_values)
     assert (on_mg.ticker, on_mg.window_start) == (on_nvg.ticker, on_nvg.window_start) \
@@ -126,7 +128,7 @@ def test_walk_values_are_node_values(segment, walk):
     for graph, window in ((build_nvg([segment[0]]), 0), (build_hvg([segment[0]]), 0),
                           (build_multigraph(segment), len(segment) - 1)):
         node_values = set(graph.values.tolist())
-        seq = generate_sequence(graph, walk, window=window)
+        seq = generate_sequence(graph, walk[0], window=window, **walk[1])
         assert set(seq.scaled_values.tolist()) <= node_values
 
 

@@ -7,7 +7,6 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from vgsynth import generate
 from vgsynth.errors import GraphIntegrityError
 from vgsynth.generate import (NODE_STRATEGIES, RESTART_JUMPS, VALUE_POLICIES,
                               WalkConfig, derive_seed, generate_sequence)
@@ -26,11 +25,12 @@ SEEDS = (0, 1, 17, 2**32, 2**64 - 1, derive_seed(7, "AAA", 0, "nvg", 3))
 STRIDE = 2**33
 
 
-def bounded_graph(bounds):
-    """A path over ``len(bounds)`` nodes whose node i holds ``bounds[i]``
-    values, so a random-policy walk draws ``integers(0, bounds[i])`` there."""
+def bounded_graph(bounds, start):
+    """A path over ``len(bounds)`` nodes, walked from node ``start``, whose
+    node i holds ``bounds[i]`` values, so a random-policy walk draws
+    ``integers(0, bounds[i])`` there."""
     graph = make_graph([[0.0]] * len(bounds), u=range(len(bounds) - 1),
-                       v=range(1, len(bounds)))
+                       v=range(1, len(bounds)), start=start)
     graph.node_values = [range(i * STRIDE, i * STRIDE + b) for i, b in enumerate(bounds)]
     return graph
 
@@ -68,14 +68,14 @@ def test_replay_matches_generator(seed, length):
     draw rejects often. The walk reads 2 * length words first; a rejection
     appends more, which a 64-value walk on the 2**31 + 11 graph always needs."""
     for bounds, start in ((BOUNDS, 4), ((2**31 + 11,) * 3, 0), ((3 * 2**30 + 1,) * 3, 0)):
-        graph = bounded_graph(bounds)
+        graph = bounded_graph(bounds, start)
         for restart_prob in (0.0, 0.5):
             config = WalkConfig(node_strategy="restart_random", restart_jump="uniform",
-                                value_policy="random", restart_prob=restart_prob,
-                                target_length=length, seed=seed, start_node=start)
+                                value_policy="random", restart_prob=restart_prob)
             gen = np.random.default_rng(seed)
             expected = generator_walk(gen, bounds, start, restart_prob, length)
-            assert generate_sequence(graph, config).scaled_values.tolist() == expected
+            walk = generate_sequence(graph, config, seed=seed, length=length)
+            assert walk.scaled_values.tolist() == expected
             if length == 64 and bounds[0] == 2**31 + 11 and restart_prob == 0.0:
                 assert words_drawn(gen, seed) > 2 * length
 
@@ -97,10 +97,9 @@ def test_choice_replay_matches_generator(seed):
     node's cached cdf; interleaved with the value's ``integers`` it keeps
     the stream, over 3000 steps of random multiplicities."""
     graph = weighted_graph(seed % 1000)
-    config = WalkConfig(node_strategy="degree_weighted", value_policy="random",
-                        target_length=3000, seed=seed)
-    assert (outcome(generate_sequence, graph, config, 0)
-            == outcome(reference_generate_sequence, graph, config, 0))
+    config = WalkConfig(node_strategy="degree_weighted", value_policy="random")
+    assert (outcome(generate_sequence, graph, config, 0, seed=seed, length=3000)
+            == outcome(reference_generate_sequence, graph, config, 0, seed=seed, length=3000))
 
 
 def parallel_kinds_graph():
@@ -139,11 +138,11 @@ def test_lazy_mult_sums_each_pairs_edges(build):
     assert graph.mult.dtype == np.int64
     assert graph.mult.tolist() == [sums[min(r, c), max(r, c)]
                                    for r, c in zip(rows, graph.indices.tolist())]
+    config = WalkConfig(node_strategy="degree_weighted", value_policy="random")
     for window in (0, len(graph.windows) // 2, len(graph.windows) - 1):
-        config = WalkConfig(node_strategy="degree_weighted", value_policy="random",
-                            target_length=200, seed=derive_seed(window, "mult"))
-        assert (outcome(generate_sequence, graph, config, window)
-                == outcome(reference_generate_sequence, graph, config, window))
+        walk = dict(seed=derive_seed(window, "mult"), length=200)
+        assert (outcome(generate_sequence, graph, config, window, **walk)
+                == outcome(reference_generate_sequence, graph, config, window, **walk))
 
 
 def tie_heavy_windows(rng, n_tickers, length, start=0):
@@ -186,11 +185,11 @@ def graphs_under_test():
     return graphs
 
 
-def outcome(walker, graph, config, window):
-    """The bytes and provenance of a walk's output, or the type of the error
-    it raised and the node it names."""
+def outcome(walker, graph, config, window, **walk):
+    """The bytes and provenance of the walk's output, ``walk`` its seed and
+    length, or the type of the error it raised and the node it names."""
     try:
-        seq = walker(graph, config, window=window)
+        seq = walker(graph, config, window=window, **walk)
     except GraphIntegrityError as exc:
         return type(exc), str(exc).split(";")[0]
     return (seq.values.tobytes(), seq.scaled_values.tobytes(), seq.ticker, seq.window_start,
@@ -205,30 +204,29 @@ def test_walk_equals_reference_on_built_graphs(strategy):
                 for i in range(3):
                     config = WalkConfig(node_strategy=strategy, value_policy=policy,
                                         restart_jump=jump,
-                                        target_length=graph.windows[window].length,
-                                        seed=derive_seed(g, policy, jump, i),
                                         restart_prob=(0.15, 0.6, 1.0)[i],
                                         switch_prob=(0.5, 0.9, 0.0)[i])
-                    assert (outcome(generate_sequence, graph, config, window)
-                            == outcome(reference_generate_sequence, reference, config, ref_window))
+                    seed = derive_seed(g, policy, jump, i)
+                    assert (outcome(generate_sequence, graph, config, window, seed=seed)
+                            == outcome(reference_generate_sequence, reference, config,
+                                       ref_window, seed=seed))
 
 
 def graph_with_isolated_node():
-    """Nodes 0-4 joined by visibility and cross-ticker kinds, node 5 isolated;
-    nodes 1 and 5 hold several values."""
-    return make_graph([[0.0], [0.1, 0.2, 0.3], [0.4], [0.5], [0.6], [0.7, 0.8]],
+    """Nodes 0-4 joined by visibility and cross-ticker kinds, node 5 isolated
+    and the window's first node; nodes 1 and 5 hold several values."""
+    return make_graph([[0.0], [0.1, 0.2, 0.3], [0.4], [0.5], [0.6], [0.7, 0.8]], start=5,
                       u=[0, 0, 1, 1, 2, 3], v=[1, 2, 2, 4, 3, 4],
                       kind=[KIND_CODE[k] for k in (VISIBILITY, SIMILAR_VALUE, VISIBILITY,
                                                    SIMILAR_VALUE, VISIBILITY, VISIBILITY)],
                       mult=[1, 2, 3, 1, 1, 4])
 
 
-def first_failing_length(walker, graph, config):
-    """Smallest target length at which the walk raises, or None: a walk of
-    length L is the first L values of any longer walk of the same seed."""
+def first_failing_length(walker, graph, config, seed):
+    """Smallest length at which the walk raises, or None: a walk of length L
+    is the first L values of any longer walk of the same seed."""
     for length in range(1, 41):
-        config.target_length = length
-        if isinstance(outcome(walker, graph, config, 0)[0], type):
+        if isinstance(outcome(walker, graph, config, 0, seed=seed, length=length)[0], type):
             return length
     return None
 
@@ -239,13 +237,13 @@ def test_isolated_node_raises_at_the_same_step(strategy):
     failing = []
     for seed in range(40):
         for policy in VALUE_POLICIES:
-            config = WalkConfig(node_strategy=strategy, value_policy=policy, seed=seed,
-                                restart_prob=0.8, start_node=5)
-            length = first_failing_length(generate_sequence, graph, config)
-            assert length == first_failing_length(reference_generate_sequence, graph, config)
-            config.target_length = 40
-            assert (outcome(generate_sequence, graph, config, 0)
-                    == outcome(reference_generate_sequence, graph, config, 0))
+            config = WalkConfig(node_strategy=strategy, value_policy=policy, restart_prob=0.8)
+            length = first_failing_length(generate_sequence, graph, config, seed)
+            assert length == first_failing_length(reference_generate_sequence, graph, config,
+                                                  seed)
+            assert (outcome(generate_sequence, graph, config, 0, seed=seed, length=40)
+                    == outcome(reference_generate_sequence, graph, config, 0, seed=seed,
+                               length=40))
             failing.append(length)
     if strategy == "uniform_random":
         assert set(failing) == {None}
@@ -253,29 +251,6 @@ def test_isolated_node_raises_at_the_same_step(strategy):
         assert len(set(failing) - {None}) > 3  # restarts postpone the failure
     else:
         assert set(failing) == {2}
-
-
-@pytest.mark.parametrize("start", [-1, -6, 6, 100])
-def test_start_node_out_of_range_rejected_before_any_draw(start, monkeypatch):
-    graph = graph_with_isolated_node()
-
-    def no_draws(*args):
-        raise AssertionError("drew before checking start_node")
-
-    # the walk seeds its words from np.random.PCG64 as generate sees it; an
-    # in-range start meets the spy, so the spy sits where the walk draws
-    monkeypatch.setattr(generate.np.random, "PCG64", no_draws)
-    with pytest.raises(AssertionError, match="drew before checking"):
-        generate_sequence(graph, WalkConfig(start_node=0))
-    with pytest.raises(ValueError, match=rf"start_node {start} not in 0\.\.5"):
-        generate_sequence(graph, WalkConfig(start_node=start))
-
-
-def test_start_node_outside_the_windows_block_rejected():
-    unit = build_nvg(unit_windows(np.random.default_rng(5), 3, 5, ties=False))
-    with pytest.raises(ValueError, match=r"start_node 4 not in 5\.\.9"):
-        generate_sequence(unit, WalkConfig(start_node=4), window=1)
-    assert generate_sequence(unit, WalkConfig(start_node=9), window=1).window_start == 5
 
 
 def test_walk_csr_reads_the_csr_arrays():
