@@ -104,8 +104,12 @@ def cmd_report(args) -> int:
         print(f"error: nothing to report in {out_dir}", file=sys.stderr)
         return 1
     if report_file.exists():
-        with report_file.open() as fh:
-            _print_report(EvalReport.from_dict(json.load(fh)))
+        try:
+            with report_file.open() as fh:
+                report = EvalReport.from_dict(json.load(fh))
+        except ValueError as exc:  # not JSON, or a method without its AUCs
+            raise ValueError(f"{report_file}: {exc}") from exc
+        _print_report(report)
     if runtime_file.exists():
         print(summary_table(read_runtime_log(runtime_file)))
     return 0

@@ -11,7 +11,7 @@ chronological per ticker so no future window leaks into training.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -32,85 +32,62 @@ FEATURE_NAMES = (
 )
 
 
-@dataclass
-class FeatureRow:
-    """Feature vector of one window plus its up/down label."""
+def relative_strength_index(head: np.ndarray) -> np.ndarray:
+    """RSI of each row of ``head`` over the whole row, with single-period
+    average gains and losses.
 
-    linear_trend_slope: float
-    quadratic_coeff: float
-    average_change: float
-    rsi: float
-    num_peaks: int
-    mean: float
-    variance: float
-    value_range: float
-    label: int
-
-    def vector(self) -> np.ndarray:
-        return np.array([getattr(self, name) for name in FEATURE_NAMES], dtype=float)
-
-
-def _ols_slope(y: np.ndarray) -> float:
-    x = np.arange(y.size, dtype=float)
-    xc = x - x.mean()
-    yc = y - y.mean()
-    denom = np.dot(xc, xc)
-    return float(np.dot(xc, yc) / denom) if denom > 0 else 0.0
-
-
-def _quadratic_coeff(y: np.ndarray) -> float:
-    if y.size < 3:
-        return 0.0
-    return float(np.polyfit(np.arange(y.size, dtype=float), y, 2)[0])
-
-
-def relative_strength_index(y: np.ndarray) -> float:
-    """RSI over the whole window with single-period average gains/losses.
-
-    All-gain windows score 100, all-loss windows 0, flat windows 50.
+    All-gain rows score 100, all-loss rows 0, flat rows 50.
     """
-    diffs = np.diff(np.asarray(y, dtype=float))
-    gains = float(diffs[diffs > 0].sum())
-    losses = float(-diffs[diffs < 0].sum())
-    if gains == 0.0 and losses == 0.0:
-        return 50.0
-    if losses == 0.0:
-        return 100.0
-    if gains == 0.0:
-        return 0.0
-    rs = gains / losses
-    return 100.0 - 100.0 / (1.0 + rs)
+    diffs = np.diff(head, axis=1)
+    gains = np.where(diffs > 0, diffs, 0.0).sum(axis=1)
+    losses = -np.where(diffs < 0, diffs, 0.0).sum(axis=1)
+    rs = np.divide(gains, losses, out=np.full(gains.shape, np.inf), where=losses > 0)
+    return np.where(gains + losses > 0, 100.0 - 100.0 / (1.0 + rs), 50.0)
 
 
-def count_peaks(y: np.ndarray) -> int:
-    """Strict local maxima; endpoints excluded."""
-    inner = y[1:-1]
-    return int(np.sum((inner > y[:-2]) & (inner > y[2:])))
+def count_peaks(head: np.ndarray) -> np.ndarray:
+    """Strict local maxima of each row of ``head``; endpoints excluded."""
+    inner = head[:, 1:-1]
+    return ((inner > head[:, :-2]) & (inner > head[:, 2:])).sum(axis=1)
 
 
-def extract_features(values: np.ndarray) -> FeatureRow:
-    """Features over the first n-1 values; label from the final step.
+def extract_features(values) -> tuple[np.ndarray, np.ndarray]:
+    """Features of each row of an (n, L) array: ``X`` (n, 8), columns in
+    ``FEATURE_NAMES`` order, over the row's first h = L-1 values, and the
+    label ``y``, 1 if the last value strictly exceeds the one before it
+    (ties count as down).
 
-    The label is 1 if the last value strictly exceeds the one before it,
-    otherwise 0 (ties count as down).
+    The slope and the quadratic coefficient are least-squares fits over the
+    index: the centred rows times two fixed columns, the centred index
+    x - m, m = (h-1)/2, and p2 = (x-m)^2 - (h^2-1)/12, each over its squared
+    norm. p2 is 0 at h = 2, and so is its fit.
     """
-    values = np.asarray(values, dtype=float)
-    if values.size < 3:
-        raise ValueError(f"need at least 3 values, got {values.size}")
-    if not np.isfinite(values).all():
-        raise ValueError("values must be finite")
-    head = values[:-1]
-    return FeatureRow(
-        linear_trend_slope=_ols_slope(head),
-        quadratic_coeff=_quadratic_coeff(head),
-        average_change=float(np.diff(head).mean()),
-        rsi=relative_strength_index(head),
-        num_peaks=count_peaks(head),
-        mean=float(head.mean()),
-        variance=float(head.var()),
-        value_range=float(head.max() - head.min()),
-        label=int(values[-1] > values[-2]),
-    )
+    values = np.asarray(values, dtype=float)  # a ragged input raises ValueError here
+    if values.ndim != 2:
+        raise ValueError(f"values must be an (n, L) array, got {values.ndim} dimension(s)")
+    if values.shape[1] < 3:
+        raise ValueError(f"need at least 3 values per row, got {values.shape[1]}")
+    bad = ~np.isfinite(values).all(axis=1)
+    if bad.any():
+        raise ValueError(f"values must be finite; row {np.flatnonzero(bad)[0]} is not")
+    head = values[:, :-1]
+    h = head.shape[1]
+    mean = head.mean(axis=1)
+    xc = np.arange(h) - (h - 1) / 2.0
+    basis = np.stack([xc, xc * xc - (h * h - 1) / 12.0], axis=1)
+    norms = (basis * basis).sum(axis=0)
+    fits = np.divide((head - mean[:, None]) @ basis, norms,
+                     out=np.zeros((len(head), 2)), where=norms > 0)
+    X = np.column_stack([
+        fits,
+        np.diff(head, axis=1).mean(axis=1),
+        relative_strength_index(head),
+        count_peaks(head),
+        mean,
+        head.var(axis=1),
+        head.max(axis=1) - head.min(axis=1),
+    ])
+    return X, (values[:, -1] > values[:, -2]).astype(int)
 
 
 def roc_auc(scores, labels) -> float:
@@ -337,7 +314,11 @@ class EvalReport:
                      runtime_totals=dict(data.get("runtime_totals_ms", {})))
         # an older report may lack an optional field or hold one no longer read
         names = [f.name for f in fields(MethodEval)]
+        required = [f.name for f in fields(MethodEval) if f.default is MISSING]
         for name, ev in data.get("methods", {}).items():
+            missing = [k for k in required if k not in ev]
+            if missing:
+                raise ValueError(f"method {name!r} lacks {', '.join(missing)}")
             report.methods[name] = MethodEval(**{k: ev[k] for k in names if k in ev})
         return report
 
@@ -380,9 +361,8 @@ def run_experiment(
     if not train_windows or not test_windows:
         raise ValueError("not enough windows for a chronological split")
 
-    real_train = [extract_features(w.raw_values) for w in train_windows]
-    test_rows = [extract_features(w.raw_values) for w in test_windows]
-    test_X, test_y = _arrays(test_rows)
+    real_X, real_y = extract_features([w.raw_values for w in train_windows])
+    test_X, test_y = extract_features([w.raw_values for w in test_windows])
 
     train_starts = {}
     for w in train_windows:
@@ -390,18 +370,16 @@ def run_experiment(
 
     # Every training set first, real then each method's mixed and synthetic
     # sets, so that fit_classifiers can fit sets of one shape together.
-    real_X, real_y = _arrays(real_train)
     training_sets = [(real_X, real_y)]
     plans = {}  # method -> (synthetic rows, index of its mixed set, of its synthetic set)
     for method, sequences in synthetic_by_method.items():
-        usable = [s for s in sequences
+        usable = [s.values for s in sequences
                   if s.window_start in train_starts.get(s.ticker, ())]
-        synth_rows = [extract_features(s.values) for s in usable]
-        if not synth_rows:
+        if not usable:
             # mixing zero synthetic rows degenerates to the real training set
             plans[method] = (0, 0, None)
             continue
-        synth_X, synth_y = _arrays(synth_rows)
+        synth_X, synth_y = extract_features(usable)
         training_sets.append((np.concatenate([real_X, synth_X]),
                               np.concatenate([real_y, synth_y])))
         mixed = len(training_sets) - 1
@@ -409,7 +387,7 @@ def run_experiment(
         if np.unique(synth_y).size > 1:
             training_sets.append((synth_X, synth_y))
             synth = len(training_sets) - 1
-        plans[method] = (len(synth_rows), mixed, synth)
+        plans[method] = (len(usable), mixed, synth)
 
     models = [LogisticClassifier(**hyperparams) for _ in training_sets]
     fit_classifiers(models, training_sets)
@@ -432,7 +410,3 @@ def run_experiment(
         )
     return report
 
-
-def _arrays(rows: list[FeatureRow]) -> tuple[np.ndarray, np.ndarray]:
-    """Feature matrix and label vector of ``rows``."""
-    return np.array([r.vector() for r in rows]), np.array([r.label for r in rows])

@@ -13,7 +13,7 @@ import pytest
 
 from vgsynth.corpus import make_desk_corpus
 from vgsynth.embedding import conditional_affinities, embed_2d, embedding_overlap, mixing_score
-from vgsynth.evaluate import extract_features
+from vgsynth.evaluate import FEATURE_NAMES, extract_features
 from vgsynth.generate import vrp_generate
 from vgsynth.graphs import VISIBILITY, build_hvg, build_multigraph, build_nvg
 from vgsynth.ingest import Window, minmax_scale
@@ -21,6 +21,7 @@ from vgsynth.oracles import check_auc, check_dtw, check_visibility
 from vgsynth.pipeline import RunConfig, run_evaluation, run_generation, write_sequences
 
 CORPUS_SEED = 2024
+RSI = FEATURE_NAMES.index("rsi")
 
 
 def check(criterion: str, ok: bool, detail: str = ""):
@@ -178,13 +179,13 @@ def test_criterion_7_property_suites(tmp_path):
     # RSI bounds and monotone extremes
     for _ in range(200):
         values = rng.random(int(rng.integers(3, 30))) * 100
-        rsi = extract_features(values).rsi
+        rsi = extract_features([values])[0][0, RSI]
         if not 0.0 <= rsi <= 100.0:
             problems.append("rsi out of bounds")
             break
-    if extract_features(np.arange(20.0)).rsi != 100.0:
+    if extract_features([np.arange(20.0)])[0][0, RSI] != 100.0:
         problems.append("rsi of strictly increasing window != 100")
-    if extract_features(np.arange(20.0, 0.0, -1.0)).rsi != 0.0:
+    if extract_features([np.arange(20.0, 0.0, -1.0)])[0][0, RSI] != 0.0:
         problems.append("rsi of strictly decreasing window != 0")
 
     # full-pipeline seed determinism: two identical runs byte-compare equal

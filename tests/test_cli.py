@@ -300,6 +300,20 @@ class TestReportCommand:
         assert main(["report", "--out", str(out)]) == 1
         assert f"error: {path}:{line}: malformed record" in capsys.readouterr().err
 
+    def test_report_not_json_exits_1_naming_the_file(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_text("not json\n")
+        assert main(["report", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: Expecting value: line 1 column 1")
+
+    def test_method_without_auc_real_exits_1_naming_file_and_method(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({"methods": {"nvg": {"auc_synthetic": 0.4,
+                                                        "auc_mixed": 0.5}}}))
+        assert main(["report", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: method 'nvg' lacks auc_real\n"
+
 
 class TestSelftestCommand:
     def test_fresh_build_passes(self, capsys):

@@ -2,64 +2,68 @@ import numpy as np
 import pytest
 
 from vgsynth.errors import UndefinedMetricError
-from vgsynth.evaluate import (EvalReport, FeatureRow, LogisticClassifier, MethodEval,
-                              auc_bruteforce, chronological_split,
-                              extract_features, roc_auc, run_experiment)
+from vgsynth.evaluate import (FEATURE_NAMES, EvalReport, LogisticClassifier, MethodEval,
+                              auc_bruteforce, chronological_split, extract_features,
+                              relative_strength_index, roc_auc, run_experiment)
 from vgsynth.generate import SyntheticSequence
 from vgsynth.ingest import Window
 
 
+def one_row(values):
+    """Named features and label of one window, through the matrix form."""
+    X, y = extract_features([values])
+    return dict(zip(FEATURE_NAMES, X[0]), label=y[0])
+
+
 class TestExtractFeatures:
     def test_strictly_increasing(self):
-        row = extract_features(np.arange(1.0, 21.0))
-        assert row.rsi == 100.0
-        assert row.num_peaks == 0
-        assert row.label == 1
-        assert row.linear_trend_slope == pytest.approx(1.0)
+        row = one_row(np.arange(1.0, 21.0))
+        assert row["rsi"] == 100.0
+        assert row["num_peaks"] == 0
+        assert row["label"] == 1
+        assert row["linear_trend_slope"] == pytest.approx(1.0)
 
     def test_alternating_rsi_is_50(self):
-        from vgsynth.evaluate import relative_strength_index
-
         # [1,2,1,2,1] has gains summing 2 and losses summing 2 (RS = 1)
-        assert relative_strength_index([1.0, 2.0, 1.0, 2.0, 1.0]) == pytest.approx(50.0)
-        row = extract_features([1.0, 2.0, 1.0, 2.0, 1.0, 9.0])
-        assert row.rsi == pytest.approx(50.0)
+        assert relative_strength_index(np.array([[1.0, 2.0, 1.0, 2.0, 1.0]]))[0] == \
+            pytest.approx(50.0)
+        row = one_row([1.0, 2.0, 1.0, 2.0, 1.0, 9.0])
+        assert row["rsi"] == pytest.approx(50.0)
 
     def test_strictly_decreasing_rsi_is_0(self):
-        row = extract_features(np.arange(20.0, 0.0, -1.0))
-        assert row.rsi == 0.0
-        assert row.label == 0
+        row = one_row(np.arange(20.0, 0.0, -1.0))
+        assert row["rsi"] == 0.0
+        assert row["label"] == 0
 
     def test_flat_window_rsi_is_50(self):
-        row = extract_features([3.0, 3.0, 3.0, 3.0])
-        assert row.rsi == 50.0
+        row = one_row([3.0, 3.0, 3.0, 3.0])
+        assert row["rsi"] == 50.0
 
     def test_slope_examples(self):
-        assert extract_features([2.0, 4.0, 6.0, 1.0]).linear_trend_slope == pytest.approx(2.0)
-        assert extract_features([5.0, 5.0, 5.0, 9.0]).linear_trend_slope == 0.0
+        assert one_row([2.0, 4.0, 6.0, 1.0])["linear_trend_slope"] == pytest.approx(2.0)
+        assert one_row([5.0, 5.0, 5.0, 9.0])["linear_trend_slope"] == 0.0
 
     def test_tie_labels_down(self):
-        assert extract_features([1.0, 2.0, 3.0, 3.0]).label == 0
+        assert one_row([1.0, 2.0, 3.0, 3.0])["label"] == 0
 
     def test_peaks_are_strict_interior_maxima(self):
-        row = extract_features([0, 2, 1, 3, 3, 1, 9])  # head [0,2,1,3,3,1]
-        assert row.num_peaks == 1
+        row = one_row([0, 2, 1, 3, 3, 1, 9])  # head [0,2,1,3,3,1]
+        assert row["num_peaks"] == 1
 
     def test_features_ignore_final_value(self):
-        a = extract_features([1.0, 4.0, 2.0, 8.0, 100.0])
-        b = extract_features([1.0, 4.0, 2.0, 8.0, -100.0])
-        np.testing.assert_array_equal(a.vector(), b.vector())
-        assert a.label != b.label
+        X, y = extract_features([[1.0, 4.0, 2.0, 8.0, 100.0], [1.0, 4.0, 2.0, 8.0, -100.0]])
+        np.testing.assert_array_equal(X[0], X[1])
+        assert y[0] != y[1]
 
     def test_too_short_rejected(self):
-        with pytest.raises(ValueError):
-            extract_features([1.0, 2.0])
+        with pytest.raises(ValueError, match="need at least 3 values per row, got 2"):
+            extract_features([[1.0, 2.0], [3.0, 4.0]])
 
     def test_population_variance_and_range(self):
-        row = extract_features([1.0, 3.0, 5.0, 0.0])
+        row = one_row([1.0, 3.0, 5.0, 0.0])
         head = np.array([1.0, 3.0, 5.0])
-        assert row.variance == pytest.approx(head.var())
-        assert row.value_range == 4.0
+        assert row["variance"] == pytest.approx(head.var())
+        assert row["value_range"] == 4.0
 
 
 class TestRocAuc:
@@ -99,43 +103,40 @@ class TestRocAuc:
             assert total == pytest.approx(1.0, abs=1e-12)
 
 
-def blob_rows(rng, n=100, separation=6.0):
-    rows = []
+def blob_data(rng, n=100, separation=6.0):
+    """Two Gaussian blobs of n // 2 rows each in 8 features: the feature
+    matrix and its labels, 0 for the first blob and 1 for the second."""
+    X, labels = [], []
     for label in (0, 1):
         center = np.zeros(8) if label == 0 else np.full(8, separation)
         for _ in range(n // 2):
-            vec = center + rng.standard_normal(8)
-            rows.append(FeatureRow(*vec, label=label))
-    return rows
-
-
-def xy(rows):
-    """Feature matrix and label vector of a list of feature rows."""
-    return np.array([r.vector() for r in rows]), np.array([r.label for r in rows])
+            X.append(center + rng.standard_normal(8))
+            labels.append(label)
+    return np.array(X), np.array(labels)
 
 
 class TestClassifier:
     def test_separable_blobs_train_auc_one(self, rng):
-        X, labels = xy(blob_rows(rng))
+        X, labels = blob_data(rng)
         model = LogisticClassifier().fit(X, labels)
         assert roc_auc(model.predict_proba(X), labels) == 1.0
 
     def test_untrained_model_scores_half(self):
         model = LogisticClassifier()
-        row = FeatureRow(1, 2, 3, 4, 5, 6, 7, 8, label=0)
-        assert model.predict_proba(row.vector()[None, :])[0] == 0.5
+        assert model.predict_proba(np.arange(1.0, 9.0)[None, :])[0] == 0.5
 
     def test_duplicated_training_set_identical_weights(self, rng):
-        rows = blob_rows(rng, n=60, separation=2.0)
-        a = LogisticClassifier(max_iter=500).fit(*xy(rows))
-        b = LogisticClassifier(max_iter=500).fit(*xy(rows + rows))
+        X, labels = blob_data(rng, n=60, separation=2.0)
+        a = LogisticClassifier(max_iter=500).fit(X, labels)
+        b = LogisticClassifier(max_iter=500).fit(np.concatenate([X, X]),
+                                                 np.concatenate([labels, labels]))
         np.testing.assert_allclose(a.weights, b.weights, atol=1e-9)
         assert a.bias == pytest.approx(b.bias, abs=1e-9)
 
     def test_loss_non_increasing(self, rng):
         """The regularised cross-entropy of each iterate, from fits that stop
         after 1, 2, ..., 300 iterations on the same rows."""
-        X, labels = xy(blob_rows(rng, n=80, separation=1.0))
+        X, labels = blob_data(rng, n=80, separation=1.0)
         losses = []
         for k in range(1, 301):
             model = LogisticClassifier(max_iter=k).fit(X, labels)
@@ -146,9 +147,9 @@ class TestClassifier:
         assert np.all(np.diff(losses) <= 1e-12)
 
     def test_single_class_rejected(self, rng):
-        rows = [r for r in blob_rows(rng) if r.label == 1]
+        X, labels = blob_data(rng)
         with pytest.raises(ValueError):
-            LogisticClassifier().fit(*xy(rows))
+            LogisticClassifier().fit(X[labels == 1], labels[labels == 1])
 
 
 def trending_windows(rng, n_tickers=4, n_windows=30, length=10):
@@ -213,10 +214,8 @@ class TestRunExperiment:
     def test_shuffled_test_labels_give_chance_auc(self, rng):
         windows = trending_windows(rng)
         train, _, test = chronological_split(windows)
-        rows = [extract_features(w.raw_values) for w in train]
-        model = LogisticClassifier().fit(*xy(rows))
-        test_X = np.array([extract_features(w.raw_values).vector() for w in test])
-        labels = np.array([extract_features(w.raw_values).label for w in test])
+        model = LogisticClassifier().fit(*extract_features([w.raw_values for w in train]))
+        test_X, labels = extract_features([w.raw_values for w in test])
         aucs = []
         for seed in range(20):
             shuffled = np.random.default_rng(seed).permutation(labels)

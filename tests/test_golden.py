@@ -16,8 +16,11 @@ import json
 
 import pytest
 
+from vgsynth import evaluate
 from vgsynth.corpus import make_desk_corpus
 from vgsynth.pipeline import RunConfig, run_evaluation, run_generation, write_sequences
+
+from reference_features import reference_feature_matrix
 
 GOLDEN = {
     "simds": {
@@ -62,7 +65,7 @@ def test_sequence_digests(name, corpus, tmp_path):
 EVALUATION_GOLDEN = "b13f268e9b8dd42aec00d36bb268ba391d55eefb14b730b298acc8fea9094d88"
 
 
-def test_evaluation_digest():
+def evaluation_digest():
     """Every AUC of the triple is defined for every method on this corpus;
     the embedding runs for vrp only, with few iterations."""
     corpus = make_desk_corpus(n_tickers=6, n_days=120, seed=5)
@@ -77,4 +80,15 @@ def test_evaluation_digest():
     assert all(None not in triple for triple in scores.values())
     scores["vrp"].append(embedded.methods["vrp"].mixing_score)
     text = json.dumps(scores, sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == EVALUATION_GOLDEN
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_evaluation_digest():
+    assert evaluation_digest() == EVALUATION_GOLDEN
+
+
+def test_evaluation_digest_under_per_row_features(monkeypatch):
+    """The per-row feature code the matrix form replaced gives the same
+    digest: the low bits in which their fits differ move no AUC."""
+    monkeypatch.setattr(evaluate, "extract_features", reference_feature_matrix)
+    assert evaluation_digest() == EVALUATION_GOLDEN
