@@ -107,7 +107,7 @@ def cmd_report(args) -> int:
         try:
             with report_file.open() as fh:
                 report = EvalReport.from_dict(json.load(fh))
-        except ValueError as exc:  # not JSON, or a method without its AUCs
+        except ValueError as exc:  # not JSON, or not shaped like a report
             raise ValueError(f"{report_file}: {exc}") from exc
         _print_report(report)
     if runtime_file.exists():

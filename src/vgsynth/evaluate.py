@@ -216,7 +216,8 @@ def _descend(Z: np.ndarray, y: np.ndarray, steps: np.ndarray, l2: float, max_ite
     matrix-vector matmul for Z @ w and Z.T @ r, a (1, d) @ (d, 1) matmul,
     which is BLAS's dot, for g.g, and add.reduce over its m contiguous
     residuals. A set whose gradient norm falls below ``tol`` leaves the
-    group before its update, and the group's arrays are then compacted.
+    group before its update, and the group's arrays are then compacted;
+    with ``tol`` 0 no set can leave, and the norm is not computed.
     """
     n, m, d = Z.shape
     live = list(range(n))  # input position of each set still descending
@@ -240,21 +241,22 @@ def _descend(Z: np.ndarray, y: np.ndarray, steps: np.ndarray, l2: float, max_ite
         grad_w += scaled
         np.add.reduce(residual, axis=1, keepdims=True, out=grad_b)
         grad_b /= m
-        np.matmul(grad_w.transpose(0, 2, 1), grad_w, out=gg)
-        stop = np.sqrt(gg + grad_b * grad_b) < tol
-        if np.count_nonzero(stop):
-            stop = stop.ravel()
-            for j in np.flatnonzero(stop):
-                fits[live[j]] = (w[j, :, 0].copy(), float(b[j, 0, 0]), iteration)
-            keep = ~stop
-            live = [i for i, kept in zip(live, keep) if kept]
-            if not live:
-                return fits
-            Z, y, steps, w, grad_w, b, grad_b = (
-                a[keep] for a in (Z, y, steps, w, grad_w, b, grad_b))
-            k = len(live)
-            logits, residual, scaled, gg = logits[:k], residual[:k], scaled[:k], gg[:k]
-            Zt = Z.transpose(0, 2, 1)
+        if tol > 0:  # no norm, and no NaN, is below a tol <= 0
+            np.matmul(grad_w.transpose(0, 2, 1), grad_w, out=gg)
+            stop = np.sqrt(gg + grad_b * grad_b) < tol
+            if np.count_nonzero(stop):
+                stop = stop.ravel()
+                for j in np.flatnonzero(stop):
+                    fits[live[j]] = (w[j, :, 0].copy(), float(b[j, 0, 0]), iteration)
+                keep = ~stop
+                live = [i for i, kept in zip(live, keep) if kept]
+                if not live:
+                    return fits
+                Z, y, steps, w, grad_w, b, grad_b = (
+                    a[keep] for a in (Z, y, steps, w, grad_w, b, grad_b))
+                k = len(live)
+                logits, residual, scaled, gg = logits[:k], residual[:k], scaled[:k], gg[:k]
+                Zt = Z.transpose(0, 2, 1)
         np.multiply(steps, grad_w, out=scaled)
         w -= scaled
         b -= steps * grad_b
@@ -310,12 +312,19 @@ class EvalReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "EvalReport":
+        if not isinstance(data, dict):
+            raise ValueError("report is not a JSON object")
+        for key in ("runtime_totals_ms", "methods"):
+            if not isinstance(data.get(key, {}), dict):
+                raise ValueError(f"{key!r} is not a JSON object")
         report = cls(seed=data.get("seed", 0), config=data.get("config", {}),
                      runtime_totals=dict(data.get("runtime_totals_ms", {})))
         # an older report may lack an optional field or hold one no longer read
         names = [f.name for f in fields(MethodEval)]
         required = [f.name for f in fields(MethodEval) if f.default is MISSING]
         for name, ev in data.get("methods", {}).items():
+            if not isinstance(ev, dict):
+                raise ValueError(f"method {name!r} is not a JSON object")
             missing = [k for k in required if k not in ev]
             if missing:
                 raise ValueError(f"method {name!r} lacks {', '.join(missing)}")

@@ -314,6 +314,24 @@ class TestReportCommand:
         assert main(["report", "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == f"error: {path}: method 'nvg' lacks auc_real\n"
 
+    @pytest.mark.parametrize("body, problem", [
+        ([1], "report is not a JSON object"),
+        ({"methods": [1]}, "'methods' is not a JSON object"),
+        ({"runtime_totals_ms": 3}, "'runtime_totals_ms' is not a JSON object"),
+    ])
+    def test_report_not_an_object_exits_1_naming_the_file(self, tmp_path, capsys,
+                                                          body, problem):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(body))
+        assert main(["report", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {problem}\n"
+
+    def test_method_not_an_object_exits_1_naming_file_and_method(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({"methods": {"nvg": 3}}))
+        assert main(["report", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: method 'nvg' is not a JSON object\n"
+
 
 class TestSelftestCommand:
     def test_fresh_build_passes(self, capsys):

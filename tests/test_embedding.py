@@ -51,8 +51,9 @@ class TestEmbed2d:
     def test_kl_decreases_after_exaggeration(self, rng):
         X = np.vstack([gaussian_cloud(rng, 100, center=0.0),
                        gaussian_cloud(rng, 100, center=4.0)])
-        emb = embed_2d(X, perplexity=20, iterations=500, seed=3)
-        assert emb.kl_trace[499] <= emb.kl_trace[299]
+        kl_500 = embed_2d(X, perplexity=20, iterations=500, seed=3).final_kl
+        kl_300 = embed_2d(X, perplexity=20, iterations=300, seed=3).final_kl
+        assert kl_500 <= kl_300
 
     def test_perplexity_must_be_below_n(self, rng):
         with pytest.raises(ValueError):
@@ -61,6 +62,10 @@ class TestEmbed2d:
     def test_too_few_points_rejected(self, rng):
         with pytest.raises(ValueError):
             embed_2d(gaussian_cloud(rng, 3), perplexity=2, iterations=10, seed=0)
+
+    def test_no_iterations_rejected(self, rng):
+        with pytest.raises(ValueError, match="iterations"):
+            embed_2d(gaussian_cloud(rng, 10), perplexity=3, iterations=0, seed=0)
 
     def test_cap_subsamples(self, rng):
         emb = embed_2d(gaussian_cloud(rng, 60), perplexity=5, iterations=20,
@@ -75,9 +80,10 @@ def reference_embed_2d(points, perplexity: float = 30.0, iterations: int = 1000,
                        learning_rate: float = 200.0) -> embedding.Embedding:
     """``embed_2d`` as first written, on full n x n matrices every iteration.
 
-    Kept verbatim but for the input checks, as the reference: ``embed_2d``
-    now works on the n(n-1)/2 pairs, and its coordinates must equal these
-    bit for bit, and its KL trace within rounding.
+    Kept verbatim but for the input checks and the returned KL, the last of
+    its per-iteration trace, as the reference: ``embed_2d`` now works on the
+    n(n-1)/2 pairs and computes the KL once, and its coordinates must equal
+    these bit for bit, and its final KL within rounding.
     """
     X = np.asarray(points, dtype=float)
     n = X.shape[0]
@@ -122,7 +128,7 @@ def reference_embed_2d(points, perplexity: float = 30.0, iterations: int = 1000,
         Y = Y + update
         Y = Y - Y.mean(axis=0)
 
-    return embedding.Embedding(coords=Y, indices=indices, kl_trace=kl_trace)
+    return embedding.Embedding(coords=Y, indices=indices, final_kl=kl_trace[-1])
 
 
 def two_clouds(seed, n, dim=6):
@@ -161,8 +167,8 @@ class TestEmbed2dMatchesReference:
         points, kwargs, _ = PINNED_EMBEDDINGS[case]
         emb = embed_2d(points, **kwargs)
         ref = reference_embed_2d(points, **kwargs)
-        assert len(emb.kl_trace) == kwargs["iterations"]
-        np.testing.assert_allclose(emb.kl_trace, ref.kl_trace, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(emb.final_kl, ref.final_kl, rtol=1e-12, atol=0)
+        assert emb.kl_trace == [emb.final_kl]
 
     def test_overlap_mixing_equal(self, monkeypatch):
         real, synth = two_clouds(14, 120), two_clouds(15, 100) + 0.1
@@ -250,18 +256,18 @@ def _usable_cpus() -> int:
 
 @pytest.mark.skipif(_usable_cpus() < 2, reason="needs 2 CPUs for a 2-thread BLAS")
 def test_kl_trace_independent_of_blas_threads():
-    """The KL trace has the same bits with one BLAS thread as with two: a
+    """The final KL has the same bits with one BLAS thread as with two: a
     threaded dot product splits its sum, and its bits, over the threads."""
     code = ("import numpy as np; from vgsynth.embedding import embed_2d; "
             "X = np.random.default_rng(11).standard_normal((400, 5)); "
-            "print(np.array(embed_2d(X, perplexity=30, iterations=300).kl_trace).tobytes().hex())")
+            "print(embed_2d(X, perplexity=30, iterations=300).final_kl.hex())")
     src = str(Path(vgsynth.__file__).resolve().parents[1])
-    traces = []
+    kls = []
     for threads in ("1", "2"):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=env, check=True, timeout=120)
-        traces.append(done.stdout.strip())
-    assert len(traces[0]) == 300 * 16
-    assert traces[0] == traces[1]
+        kls.append(done.stdout.strip())
+    assert float.fromhex(kls[0]) > 0
+    assert kls[0] == kls[1]
