@@ -26,21 +26,15 @@ from .runtime import read_runtime_log, summary_table, write_runtime_log
 
 
 def _load_config(args) -> RunConfig:
-    config = RunConfig.from_file(args.config) if args.config else RunConfig()
-    overrides = {}
-    if getattr(args, "input", None):
-        overrides["input"] = args.input
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.window is not None:
-        overrides["window_length"] = args.window
-    if args.methods is not None:
-        overrides["methods"] = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    for key, value in overrides.items():
-        setattr(config, key, value)
-    config.validate()
+    """The config file's config, each given flag's value in place of the file's."""
+    methods = None if args.methods is None else [
+        m.strip() for m in args.methods.split(",") if m.strip()]
+    flags = {"input": args.input or None, "seed": args.seed, "window_length": args.window,
+             "methods": methods, "out_dir": args.out}
+    overrides = {name: value for name, value in flags.items() if value is not None}
+    # one construction, so a file value that a flag replaces is never checked
+    config = (RunConfig.from_file(args.config, **overrides) if args.config
+              else RunConfig(**overrides))
     if not config.input:
         raise ConfigError("no input file configured (use --input or the config file)")
     return config
@@ -111,7 +105,10 @@ def cmd_report(args) -> int:
             raise ValueError(f"{report_file}: {exc}") from exc
         _print_report(report)
     if runtime_file.exists():
-        print(summary_table(read_runtime_log(runtime_file)))
+        records = read_runtime_log(runtime_file)
+        if not records:
+            raise ValueError(f"{runtime_file}: no runtime records to aggregate")
+        print(summary_table(records))
     return 0
 
 

@@ -212,6 +212,12 @@ class OverlapResult:
     mixing: float
 
 
+def points_per_side(n_real: int, n_synthetic: int, max_points: int) -> int:
+    """How many real, and as many synthetic, points :func:`embedding_overlap`
+    embeds: all of the smaller side, at most ``max_points // 2``."""
+    return min(n_real, n_synthetic, max_points // 2)
+
+
 def embedding_overlap(real_points, synthetic_points, perplexity: float = 30.0,
                       iterations: int = 1000, seed: int = 0, k: int = 10,
                       max_points: int = MAX_EMBED_POINTS) -> OverlapResult:
@@ -221,7 +227,7 @@ def embedding_overlap(real_points, synthetic_points, perplexity: float = 30.0,
     if real.shape[0] == 0 or synth.shape[0] == 0:
         raise UndefinedMetricError("both real and synthetic points are required")
     rng = np.random.default_rng(seed)
-    per_side = min(real.shape[0], synth.shape[0], max_points // 2)
+    per_side = points_per_side(real.shape[0], synth.shape[0], max_points)
     real_idx = np.sort(rng.choice(real.shape[0], size=per_side, replace=False))
     synth_idx = np.sort(rng.choice(synth.shape[0], size=per_side, replace=False))
     points = np.vstack([real[real_idx], synth[synth_idx]])

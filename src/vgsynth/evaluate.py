@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import MISSING, asdict, dataclass, field, fields
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -328,6 +329,12 @@ class EvalReport:
             missing = [k for k in required if k not in ev]
             if missing:
                 raise ValueError(f"method {name!r} lacks {', '.join(missing)}")
+            for key in ("auc_real", "auc_synthetic", "auc_mixed", "mixing_score"):
+                value = ev.get(key)
+                number = isinstance(value, Real) and not isinstance(value, bool)
+                if not (number or (value is None and key != "auc_real")):
+                    allowed = "a number" if key == "auc_real" else "a number or null"
+                    raise ValueError(f"method {name!r}: {key} must be {allowed}, got {value!r}")
             report.methods[name] = MethodEval(**{k: ev[k] for k in names if k in ev})
         return report
 
@@ -372,6 +379,9 @@ def run_experiment(
 
     real_X, real_y = extract_features([w.raw_values for w in train_windows])
     test_X, test_y = extract_features([w.raw_values for w in test_windows])
+    if np.unique(test_y).size < 2:
+        raise UndefinedMetricError(f"the real test split's {test_y.size} windows all have "
+                                   f"label {test_y[0]}; the AUC needs both classes")
 
     train_starts = {}
     for w in train_windows:

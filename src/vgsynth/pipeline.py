@@ -11,12 +11,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
 
-from .embedding import MAX_EMBED_POINTS, OverlapResult, embedding_overlap
+from .embedding import MAX_EMBED_POINTS, OverlapResult, embedding_overlap, points_per_side
 from .evaluate import EvalReport, run_experiment
 from .generate import (PreparedSeed, SyntheticSequence, WalkConfig, derive_seed, downsample,
                        ds_indices, generate_sequence, seed_states, vrp_generate)
@@ -60,9 +61,11 @@ def _is_number(value) -> bool:
     return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Run manifest; see README for the config file schema."""
+    """Run manifest; see README for the config file schema. It checks itself
+    when made, from a file, a dict or keywords (ConfigError on a bad value);
+    change a field with :func:`dataclasses.replace`, which checks again."""
 
     input: str = ""
     out_dir: str = "out"
@@ -88,7 +91,10 @@ class RunConfig:
     mixing_k: int = 10
     embed_max_points: int = MAX_EMBED_POINTS
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        for name in ("methods", "split"):
+            if isinstance(getattr(self, name), list):
+                object.__setattr__(self, name, tuple(getattr(self, name)))
         for name, minimum in _INTEGER_MINIMUMS.items():
             value = getattr(self, name)
             if not _is_integer(value):
@@ -103,7 +109,7 @@ class RunConfig:
                 raise ConfigError(f"{name} must be a finite number >= 0, got {value!r}")
         if not (_is_number(self.perplexity) and self.perplexity > 0):
             raise ConfigError(f"perplexity must be a finite number > 0, got {self.perplexity!r}")
-        odd = ([self.methods] if not isinstance(self.methods, (list, tuple))
+        odd = ([self.methods] if not isinstance(self.methods, tuple)
                else [m for m in self.methods if not isinstance(m, str)])
         if odd:
             raise ConfigError(f"methods must be a list of strings, got "
@@ -123,17 +129,18 @@ class RunConfig:
             raise ConfigError(f"downsample.k ({self.downsample_k}) must not exceed "
                               f"sequences_per_window ({self.sequences_per_window})")
         split = self.split
-        if (not isinstance(split, (tuple, list)) or len(split) != 3
+        if (not isinstance(split, tuple) or len(split) != 3
                 or not all(_is_number(r) and r >= 0 for r in split)
                 or abs(sum(split) - 1.0) > 1e-9):
             raise ConfigError(f"split must be 3 ratios >= 0 that sum to 1, got {split!r}")
         try:
-            self.walk_config()
+            self.walk
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
-    def walk_config(self) -> WalkConfig:
-        """The config file's walk section as one checked :class:`WalkConfig`."""
+    @cached_property
+    def walk(self) -> WalkConfig:
+        """The walk section as one checked :class:`WalkConfig`, made with the config."""
         return WalkConfig(**{name: getattr(self, name) for name in _SECTIONS["walk"]})
 
     def to_dict(self) -> dict:
@@ -150,7 +157,9 @@ class RunConfig:
         return out
 
     @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
+    def from_dict(cls, data: dict, **overrides) -> "RunConfig":
+        """The config ``data`` describes, with ``overrides`` (RunConfig fields)
+        in place of its values before the one check: those are never checked."""
         if not isinstance(data, dict):
             raise ConfigError(f"config must be an object, got {data!r}")
         flat = {}
@@ -170,19 +179,16 @@ class RunConfig:
                 flat[key] = value
             else:
                 raise ConfigError(f"unknown config option {key!r}")
-        for name in ("methods", "split"):
-            if isinstance(flat.get(name), list):
-                flat[name] = tuple(flat[name])
-        return cls(**flat)
+        return cls(**{**flat, **overrides})
 
     @classmethod
-    def from_file(cls, path: str | Path) -> "RunConfig":
+    def from_file(cls, path: str | Path, **overrides) -> "RunConfig":
         try:
             with Path(path).open() as fh:
                 data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
-        return cls.from_dict(data)
+        return cls.from_dict(data, **overrides)
 
 
 def prepare_windows(config: RunConfig,
@@ -232,11 +238,11 @@ def _seed_units(method: str, units: list[list[Window]],
     return plans
 
 
-def _generate_unit(method: str, windows: list[Window], config: RunConfig, walk: WalkConfig,
+def _generate_unit(method: str, windows: list[Window], config: RunConfig,
                    plan: tuple[list[int], np.ndarray, np.ndarray]) -> list[SyntheticSequence]:
     """All kept sequences of one unit. The unit's one graph (a ticker's
     block-diagonal NVG or HVG, a segment's multigraph, none for vrp) serves
-    all its windows' walks under ``walk``, each with its own seed and
+    all its windows' walks under ``config.walk``, each with its own seed and
     round-robin cursors; only the candidates in ``plan`` (see
     :func:`_seed_units`) are generated. One ``downsample`` call then selects
     over all of the unit's candidates."""
@@ -252,7 +258,7 @@ def _generate_unit(method: str, windows: list[Window], config: RunConfig, walk: 
         if graph is None:
             candidates.append(vrp_generate(windows[position], seed=seed))
         else:
-            candidates.append(generate_sequence(graph, walk, window=position, seed=seed))
+            candidates.append(generate_sequence(graph, config.walk, window=position, seed=seed))
     return downsample(candidates, windows, k=config.downsample_k)
 
 
@@ -266,8 +272,6 @@ def run_generation(
     hashed before its first unit starts, so unit times hold no seed hashing.
     Output order is deterministic: sorted by (ticker, window start, seed).
     """
-    config.validate()
-    walk = config.walk_config()
     windows_by_ticker = prepare_windows(config, series_list)
     if not any(windows_by_ticker.values()):
         source = config.input if series_list is None else "the given series"
@@ -288,7 +292,7 @@ def run_generation(
         plans = _seed_units(method, [ws for _, _, ws in units], config)
         sequences: list[SyntheticSequence] = []
         for (unit_id, unit_kind, ws), plan in zip(units, plans):
-            result, record = time_unit(lambda: _generate_unit(method, ws, config, walk, plan),
+            result, record = time_unit(lambda: _generate_unit(method, ws, config, plan),
                                        unit_id=unit_id, method=method, unit_kind=unit_kind)
             sequences.extend(result)
             records.append(record)
@@ -366,7 +370,6 @@ def run_evaluation(
     embedding reads a sequence as its prices mapped by its source window's
     scale, so a sequence embeds the same whether generated in-process or
     read back by :func:`read_sequences`."""
-    config.validate()
     windows_by_ticker = prepare_windows(config, series_list)
     all_windows = [w for ws in windows_by_ticker.values() for w in ws]
     if with_embedding and all_windows:  # without windows the experiment itself fails
@@ -408,12 +411,11 @@ def _check_embedding_points(config: RunConfig, n_real: int,
                             sequences_by_method: dict[str, list[SyntheticSequence]]) -> None:
     """Reject, before any classifier is fit, an embedding of fewer than 4
     points (ValueError) and a ``mixing_k`` not below its point count
-    (ConfigError). ``embedding_overlap`` embeds as many real as synthetic
-    points, at most ``embed_max_points // 2`` each."""
+    (ConfigError), counted as ``embedding_overlap`` will sample them."""
     for method, sequences in sequences_by_method.items():
         if not sequences:
             continue
-        points = 2 * min(n_real, len(sequences), config.embed_max_points // 2)
+        points = 2 * points_per_side(n_real, len(sequences), config.embed_max_points)
         if points < 4:
             raise ValueError(f"method {method!r}'s embedding would hold {points} points, below 4")
         if config.mixing_k >= points:

@@ -94,24 +94,30 @@ def write_runtime_log(records: list[RuntimeRecord], path: str | Path) -> None:
             }) + "\n")
 
 
+# runtime log field -> (its JSON type, as Python reads it; that type in words)
+_LOG_FIELD_TYPES = {"unit_id": (str, "a string"), "method": (str, "a string"),
+                    "elapsed_ms": (int, "an integer"), "valid": (bool, "true or false")}
+
+
 def read_runtime_log(path: str | Path) -> list[RuntimeRecord]:
     """Read a runtime log; a record without ``valid`` (older logs) is valid.
 
-    A record that is not a complete JSON record, lacks a field, has a
-    non-integer ``elapsed_ms`` or an unknown ``unit_kind`` raises ValueError
-    naming ``path:line``.
+    A record that is not a complete JSON record, lacks a field, holds a
+    field of the wrong type (see ``_LOG_FIELD_TYPES``) or an unknown
+    ``unit_kind`` raises ValueError naming ``path:line``.
     """
     out = []
     with Path(path).open() as fh:
         for lineno, line in enumerate(fh, 1):
             try:
                 rec = json.loads(line)
-                elapsed_ms = rec["elapsed_ms"]
-                if type(elapsed_ms) is not int:
-                    raise ValueError(f"elapsed_ms must be an integer, got {elapsed_ms!r}")
-                out.append(RuntimeRecord(unit_id=rec["unit_id"], method=rec["method"],
-                                         elapsed_ms=elapsed_ms, unit_kind=rec["unit_kind"],
-                                         valid=rec.get("valid", True)))
+                fields = {name: rec[name]
+                          for name in ("unit_id", "method", "elapsed_ms", "unit_kind")}
+                fields["valid"] = rec.get("valid", True)
+                for name, (kind, described) in _LOG_FIELD_TYPES.items():
+                    if type(fields[name]) is not kind:
+                        raise ValueError(f"{name} must be {described}, got {fields[name]!r}")
+                out.append(RuntimeRecord(**fields))
             except KeyError as exc:
                 raise ValueError(f"{path}:{lineno}: record has no field {exc}") from exc
             except (TypeError, ValueError) as exc:

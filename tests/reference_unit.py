@@ -24,7 +24,7 @@ def generate_unit(method: str, windows: list[Window],
     elif method in _BUILDERS and windows:
         graph = _BUILDERS[method](windows)
     n, k = config.sequences_per_window, config.downsample_k
-    walk = config.walk_config()
+    walk = config.walk
     candidates = []
     for position, window in enumerate(windows):
         identity = (config.seed, window.ticker, window.start_index, method)

@@ -101,6 +101,14 @@ class TestGenerateCommand:
         snapshot = json.loads((out / "config_snapshot.json").read_text())
         assert snapshot["window_length"] == 30
 
+    def test_file_value_a_flag_replaces_is_not_checked(self, tmp_path, corpus_csv):
+        out = tmp_path / "out"
+        cfg = config_file(tmp_path, corpus_csv, out, window_length=2, methods="vrp")
+        assert main(["generate", "--config", str(cfg), "--window", "20",
+                     "--methods", "vrp"]) == 0
+        snapshot = json.loads((out / "config_snapshot.json").read_text())
+        assert (snapshot["window_length"], snapshot["methods"]) == (20, ["vrp"])
+
     def test_too_short_window_exits_2(self, tmp_path, corpus_csv, capsys):
         out = tmp_path / "out"
         cfg = config_file(tmp_path, corpus_csv, out)
@@ -313,6 +321,39 @@ class TestReportCommand:
                                                         "auc_mixed": 0.5}}}))
         assert main(["report", "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == f"error: {path}: method 'nvg' lacks auc_real\n"
+
+    @pytest.mark.parametrize("field, value, problem", [
+        ("auc_real", "x", "auc_real must be a number, got 'x'"),
+        ("auc_real", None, "auc_real must be a number, got None"),
+        ("auc_synthetic", [0.5], "auc_synthetic must be a number or null, got [0.5]"),
+        ("auc_mixed", False, "auc_mixed must be a number or null, got False"),
+        ("mixing_score", True, "mixing_score must be a number or null, got True"),
+    ])
+    def test_score_of_the_wrong_type_exits_1_naming_file_method_and_field(
+            self, tmp_path, capsys, field, value, problem):
+        path = tmp_path / "report.json"
+        scores = {"auc_real": 0.6, "auc_synthetic": None, "auc_mixed": 0.5, field: value}
+        path.write_text(json.dumps({"methods": {"nvg": scores}}))
+        assert main(["report", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {path}: method 'nvg': {problem}\n")
+
+    @pytest.mark.parametrize("field, value, problem", [
+        ("valid", "no", "valid must be true or false, got 'no'"),
+        ("method", 7, "method must be a string, got 7"),
+    ])
+    def test_runtime_field_of_the_wrong_type_exits_1_naming_the_line(
+            self, tmp_path, capsys, field, value, problem):
+        path = tmp_path / "runtime.jsonl"
+        record = {"unit_id": "AAA", "unit_kind": "ticker", "method": "vrp", "elapsed_ms": 3}
+        path.write_text(json.dumps(record) + "\n" + json.dumps({**record, field: value}) + "\n")
+        assert main(["report", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {path}:2: malformed record: {problem}\n")
+
+    def test_empty_runtime_log_exits_1_naming_the_file(self, tmp_path, capsys):
+        path = tmp_path / "runtime.jsonl"
+        path.write_text("")
+        assert main(["report", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: no runtime records to aggregate\n"
 
     @pytest.mark.parametrize("body, problem", [
         ([1], "report is not a JSON object"),

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -7,8 +8,9 @@ import pytest
 
 from vgsynth import evaluate, generate, pipeline
 from vgsynth.corpus import make_desk_corpus, write_corpus_csv
-from vgsynth.generate import (derive_seed, ds_indices, dtw_distances, generate_sequence,
-                              vrp_generate)
+from vgsynth.errors import UndefinedMetricError
+from vgsynth.generate import (WalkConfig, derive_seed, ds_indices, dtw_distances,
+                              generate_sequence, vrp_generate)
 from vgsynth.graphs import Graph, build_hvg, build_multigraph, build_nvg
 from vgsynth.pipeline import (ConfigError, RunConfig, read_sequences,
                               run_evaluation, run_generation, sequences_path,
@@ -38,25 +40,57 @@ def tiny_config(input_path, **overrides):
     return RunConfig(**base)
 
 
+def rejection(input_path, **bad) -> str:
+    """The ConfigError message for ``bad`` in place of tiny_config's values.
+    A config checks itself when made, so the message must be the same whether
+    it is made from keywords, from a config file's dict or by
+    ``dataclasses.replace``."""
+    good = tiny_config(input_path)
+    data = good.to_dict()
+    for name, value in bad.items():
+        section, option = pipeline._SECTION_OF.get(name, (None, name))
+        (data[section] if section else data)[option] = value
+    messages = []
+    for make in (lambda: tiny_config(input_path, **bad), lambda: RunConfig.from_dict(data),
+                 lambda: dataclasses.replace(good, **bad)):
+        with pytest.raises(ConfigError) as excinfo:
+            make()
+        messages.append(str(excinfo.value))
+    assert messages == messages[:1] * 3
+    return messages[0]
+
+
 class TestRunConfig:
     def test_unknown_method_is_config_error(self, tiny_corpus_csv):
-        config = tiny_config(tiny_corpus_csv, methods=("nvg", "gan"))
-        with pytest.raises(ConfigError, match=r"gan.*valid methods"):
-            config.validate()
+        assert re.search(r"gan.*valid methods",
+                         rejection(tiny_corpus_csv, methods=("nvg", "gan")))
 
     @pytest.mark.parametrize("methods, named", [("nvg", "str 'nvg'"), (["nvg", 1], "int 1"),
                                                 ({"nvg": 1}, "dict")])
-    def test_methods_not_a_list_of_strings_is_config_error(self, methods, named):
-        with pytest.raises(ConfigError, match=f"methods must be a list of strings, got {named}"):
-            RunConfig.from_dict({"input": "x", "methods": methods}).validate()
+    def test_methods_not_a_list_of_strings_is_config_error(self, tiny_corpus_csv, methods,
+                                                           named):
+        assert rejection(tiny_corpus_csv, methods=methods).startswith(
+            f"methods must be a list of strings, got {named}")
 
     def test_window_length_minimum(self, tiny_corpus_csv):
-        with pytest.raises(ConfigError):
-            tiny_config(tiny_corpus_csv, window_length=2).validate()
+        assert rejection(tiny_corpus_csv, window_length=2) == \
+            "window length must be >= 3, got 2"
 
     def test_probability_bounds(self, tiny_corpus_csv):
-        with pytest.raises(ConfigError):
-            tiny_config(tiny_corpus_csv, restart_prob=1.5).validate()
+        assert rejection(tiny_corpus_csv, restart_prob=1.5) == \
+            "restart_prob must be a number in [0, 1], got 1.5"
+
+    def test_fields_cannot_be_assigned(self, tiny_corpus_csv):
+        config = tiny_config(tiny_corpus_csv)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.window_length = 2
+        assert config == tiny_config(tiny_corpus_csv)
+
+    def test_walk_section_made_with_the_config(self, tiny_corpus_csv):
+        config = tiny_config(tiny_corpus_csv, restart_prob=0.3, restart_jump="uniform")
+        assert "walk" in vars(config)  # made by the check, not on first read
+        assert config.walk == WalkConfig(restart_prob=0.3, restart_jump="uniform")
+        assert dataclasses.replace(config, switch_prob=0.2).walk.switch_prob == 0.2
 
     def test_dict_round_trip(self, tiny_corpus_csv):
         config = tiny_config(tiny_corpus_csv)
@@ -95,21 +129,17 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("split", [(0.5, 0.5), (0.7, 0.15, 0.1),
                                        (1.2, -0.1, -0.1), (0.5, 0.2, 0.2, 0.1)])
-    def test_bad_split_rejected_before_generation(self, tiny_corpus_csv, monkeypatch, split):
-        def no_generation(*args, **kwargs):
-            raise AssertionError("generation ran before the split was checked")
-
-        monkeypatch.setattr(pipeline, "prepare_windows", no_generation)
-        config = tiny_config(tiny_corpus_csv, split=split)
-        with pytest.raises(ConfigError, match="split"):
-            run_generation(config)
+    def test_bad_split_rejected_before_generation(self, tiny_corpus_csv, split):
+        # a bad split cannot make a config, so no run can start from one
+        assert rejection(tiny_corpus_csv, split=split) == \
+            f"split must be 3 ratios >= 0 that sum to 1, got {split!r}"
 
     @pytest.mark.parametrize("data", [{"downsample": "ds"}, {"walk": []},
                                       {"evaluation": {"split": 5}},
                                       {"evaluation": {"split": ["a", 0.5, 0.5]}}])
     def test_malformed_sections_are_config_errors(self, data):
         with pytest.raises(ConfigError):
-            RunConfig.from_dict({"input": "x", **data}).validate()
+            RunConfig.from_dict({"input": "x", **data})
 
     def test_non_object_config_is_config_error(self):
         with pytest.raises(ConfigError):
@@ -123,35 +153,31 @@ class TestRunConfig:
         ("embed_max_points", 1), ("restart_prob", "0.1"), ("split", (True, 0.0, 0.0)),
         ("switch_prob", True), ("methods", ("vrp", "nvg", "vrp")),
     ])
-    def test_bad_value_rejected_before_generation(self, tiny_corpus_csv, monkeypatch,
-                                                  field, value):
-        def no_generation(*args, **kwargs):
-            raise AssertionError(f"generation ran before {field} was checked")
-
-        monkeypatch.setattr(pipeline, "prepare_windows", no_generation)
-        config = tiny_config(tiny_corpus_csv, **{field: value})
-        with pytest.raises(ConfigError, match=field.replace("_", "[_ ]")):
-            run_generation(config)
+    def test_bad_value_rejected_before_generation(self, tiny_corpus_csv, field, value):
+        # a bad value cannot make a config, so no run can start from one
+        assert re.search(field.replace("_", "[_ ]"),
+                         rejection(tiny_corpus_csv, **{field: value}))
 
     @pytest.mark.parametrize("mode", ["ds", "simds"])
-    def test_downsample_k_above_candidates_rejected_before_generation(
-            self, tiny_corpus_csv, monkeypatch, mode):
-        def no_generation(*args, **kwargs):
-            raise AssertionError("generation ran before downsample.k was checked")
-
-        monkeypatch.setattr(pipeline, "prepare_windows", no_generation)
-        config = tiny_config(tiny_corpus_csv, sequences_per_window=4, downsample_k=5,
-                             downsample_mode=mode)
-        with pytest.raises(ConfigError, match=r"downsample\.k \(5\).*sequences_per_window \(4\)"):
-            run_generation(config)
+    def test_downsample_k_above_candidates_rejected_before_generation(self, tiny_corpus_csv,
+                                                                      mode):
+        assert rejection(tiny_corpus_csv, sequences_per_window=4, downsample_k=5,
+                         downsample_mode=mode) == \
+            "downsample.k (5) must not exceed sequences_per_window (4)"
 
     def test_boundary_values_accepted(self, tiny_corpus_csv):
         # the benchmark's classifier settings (tol 0, fixed 1500 iterations)
         tiny_config(tiny_corpus_csv, tol=0.0, max_iter=1500, l2=0, seed=np.int64(0),
-                    stride=None, embed_max_points=4, similar_value_epsilon=0.0).validate()
+                    stride=None, embed_max_points=4, similar_value_epsilon=0.0)
 
     def test_split_within_rounding_accepted(self, tiny_corpus_csv):
-        tiny_config(tiny_corpus_csv, split=(0.7, 0.2, 0.1 + 1e-12)).validate()
+        tiny_config(tiny_corpus_csv, split=(0.7, 0.2, 0.1 + 1e-12))
+
+    def test_lists_become_tuples(self, tiny_corpus_csv):
+        config = tiny_config(tiny_corpus_csv, methods=["vrp", "nvg"], split=[0.6, 0.2, 0.2])
+        assert (config.methods, config.split) == (("vrp", "nvg"), (0.6, 0.2, 0.2))
+        assert config == tiny_config(tiny_corpus_csv, methods=("vrp", "nvg"),
+                                     split=(0.6, 0.2, 0.2))
 
     def test_from_file(self, tmp_path, tiny_corpus_csv):
         config = tiny_config(tiny_corpus_csv)
@@ -198,9 +224,9 @@ class TestGeneration:
         assert built == ([("nvg", unit) for unit in tickers] + [("hvg", unit) for unit in tickers]
                          + [("nvmg", unit) for unit in segments])
 
-    def test_one_walk_config_per_run(self, monkeypatch):
-        # the walk section is made once to check the config and once for the
-        # run, never per walk
+    def test_one_walk_config_per_run(self, tiny_corpus_csv, monkeypatch):
+        # the walk section is made once, when the config is: never per walk,
+        # and never again for generation or evaluation
         made = []
         init = generate.WalkConfig.__init__
 
@@ -209,10 +235,12 @@ class TestGeneration:
             made.append(config)
 
         monkeypatch.setattr(generate.WalkConfig, "__init__", spy)
-        by_method, _ = run_generation(RunConfig(methods=("nvg", "hvg", "nvmg", "vrp")),
-                                      make_desk_corpus(4, 60, seed=5))
+        config = tiny_config(tiny_corpus_csv, methods=("nvg", "hvg", "nvmg", "vrp"))
+        by_method, _ = run_generation(config)
+        report, _ = run_evaluation(config, by_method, with_embedding=False)
         assert all(by_method[m] for m in ("nvg", "hvg", "nvmg"))
-        assert len(made) <= 2
+        assert set(report.methods) == set(config.methods)
+        assert made == [config.walk]
 
     def test_sequence_file_round_trip(self, tiny_corpus_csv, tmp_path):
         config = tiny_config(tiny_corpus_csv, methods=("nvg",))
@@ -360,7 +388,7 @@ class TestDownsamplePick:
                     seed = derive_seed(config.seed, *key, method, i)
                     candidates.append(
                         vrp_generate(window, seed=seed) if graph is None else generate_sequence(
-                            graph, config.walk_config(), window=position, seed=seed))
+                            graph, config.walk, window=position, seed=seed))
                 if config.downsample_mode == "ds":
                     picked = ds_indices(n, k, derive_seed(config.seed, *key, method,
                                                           "downsample"))
@@ -499,9 +527,8 @@ class TestEvaluation:
             raise AssertionError("the experiment ran before mixing_k was checked")
 
         monkeypatch.setattr(pipeline, "run_experiment", no_experiment)
-        config.mixing_k = 36
         with pytest.raises(ConfigError, match=r"evaluation\.mixing_k .*36 points.*'vrp'.*36"):
-            run_evaluation(config, by_method)
+            run_evaluation(dataclasses.replace(config, mixing_k=36), by_method)
 
     def test_too_small_embedding_rejected_before_any_fit(self, tiny_corpus_csv, monkeypatch):
         """One vrp sequence embeds 2 points, below the embedding's 4: a
@@ -515,6 +542,21 @@ class TestEvaluation:
             run_evaluation(config, by_method)
         assert not isinstance(excinfo.value, ConfigError)
         assert fits == []
+
+    def test_single_class_test_split_rejected_before_any_fit(self, monkeypatch):
+        """Window 20 over 60 days leaves the real test split one window per
+        ticker, all four rising: an error naming the split's size and its one
+        label, before any classifier is fit."""
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a classifier was fit for a test split of one class")
+
+        series = make_desk_corpus(4, 60, seed=5)
+        config = RunConfig(window_length=20)
+        by_method, _ = run_generation(config, series)
+        monkeypatch.setattr(evaluate, "fit_classifiers", no_fit)
+        with pytest.raises(UndefinedMetricError,
+                           match=r"real test split's 4 windows all have label 1"):
+            run_evaluation(config, by_method, series)
 
     def test_mixing_k_counts_embed_max_points(self, tiny_corpus_csv):
         config = tiny_config(tiny_corpus_csv, methods=("vrp",), downsample_k=1,

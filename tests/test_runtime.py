@@ -110,7 +110,12 @@ GOOD_RECORD = '{"unit_id": "t0", "unit_kind": "ticker", "method": "nvg", "elapse
     (GOOD_RECORD.replace("3}", '"3"}'), "malformed record: elapsed_ms must be an integer, got '3'"),
     (GOOD_RECORD.replace("3}", "3.5}"), "malformed record: elapsed_ms must be an integer, got 3.5"),
     (GOOD_RECORD.replace("ticker", "desk"), "malformed record: unknown unit kind 'desk'"),
-], ids=["truncated", "missing_field", "string_elapsed", "float_elapsed", "unknown_unit_kind"])
+    (GOOD_RECORD.replace("3}", '3, "valid": "no"}'),
+     "malformed record: valid must be true or false, got 'no'"),
+    (GOOD_RECORD.replace('"nvg"', "7"), "malformed record: method must be a string, got 7"),
+    (GOOD_RECORD.replace('"t0"', "null"), "malformed record: unit_id must be a string, got None"),
+], ids=["truncated", "missing_field", "string_elapsed", "float_elapsed", "unknown_unit_kind",
+        "string_valid", "integer_method", "null_unit_id"])
 def test_malformed_log_record_names_the_line(tmp_path, record, problem):
     path = tmp_path / "runtime.jsonl"
     path.write_text(GOOD_RECORD + "\n" + record)  # a cut file ends without a newline

@@ -78,7 +78,7 @@ class TestPreparedSeed:
                            value_policy="random")
         outputs = []
         for make in (prepared, int):
-            walk = generate_sequence(graph, config.walk_config(), window=2, seed=make(seed))
+            walk = generate_sequence(graph, config.walk, window=2, seed=make(seed))
             shuffle = vrp_generate(windows[1], seed=make(seed))
             # the sequences record a plain int, whatever seeded them
             assert type(walk.seed) is int and type(shuffle.seed) is int
