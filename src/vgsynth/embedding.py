@@ -29,12 +29,12 @@ LEARNING_RATE = 200.0
 PERPLEXITY_TOL = 1e-5
 PERPLEXITY_STEPS = 100
 MAX_EMBED_POINTS = 2000
+MIN_EMBED_POINTS = 4  # fewest rows embed_2d takes
 
 
 @dataclass
 class Embedding:
-    coords: np.ndarray  # (M, 2)
-    indices: np.ndarray  # (M,) positions of embedded rows in the input
+    coords: np.ndarray  # (n, 2), one row per input row
     final_kl: float  # KL(P || Q) on the last iteration
 
     @property
@@ -84,12 +84,10 @@ def conditional_affinities(sq_distances: np.ndarray,
 
 
 def embed_2d(points, perplexity: float = 30.0, iterations: int = 1000,
-             seed: int = 0, max_points: int = MAX_EMBED_POINTS) -> Embedding:
-    """Embed high-dimensional points into the plane.
-
-    Inputs with more than ``max_points`` rows are subsampled (seeded,
-    uniform); the embedded row positions are reported in ``indices``.
-    Identical inputs and seed give identical coordinates.
+             seed: int = 0) -> Embedding:
+    """Embed every row of ``points`` into the plane, coordinate row i for
+    input row i; :func:`embedding_overlap` picks the rows. Identical inputs
+    and seed give identical coordinates.
 
     The KL objective is a diagnostic the gradient never reads, so it is
     computed once, for the last iteration. The schedule depends only on the
@@ -108,16 +106,10 @@ def embed_2d(points, perplexity: float = 30.0, iterations: int = 1000,
     if X.ndim != 2:
         raise ValueError("points must be a 2D array")
     n = X.shape[0]
-    if n < 4:
-        raise ValueError(f"need at least 4 points, got {n}")
+    if n < MIN_EMBED_POINTS:
+        raise ValueError(f"need at least {MIN_EMBED_POINTS} points, got {n}")
     if iterations < 1:
         raise ValueError(f"iterations must be at least 1, got {iterations}")
-    rng = np.random.default_rng(seed)
-    indices = np.arange(n)
-    if n > max_points:
-        indices = np.sort(rng.choice(n, size=max_points, replace=False))
-        X = X[indices]
-        n = max_points
     if perplexity >= n:
         raise ValueError(f"perplexity {perplexity} must be < number of points {n}")
 
@@ -126,7 +118,7 @@ def embed_2d(points, perplexity: float = 30.0, iterations: int = 1000,
     # joint affinities of the n(n-1)/2 pairs, in pdist order (P is symmetric)
     P = squareform((P_cond + P_cond.T) / (2.0 * n), checks=False)
 
-    Y = rng.normal(0.0, 1e-4, size=(n, 2))
+    Y = np.random.default_rng(seed).normal(0.0, 1e-4, size=(n, 2))
     update = np.zeros_like(Y)
     gains = np.ones_like(Y)
     eps = np.finfo(float).eps
@@ -168,7 +160,7 @@ def embed_2d(points, perplexity: float = 30.0, iterations: int = 1000,
     # Q and Peff are the last iteration's. einsum sums in a fixed order; a
     # BLAS dot would split the sum over threads, and the KL's bits with it
     final_kl = kl_const - 2.0 * float(np.einsum("i,i", Peff, np.log(Q, out=Q)))
-    return Embedding(coords=Y, indices=indices, final_kl=final_kl)
+    return Embedding(coords=Y, final_kl=final_kl)
 
 
 def mixing_score(coords, origins, k: int) -> float:
@@ -221,7 +213,8 @@ def points_per_side(n_real: int, n_synthetic: int, max_points: int) -> int:
 def embedding_overlap(real_points, synthetic_points, perplexity: float = 30.0,
                       iterations: int = 1000, seed: int = 0, k: int = 10,
                       max_points: int = MAX_EMBED_POINTS) -> OverlapResult:
-    """Embed a balanced real/synthetic sample and score their intermixing."""
+    """Embed a balanced real/synthetic sample, ``points_per_side`` rows of
+    each drawn without replacement, and score their intermixing."""
     real = np.asarray(real_points, dtype=float)
     synth = np.asarray(synthetic_points, dtype=float)
     if real.shape[0] == 0 or synth.shape[0] == 0:
@@ -233,9 +226,9 @@ def embedding_overlap(real_points, synthetic_points, perplexity: float = 30.0,
     points = np.vstack([real[real_idx], synth[synth_idx]])
     origins = np.array(["real"] * per_side + ["synthetic"] * per_side)
     emb = embed_2d(points, perplexity=min(perplexity, points.shape[0] - 1),
-                   iterations=iterations, seed=seed, max_points=max_points)
-    return OverlapResult(coords=emb.coords, origins=origins[emb.indices],
-                         mixing=mixing_score(emb.coords, origins[emb.indices], k=k))
+                   iterations=iterations, seed=seed)
+    return OverlapResult(coords=emb.coords, origins=origins,
+                         mixing=mixing_score(emb.coords, origins, k=k))
 
 
 def write_embedding_csv(coords: np.ndarray, origins, path: str | Path) -> None:

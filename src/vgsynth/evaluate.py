@@ -145,8 +145,6 @@ class LogisticClassifier:
         self.n_iter_ = 0
 
     def _standardize(self, X: np.ndarray) -> np.ndarray:
-        if self.mean_ is None:
-            return X
         return (X - self.mean_) / self.scale_
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "LogisticClassifier":

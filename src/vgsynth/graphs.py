@@ -49,13 +49,15 @@ class Graph:
     w * length + t; a multigraph joins one segment's windows, and each of
     its windows' walks ranges over all of its nodes.
 
-    The constructor sorts the edges by (u, v, kind) unless they arrive sorted,
-    raises ``ValueError`` naming the first edge with a node id out of range,
-    u >= v, an unknown kind, a multiplicity below 1 or a repeated key, and builds
-    CSR adjacency with sorted neighbours: ``indptr``/``indices`` and
-    ``cross_indptr``/``cross_indices`` (cross-ticker kinds only). ``mult``,
-    each entry's multiplicities summed across kinds, is not built here but
-    on first read. ``node_values[i]`` lists node i's values.
+    The constructor takes the edges sorted by (u, v, kind), as every builder
+    hands them over. It raises ``ValueError`` naming the first edge with a
+    node id out of range, u >= v, an unknown kind, a multiplicity below 1, or
+    a key that does not exceed the previous edge's (a duplicate when equal,
+    unsorted edges when lower). It builds CSR adjacency with sorted
+    neighbours: ``indptr``/``indices`` and ``cross_indptr``/``cross_indices``
+    (cross-ticker kinds only). ``mult``, each entry's multiplicities summed
+    across kinds, is not built here but on first read. ``node_values[i]``
+    lists node i's values.
     """
 
     kind: str
@@ -76,20 +78,20 @@ class Graph:
         u, v, kind, mult = (np.asarray(a, dtype=np.int64) for a in
                             (self.edge_u, self.edge_v, self.edge_kind, self.edge_mult))
         key = (u * n + v) * len(EDGE_KINDS) + kind
-        if not (key[1:] > key[:-1]).all():
-            order = np.argsort(key, kind="stable")
-            u, v, kind, mult, key = (a[order] for a in (u, v, kind, mult, key))
+        unsorted = np.concatenate(([False], key[1:] <= key[:-1]))
+        first = int(np.argmax(unsorted))
+        repeated = bool(unsorted.any()) and key[first] == key[first - 1]
         for bad, problem in (
                 ((np.minimum(u, v) < 0) | (np.maximum(u, v) >= n), f"node id not in 0..{n - 1}"),
                 (u == v, "self-loop"), (u > v, "endpoints must be ordered u < v"),
                 ((kind < 0) | (kind >= len(EDGE_KINDS)), "unknown edge kind"),
                 (mult < 1, "multiplicity must be >= 1"),
-                (np.concatenate(([False], key[1:] == key[:-1])), "duplicate edge")):
+                (unsorted, "duplicate edge" if repeated else "edges not sorted by (u, v, kind)")):
             if bad.any():
                 e = int(np.argmax(bad))
                 name = dict(enumerate(EDGE_KINDS)).get(int(kind[e]), f"kind code {kind[e]}")
                 raise ValueError(f"edge ({u[e]}, {v[e]}, {name}): {problem}")
-        del key
+        del key, unsorted
         self.edge_u, self.edge_v, self.edge_kind, self.edge_mult = u, v, kind, mult
         self.indptr, self.indices, self.cross_indptr, self.cross_indices = _csr(u, v, kind, n)
         values = self.values.tolist()

@@ -17,7 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .embedding import MAX_EMBED_POINTS, OverlapResult, embedding_overlap, points_per_side
+from .embedding import (MAX_EMBED_POINTS, MIN_EMBED_POINTS, OverlapResult, embedding_overlap,
+                        points_per_side)
 from .evaluate import EvalReport, run_experiment
 from .generate import (PreparedSeed, SyntheticSequence, WalkConfig, derive_seed, downsample,
                        ds_indices, generate_sequence, seed_states, vrp_generate)
@@ -46,7 +47,7 @@ _SECTION_OF = {name: (section, option) for section, options in _SECTIONS.items()
 # integer RunConfig field -> smallest value it may take
 _INTEGER_MINIMUMS = {"seed": 0, "window_length": 3, "sequences_per_window": 1,
                      "downsample_k": 1, "max_iter": 1, "embed_iterations": 1,
-                     "mixing_k": 1, "embed_max_points": 4}
+                     "mixing_k": 1, "embed_max_points": MIN_EMBED_POINTS}
 
 
 class ConfigError(ValueError):
@@ -95,6 +96,9 @@ class RunConfig:
         for name in ("methods", "split"):
             if isinstance(getattr(self, name), list):
                 object.__setattr__(self, name, tuple(getattr(self, name)))
+        for name in ("input", "out_dir"):
+            if not isinstance(getattr(self, name), str):
+                raise ConfigError(f"{name} must be a string, got {getattr(self, name)!r}")
         for name, minimum in _INTEGER_MINIMUMS.items():
             value = getattr(self, name)
             if not _is_integer(value):
@@ -409,15 +413,16 @@ def run_evaluation(
 
 def _check_embedding_points(config: RunConfig, n_real: int,
                             sequences_by_method: dict[str, list[SyntheticSequence]]) -> None:
-    """Reject, before any classifier is fit, an embedding of fewer than 4
-    points (ValueError) and a ``mixing_k`` not below its point count
-    (ConfigError), counted as ``embedding_overlap`` will sample them."""
+    """Reject, before any classifier is fit, an embedding of fewer than
+    ``MIN_EMBED_POINTS`` points (ValueError) and a ``mixing_k`` not below its
+    point count (ConfigError), counted as ``embedding_overlap`` samples them."""
     for method, sequences in sequences_by_method.items():
         if not sequences:
             continue
         points = 2 * points_per_side(n_real, len(sequences), config.embed_max_points)
-        if points < 4:
-            raise ValueError(f"method {method!r}'s embedding would hold {points} points, below 4")
+        if points < MIN_EMBED_POINTS:
+            raise ValueError(f"method {method!r}'s embedding would hold {points} points, "
+                             f"below {MIN_EMBED_POINTS}")
         if config.mixing_k >= points:
             raise ConfigError(f"evaluation.mixing_k must be below the {points} points "
                               f"embedded for method {method!r}, got {config.mixing_k}")

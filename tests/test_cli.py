@@ -130,6 +130,17 @@ class TestGenerateCommand:
         assert "unknown config option 'workers'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("field", ["input", "out_dir"])
+    def test_non_string_path_exits_2_without_output(self, tmp_path, corpus_csv, capsys,
+                                                    monkeypatch, field):
+        # before any generation: a number in place of a path names its field
+        cfg = config_file(tmp_path, corpus_csv, "out")
+        cfg.write_text(json.dumps({**json.loads(cfg.read_text()), field: 5}))
+        monkeypatch.chdir(tmp_path)
+        assert main(["generate", "--config", str(cfg)]) == 2
+        assert f"{field} must be a string, got 5" in capsys.readouterr().err
+        assert [path.name for path in tmp_path.iterdir()] == ["config.json"]
+
     def test_repeated_method_exits_2_without_output(self, tmp_path, corpus_csv, capsys):
         out = tmp_path / "out"
         assert main(["generate", "--input", str(corpus_csv), "--methods", "vrp,vrp",

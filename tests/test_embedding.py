@@ -11,9 +11,9 @@ from scipy.spatial.distance import pdist, squareform
 import vgsynth
 from vgsynth import embedding
 from vgsynth.embedding import (EARLY_EXAGGERATION, EXAGGERATION_ITERS,
-                               MAX_EMBED_POINTS, conditional_affinities,
+                               MIN_EMBED_POINTS, conditional_affinities,
                                embed_2d, embedding_overlap, mixing_score,
-                               write_embedding_csv)
+                               points_per_side, write_embedding_csv)
 from vgsynth.errors import UndefinedMetricError
 
 
@@ -60,39 +60,28 @@ class TestEmbed2d:
             embed_2d(gaussian_cloud(rng, 10), perplexity=10, iterations=10, seed=0)
 
     def test_too_few_points_rejected(self, rng):
-        with pytest.raises(ValueError):
-            embed_2d(gaussian_cloud(rng, 3), perplexity=2, iterations=10, seed=0)
+        with pytest.raises(ValueError, match=f"at least {MIN_EMBED_POINTS} points"):
+            embed_2d(gaussian_cloud(rng, MIN_EMBED_POINTS - 1), perplexity=2, iterations=10,
+                     seed=0)
 
     def test_no_iterations_rejected(self, rng):
         with pytest.raises(ValueError, match="iterations"):
             embed_2d(gaussian_cloud(rng, 10), perplexity=3, iterations=0, seed=0)
 
-    def test_cap_subsamples(self, rng):
-        emb = embed_2d(gaussian_cloud(rng, 60), perplexity=5, iterations=20,
-                       seed=0, max_points=50)
-        assert emb.coords.shape == (50, 2)
-        assert emb.indices.shape == (50,)
-        assert np.all(np.diff(emb.indices) > 0)
-
 
 def reference_embed_2d(points, perplexity: float = 30.0, iterations: int = 1000,
-                       seed: int = 0, max_points: int = MAX_EMBED_POINTS,
-                       learning_rate: float = 200.0) -> embedding.Embedding:
+                       seed: int = 0, learning_rate: float = 200.0) -> embedding.Embedding:
     """``embed_2d`` as first written, on full n x n matrices every iteration.
 
-    Kept verbatim but for the input checks and the returned KL, the last of
-    its per-iteration trace, as the reference: ``embed_2d`` now works on the
+    Kept verbatim but for the input checks, the subsample branch (the
+    caller picks the rows now) and the returned KL, the last of its
+    per-iteration trace, as the reference: ``embed_2d`` now works on the
     n(n-1)/2 pairs and computes the KL once, and its coordinates must equal
     these bit for bit, and its final KL within rounding.
     """
     X = np.asarray(points, dtype=float)
     n = X.shape[0]
     rng = np.random.default_rng(seed)
-    indices = np.arange(n)
-    if n > max_points:
-        indices = np.sort(rng.choice(n, size=max_points, replace=False))
-        X = X[indices]
-        n = max_points
 
     D2 = squareform(pdist(X, "sqeuclidean"))
     P_cond, _ = conditional_affinities(D2, perplexity)
@@ -128,7 +117,7 @@ def reference_embed_2d(points, perplexity: float = 30.0, iterations: int = 1000,
         Y = Y + update
         Y = Y - Y.mean(axis=0)
 
-    return embedding.Embedding(coords=Y, indices=indices, final_kl=kl_trace[-1])
+    return embedding.Embedding(coords=Y, final_kl=kl_trace[-1])
 
 
 def two_clouds(seed, n, dim=6):
@@ -143,9 +132,6 @@ PINNED_EMBEDDINGS = {
     "across_exaggeration_boundary": (
         two_clouds(11, 60), dict(perplexity=10, iterations=300, seed=4),
         "06d26cc7c77151a6c8de7ce015582582b7d29a485709a7f781e691d3b8b4bce6"),
-    "subsampled": (
-        two_clouds(12, 90), dict(perplexity=12, iterations=260, seed=9, max_points=70),
-        "53dcf54ae24c5a18384b14d841029ef0e9d0727ef96dcde5def5b0b377c0eab6"),
     "four_points": (
         two_clouds(13, 4), dict(perplexity=2, iterations=300, seed=1),
         "c68d4e4297a6f5bc97f6bb1c73a5b69112ff92b77f320f0cf1f559bc392a93e1"),
@@ -159,7 +145,6 @@ class TestEmbed2dMatchesReference:
         emb = embed_2d(points, **kwargs)
         ref = reference_embed_2d(points, **kwargs)
         assert emb.coords.tobytes() == ref.coords.tobytes()
-        np.testing.assert_array_equal(emb.indices, ref.indices)
         assert hashlib.sha256(emb.coords.tobytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("case", sorted(PINNED_EMBEDDINGS))
@@ -222,6 +207,32 @@ def test_embedding_overlap_balances_and_scores(rng):
     assert result.coords.shape == (160, 2)
     assert (result.origins == "real").sum() == 80
     assert result.mixing > 0.5  # same distribution, strong intermixing
+
+
+@pytest.mark.parametrize("max_points", [21, 2000], ids=["capped", "below_cap"])
+def test_embedding_overlap_picks_the_rows(max_points, monkeypatch):
+    """embed_2d embeds every row it is given, so embedding_overlap alone
+    holds the cap: it hands over points_per_side distinct real rows, then as
+    many distinct synthetic rows, and labels them in that order."""
+    real, synth = two_clouds(16, 30), two_clouds(17, 25) + 10.0
+    handed = []
+
+    def spy(points, **kwargs):
+        handed.append(points)
+        return embed_2d(points, **kwargs)
+
+    monkeypatch.setattr(embedding, "embed_2d", spy)
+    result = embedding_overlap(real, synth, perplexity=5, iterations=5, seed=3, k=3,
+                               max_points=max_points)
+    per_side = points_per_side(30, 25, max_points)
+    assert per_side == (10 if max_points == 21 else 25)
+    [points] = handed
+    assert points.shape == (2 * per_side, real.shape[1])
+    assert result.coords.shape == (2 * per_side, 2)
+    assert result.origins.tolist() == ["real"] * per_side + ["synthetic"] * per_side
+    for rows, source in ((points[:per_side], real), (points[per_side:], synth)):
+        assert len({row.tobytes() for row in rows}) == per_side
+        assert {row.tobytes() for row in rows} <= {row.tobytes() for row in source}
 
 
 def test_embedding_csv_export(tmp_path, rng):

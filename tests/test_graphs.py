@@ -271,7 +271,7 @@ def test_dump_graph_format(tmp_path, rng):
 class TestGraphConstructor:
     """Each bad edge raises a ValueError naming it, before any adjacency is built."""
 
-    VIS = KIND_CODE[VISIBILITY]
+    VIS, SIM, CO = (KIND_CODE[k] for k in (VISIBILITY, SIMILAR_VALUE, CO_OCCURRENCE))
 
     @pytest.mark.parametrize("u, v, kind, mult, message", [
         ([0, 1], [1, 5], [VIS, VIS], [1, 1], r"\(1, 5, visibility\): node id not in 0..2"),
@@ -279,28 +279,27 @@ class TestGraphConstructor:
         ([0, 1], [1, 2], [VIS, 3], [1, 1], r"\(1, 2, kind code 3\): unknown edge kind"),
         ([0, 1], [1, 2], [VIS, VIS], [1, 0], r"\(1, 2, visibility\): multiplicity must be >= 1"),
         ([0, 2], [1, 2], [VIS, VIS], [1, 1], r"\(2, 2, visibility\): self-loop"),
-        ([1, 0, 1], [2, 1, 2], [VIS] * 3, [1, 1, 1], r"\(1, 2, visibility\): duplicate edge"),
+        ([0, 1, 1], [1, 2, 2], [VIS] * 3, [1, 1, 1], r"\(1, 2, visibility\): duplicate edge"),
+        # the constructor takes the edges as given and never sorts them
+        ([1, 0, 0], [2, 2, 1], [VIS, SIM, VIS], [1] * 3,
+         r"\(0, 2, similar_value\): edges not sorted by \(u, v, kind\)"),
+        ([0, 0], [1, 1], [VIS, CO], [1] * 2,
+         r"\(0, 1, co_occurrence\): edges not sorted by \(u, v, kind\)"),
+        # the first key that does not exceed the one before names the edge
+        ([1, 0, 0, 0], [2, 1, 2, 2], [VIS] * 4, [1] * 4,
+         r"\(0, 1, visibility\): edges not sorted by \(u, v, kind\)"),
+        ([0, 0, 1, 0], [1, 1, 2, 2], [VIS] * 4, [1] * 4, r"\(0, 1, visibility\): duplicate edge"),
     ], ids=["out_of_range", "reversed", "unknown_kind", "zero_multiplicity", "self_loop",
-            "duplicate"])
+            "duplicate", "unsorted_by_endpoints", "unsorted_by_kind", "unsorted_before_duplicate",
+            "duplicate_before_unsorted"])
     def test_bad_edge_rejected(self, u, v, kind, mult, message):
-        # as given, then sorted by (u, v, kind): keys that strictly increase
-        # take the constructor's no-sort path, and a duplicate sits adjacent
-        for edges in (list(zip(u, v, kind, mult)), sorted(zip(u, v, kind, mult))):
-            with pytest.raises(ValueError, match="^edge " + message):
-                make_graph([[0.0], [0.5], [1.0]], *map(list, zip(*edges)))
-
-    def test_unsorted_edges_are_sorted(self):
-        g = make_graph([[0.0], [0.5], [1.0]], [1, 0, 0], [2, 2, 1],
-                       [KIND_CODE[VISIBILITY], KIND_CODE[SIMILAR_VALUE], KIND_CODE[VISIBILITY]],
-                       [1, 2, 3])
-        assert list(g.edges.items()) == [((0, 1, VISIBILITY), 3), ((0, 2, SIMILAR_VALUE), 2),
-                                         ((1, 2, VISIBILITY), 1)]
-        np.testing.assert_array_equal(g.mult[g.indptr[0]:g.indptr[1]], [3, 2])
-        np.testing.assert_array_equal(g.cross_indices[g.cross_indptr[2]:g.cross_indptr[3]], [0])
+        with pytest.raises(ValueError, match="^edge " + message):
+            make_graph([[0.0], [0.5], [1.0]], u, v, kind, mult)
 
     def test_builders_hand_over_sorted_edges(self, rng, monkeypatch):
-        # every builder's (u, v, kind) keys strictly increase, so no pipeline
-        # graph is re-sorted; 150 points run the visibility kernel in blocks
+        # every builder's (u, v, kind) keys strictly increase, as the
+        # constructor, which never sorts, requires; 150 points run the
+        # visibility kernel in blocks
         keys_increase = []
         post_init = Graph.__post_init__
 

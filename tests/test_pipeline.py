@@ -151,7 +151,8 @@ class TestRunConfig:
         ("similar_value_epsilon", -0.01), ("l2", -1), ("tol", float("nan")),
         ("perplexity", 0), ("max_iter", 0), ("embed_iterations", 2.5), ("mixing_k", 0),
         ("embed_max_points", 1), ("restart_prob", "0.1"), ("split", (True, 0.0, 0.0)),
-        ("switch_prob", True), ("methods", ("vrp", "nvg", "vrp")),
+        ("switch_prob", True), ("methods", ("vrp", "nvg", "vrp")), ("input", 5),
+        ("out_dir", 5),
     ])
     def test_bad_value_rejected_before_generation(self, tiny_corpus_csv, field, value):
         # a bad value cannot make a config, so no run can start from one

@@ -106,8 +106,8 @@ def parallel_kinds_graph():
     """Hand-built graph whose pairs carry parallel edges of two or three kinds."""
     co, sim, vis = (KIND_CODE[k] for k in (CO_OCCURRENCE, SIMILAR_VALUE, VISIBILITY))
     u, v, kind, mult = zip((0, 1, co, 2), (0, 1, sim, 3), (0, 1, vis, 1), (0, 3, sim, 4),
-                           (1, 2, vis, 1), (1, 3, co, 1), (1, 3, vis, 5), (2, 3, co, 2),
-                           (2, 3, sim, 1), (2, 3, vis, 7), (3, 4, vis, 1), (0, 4, co, 6))
+                           (0, 4, co, 6), (1, 2, vis, 1), (1, 3, co, 1), (1, 3, vis, 5),
+                           (2, 3, co, 2), (2, 3, sim, 1), (2, 3, vis, 7), (3, 4, vis, 1))
     return make_graph([[0.0], [0.25, 0.3], [0.5], [0.75], [1.0, 0.9, 0.8]], u, v,
                       np.array(kind), np.array(mult))
 
