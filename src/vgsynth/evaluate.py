@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import MISSING, asdict, dataclass, field, fields
+from itertools import groupby
 from numbers import Real
 from pathlib import Path
 
@@ -163,24 +164,22 @@ def fit_classifiers(models: list[LogisticClassifier],
                     training_sets: list[tuple[np.ndarray, np.ndarray]]) -> None:
     """Fit ``models[i]`` on ``training_sets[i] = (X, y)``.
 
-    Training sets of one shape whose models share their hyperparameters
-    descend together in one loop, so an iteration costs the same numpy
-    calls for the whole group as for one set. Each set keeps its own step
-    size and tol stop. Its weights, bias and stop iteration are the bytes a
-    fit on that set alone gives, whatever the grouping; ``n_iter_`` is its
-    number of gradient evaluations. Every set is checked before any
-    descent: a set without both classes raises ValueError.
+    Every set whose model shares its feature count and hyperparameters
+    descends in one loop, whatever its number of rows, so an iteration's
+    elementwise work is one numpy call for all of them. Each set keeps its
+    own step size and tol stop. Its weights, bias and stop iteration are the
+    bytes a fit on that set alone gives; ``n_iter_`` is its number of
+    gradient evaluations. Every set is checked before any descent: a set
+    without both classes raises ValueError.
     """
     prepared = [_prepare(model, X, y)
                 for model, (X, y) in zip(models, training_sets, strict=True)]
     groups: dict[tuple, list[int]] = {}
     for i, (model, (Z, _, _)) in enumerate(zip(models, prepared)):
-        key = (Z.shape, model.l2, model.max_iter, model.tol)
+        key = (Z.shape[1], model.l2, model.max_iter, model.tol)
         groups.setdefault(key, []).append(i)
-    for members in groups.values():
-        Z, y, steps = (np.stack(parts) for parts in zip(*(prepared[i] for i in members)))
-        head = models[members[0]]
-        fits = _descend(Z, y, steps, head.l2, head.max_iter, head.tol)
+    for (_, l2, max_iter, tol), members in groups.items():
+        fits = _descend([prepared[i] for i in members], l2, max_iter, tol)
         for i, (w, b, n_iter) in zip(members, fits):
             models[i].weights, models[i].bias, models[i].n_iter_ = w, b, n_iter
 
@@ -205,76 +204,93 @@ def _prepare(model: LogisticClassifier, X: np.ndarray,
     return Z, y, 1.0 / lip
 
 
-def _descend(Z: np.ndarray, y: np.ndarray, steps: np.ndarray, l2: float, max_iter: int,
+def _descend(sets: list[tuple[np.ndarray, np.ndarray, float]], l2: float, max_iter: int,
              tol: float) -> list[tuple[np.ndarray, float, int]]:
-    """Gradient descent on a group of training sets: standardized features
-    ``Z`` (B, m, d), labels ``y`` (B, m) and step sizes ``steps`` (B,).
-    Returns each set's weights, bias and number of gradient evaluations.
+    """Gradient descent on training sets of d features each, given as
+    standardized features (m, d), labels (m,) and step size. Returns each
+    set's weights, bias and number of gradient evaluations.
 
     Each set gets the reductions a loop over that set alone makes: a
     matrix-vector matmul for Z @ w and Z.T @ r, a (1, d) @ (d, 1) matmul,
     which is BLAS's dot, for g.g, and add.reduce over its m contiguous
-    residuals. A set whose gradient norm falls below ``tol`` leaves the
-    group before its update, and the group's arrays are then compacted;
-    with ``tol`` 0 no set can leave, and the norm is not computed.
+    residuals. Only these calls, and adding b to the logits, are made once
+    per row count, on views of two flat buffers that hold every set's
+    logits and residuals in order of row count; each other step is one
+    call for all sets. A set whose gradient norm falls below ``tol`` stops
+    before its update, and the buffers are rebuilt for the sets still
+    descending; with ``tol`` 0 no set can stop, and the norm is not computed.
     """
-    n, m, d = Z.shape
-    live = list(range(n))  # input position of each set still descending
-    fits: list = [None] * n
-    # Per-set vectors carry a trailing axis of 1, so that they are the
-    # stacked matmul's operands as they stand.
-    y, steps = y[:, :, None], steps[:, None, None]
-    w, grad_w = np.zeros((n, d, 1)), np.empty((n, d, 1))
-    b, grad_b, gg = np.zeros((n, 1, 1)), np.empty((n, 1, 1)), np.empty((n, 1, 1))
-    logits, residual, scaled = np.empty((n, m, 1)), np.empty((n, m, 1)), np.empty((n, d, 1))
-    two_l2 = 2.0 * l2
-    Zt = Z.transpose(0, 2, 1)
-    for iteration in range(1, max_iter + 1):
-        np.matmul(Z, w, out=logits)
-        logits += b
-        _sigmoid(logits, out=residual)
-        residual -= y
-        np.matmul(Zt, residual, out=grad_w)
-        grad_w /= m
-        np.multiply(two_l2, w, out=scaled)
-        grad_w += scaled
-        np.add.reduce(residual, axis=1, keepdims=True, out=grad_b)
-        grad_b /= m
-        if tol > 0:  # no norm, and no NaN, is below a tol <= 0
-            np.matmul(grad_w.transpose(0, 2, 1), grad_w, out=gg)
-            stop = np.sqrt(gg + grad_b * grad_b) < tol
-            if np.count_nonzero(stop):
-                stop = stop.ravel()
-                for j in np.flatnonzero(stop):
-                    fits[live[j]] = (w[j, :, 0].copy(), float(b[j, 0, 0]), iteration)
-                keep = ~stop
-                live = [i for i, kept in zip(live, keep) if kept]
-                if not live:
-                    return fits
-                Z, y, steps, w, grad_w, b, grad_b = (
-                    a[keep] for a in (Z, y, steps, w, grad_w, b, grad_b))
-                k = len(live)
-                logits, residual, scaled, gg = logits[:k], residual[:k], scaled[:k], gg[:k]
-                Zt = Z.transpose(0, 2, 1)
-        np.multiply(steps, grad_w, out=scaled)
-        w -= scaled
-        b -= steps * grad_b
+    d = sets[0][0].shape[1]
+    live = sorted(range(len(sets)), key=lambda i: sets[i][0].shape[0])
+    fits: list = [None] * len(sets)
+    # One (d + 1, 1) column per set, w then b, so that one update moves both.
+    # Per-set vectors carry a trailing axis of 1, as a stacked matmul takes them.
+    params, grad = np.zeros((len(live), d + 1, 1)), np.empty((len(live), d + 1, 1))
+    two_l2, iteration = 2.0 * l2, 0
+    while live:
+        Zs, ys, steps = zip(*(sets[i] for i in live))
+        y = np.concatenate(ys)
+        logits, residual, scaled = np.empty_like(y), np.empty_like(y), np.empty_like(params)
+        rows = [len(labels) for labels in ys]
+        blocks, first, end = [], 0, 0  # per row count: its sets' operands and views
+        for m, members in groupby(rows):
+            k = len(list(members))
+            part, Z = slice(first, first + k), np.stack(Zs[first:first + k])
+            z, r = (a[end:end + k * m].reshape(k, m, 1) for a in (logits, residual))
+            blocks.append((Z, Z.transpose(0, 2, 1), params[part, :d], params[part, d:],
+                           grad[part, :d], grad[part, d:], z, r))
+            first, end = first + k, end + k * m
+        rows, steps = np.array(rows, dtype=float)[:, None, None], np.array(steps)[:, None, None]
+        w, grad_w, grad_b, scaled_w = params[:, :d], grad[:, :d], grad[:, d:], scaled[:, :d]
+        while iteration < max_iter:
+            iteration += 1
+            for Z, _, w_part, b_part, _, _, z, _ in blocks:
+                np.matmul(Z, w_part, out=z)
+                z += b_part
+            _sigmoid(logits, out=residual)
+            residual -= y
+            for _, Zt, _, _, grad_w_part, grad_b_part, _, r in blocks:
+                np.matmul(Zt, r, out=grad_w_part)
+                np.add.reduce(r, axis=1, keepdims=True, out=grad_b_part)
+            grad /= rows
+            np.multiply(two_l2, w, out=scaled_w)
+            grad_w += scaled_w
+            if tol > 0:  # no norm, and no NaN, is below a tol <= 0
+                gg = np.matmul(grad_w.transpose(0, 2, 1), grad_w)
+                stop = (np.sqrt(gg + grad_b * grad_b) < tol).ravel()
+                if np.count_nonzero(stop):
+                    for j in np.flatnonzero(stop):
+                        fits[live[j]] = (params[j, :d, 0].copy(), float(params[j, d, 0]),
+                                         iteration)
+                    keep = ~stop
+                    live = [i for i, kept in zip(live, keep) if kept]
+                    # the sets still descending make this iteration's update
+                    # before the buffers are rebuilt for them
+                    params, grad = params[keep], grad[keep]
+                    params -= steps[keep] * grad
+                    break
+            np.multiply(steps, grad, out=scaled)
+            params -= scaled
+        else:
+            break
     for j, i in enumerate(live):
-        fits[i] = (w[j, :, 0].copy(), float(b[j, 0, 0]), max_iter)
+        fits[i] = (params[j, :d, 0].copy(), float(params[j, d, 0]), max_iter)
     return fits
 
 
 def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Logistic function without overflow: with e = exp(-|z|), 1 / (1 + e)
-    where z >= 0 and e / (1 + e) where z < 0.
+    """Logistic function without overflow: with e = exp(-|z|), the
+    numerator max(e, z >= 0) over 1 + e, which is 1 / (1 + e) where z >= 0
+    and e / (1 + e) where z < 0.
 
     -|z| is taken as min(z, -z), which returns a NaN unchanged where
-    -abs(z) would flip its sign bit.
+    -abs(z) would flip its sign bit. e is a NaN or lies in [+0, 1], never
+    -0, so the maximum passes e's NaN and zeros on with their bits.
     """
     e = np.exp(np.minimum(z, -z))
-    denom = 1.0 + e
-    out = np.divide(1.0, denom, out=out)
-    return np.divide(e, denom, out=out, where=z < 0)
+    out = np.maximum(e, z >= 0, out=out)
+    e += 1.0
+    return np.divide(out, e, out=out)
 
 
 @dataclass
@@ -386,7 +402,7 @@ def run_experiment(
         train_starts.setdefault(w.ticker, set()).add(w.start_index)
 
     # Every training set first, real then each method's mixed and synthetic
-    # sets, so that fit_classifiers can fit sets of one shape together.
+    # sets, so that fit_classifiers can fit them all in one descent.
     training_sets = [(real_X, real_y)]
     plans = {}  # method -> (synthetic rows, index of its mixed set, of its synthetic set)
     for method, sequences in synthetic_by_method.items():

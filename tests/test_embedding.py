@@ -1,20 +1,17 @@
 import hashlib
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.spatial.distance import pdist, squareform
 
-import vgsynth
 from vgsynth import embedding
 from vgsynth.embedding import (EARLY_EXAGGERATION, EXAGGERATION_ITERS,
                                MIN_EMBED_POINTS, conditional_affinities,
                                embed_2d, embedding_overlap, mixing_score,
                                points_per_side, write_embedding_csv)
 from vgsynth.errors import UndefinedMetricError
+
+from fresh_python import needs_two_cpus, outputs_per_blas_thread_count, run_python
 
 
 def gaussian_cloud(rng, n, dim=5, center=0.0):
@@ -251,34 +248,16 @@ def test_package_import_leaves_scipy_spatial_unloaded():
     import it when they run."""
     code = ("import sys, vgsynth, vgsynth.cli, vgsynth.embedding; "
             "print('scipy.spatial' in sys.modules)")
-    src = str(Path(vgsynth.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True, timeout=60)
-    assert done.stdout.strip() == "False"
+    assert run_python(code, timeout=60) == "False"
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-@pytest.mark.skipif(_usable_cpus() < 2, reason="needs 2 CPUs for a 2-thread BLAS")
+@needs_two_cpus
 def test_kl_trace_independent_of_blas_threads():
     """The final KL has the same bits with one BLAS thread as with two: a
     threaded dot product splits its sum, and its bits, over the threads."""
     code = ("import numpy as np; from vgsynth.embedding import embed_2d; "
             "X = np.random.default_rng(11).standard_normal((400, 5)); "
             "print(embed_2d(X, perplexity=30, iterations=300).final_kl.hex())")
-    src = str(Path(vgsynth.__file__).resolve().parents[1])
-    kls = []
-    for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=env, check=True, timeout=120)
-        kls.append(done.stdout.strip())
+    kls = outputs_per_blas_thread_count(code, timeout=120)
     assert float.fromhex(kls[0]) > 0
     assert kls[0] == kls[1]

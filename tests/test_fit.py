@@ -1,7 +1,7 @@
 """``LogisticClassifier.fit`` and ``fit_classifiers`` against the reference
 loop: weights and bias byte for byte and the stop iteration, across row
-counts, iteration limits, early stops, groups of training sets and the
-sigmoid's two branches."""
+counts, iteration limits, early stops, sets of several row counts that
+descend together, the sigmoid's two branches and the BLAS thread count."""
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ import pytest
 from vgsynth import evaluate
 from vgsynth.evaluate import LogisticClassifier, _sigmoid, fit_classifiers
 
+from fresh_python import needs_two_cpus, outputs_per_blas_thread_count
 from reference_fit import ReferenceLogisticClassifier, reference_sigmoid
 
 
@@ -42,16 +43,16 @@ def assert_same_as_alone(models, sets, **params):
 
 
 def spy_on_descent(monkeypatch):
-    """Record the (sets, rows) shape of each group that descends."""
-    groups = []
+    """Record the row counts of the sets each descent is given."""
+    calls = []
     descend = evaluate._descend
 
-    def spy(Z, *args):
-        groups.append(Z.shape[:2])
-        return descend(Z, *args)
+    def spy(sets, *args):
+        calls.append([Z.shape[0] for Z, _, _ in sets])
+        return descend(sets, *args)
 
     monkeypatch.setattr(evaluate, "_descend", spy)
-    return groups
+    return calls
 
 
 def assert_same_fit(model, reference):
@@ -156,10 +157,10 @@ def test_sigmoid_matches_masked(n, sign):
 def test_group_at_benchmark_shapes(size, m, monkeypatch):
     """The benchmark's groups: up to five sets of 40 or 80 rows, 1500
     iterations, no early stop, in one descent."""
-    groups = spy_on_descent(monkeypatch)
+    calls = spy_on_descent(monkeypatch)
     sets = [fit_data(seed, m) for seed in range(size)]
     models = fit_group(sets, max_iter=1500, tol=0.0)
-    assert groups == [(size, m)]
+    assert calls == [[m] * size]
     assert_same_as_alone(models, sets, max_iter=1500, tol=0.0)
 
 
@@ -200,20 +201,82 @@ def test_group_stop_against_block_boundary(where):
 
 
 def test_mixed_row_counts_in_input_order(monkeypatch):
-    """Sets of three row counts descend in three groups, in order of first
-    appearance; each model gets its own set's fit."""
-    groups = spy_on_descent(monkeypatch)
-    sets = [fit_data(seed, m) for seed, m in enumerate([40, 80, 40, 33, 80, 40])]
+    """Sets of three row counts descend in one loop per hyperparameter set,
+    whatever their row counts; each model gets its own set's fit."""
+    calls = spy_on_descent(monkeypatch)
+    rows = [40, 80, 40, 33, 80, 40]
+    sets = [fit_data(seed, m) for seed, m in enumerate(rows)]
     models = fit_group(sets, max_iter=300, tol=0.0)
-    assert groups == [(3, 40), (2, 80), (1, 33)]
+    assert calls == [rows]
     assert_same_as_alone(models, sets, max_iter=300, tol=0.0)
+
+    calls.clear()
+    l2s = [1e-3, 0.0, 0.0, 1e-3, 1e-3, 0.0]
+    models = [LogisticClassifier(l2=l2, max_iter=300, tol=0.0) for l2 in l2s]
+    fit_classifiers(models, sets)
+    assert calls == [[40, 33, 80], [80, 40, 40]]
+    for model, (X, y), l2 in zip(models, sets, l2s):
+        assert_same_fit(model, ReferenceLogisticClassifier(l2=l2, max_iter=300,
+                                                           tol=0.0).fit(X, y))
+
+
+def rows_stopping_apart():
+    """Sets of three row counts that reach the default tol at different
+    iterations (88, 422, 146, 22, 124 and 33), so that the sets that stop
+    first have the most rows and the layout is rebuilt across row counts."""
+    data = [(60, 1.0), (33, 0.2), (60, 2.0), (90, 0.5), (33, 3.0), (90, 1.5)]
+    sets = [fit_data(11, m, signal=signal) for m, signal in data]
+    stops = [len(ReferenceLogisticClassifier().fit(X, y).loss_history_) for X, y in sets]
+    return sets, stops
+
+
+@pytest.mark.parametrize("where", ["inside", "second_last", "first", "before_first"])
+def test_default_tol_across_row_counts(where):
+    """At the default tol, sets of several row counts stop apart: every set
+    stops on tol, one runs to max_iter, the first stop lands on max_iter,
+    or every set runs to max_iter one iteration before it."""
+    sets, stops = rows_stopping_apart()
+    assert len(set(stops)) == len(stops) and max(stops) < 10000
+    ordered = sorted(stops)
+    max_iter = {"inside": 10000, "second_last": ordered[-2] + 3,
+                "first": ordered[0], "before_first": ordered[0] - 1}[where]
+    assert_group_stops(sets, stops, max_iter)
 
 
 def test_single_class_set_raises_before_any_descent(monkeypatch):
-    groups = spy_on_descent(monkeypatch)
+    calls = spy_on_descent(monkeypatch)
     sets = [fit_data(seed, 40) for seed in range(3)]
     X, _ = sets[1]
     sets[1] = (X, np.ones(40, dtype=int))
     with pytest.raises(ValueError, match="training set must contain both classes"):
         fit_group(sets)
-    assert groups == []
+    assert calls == []
+
+
+@needs_two_cpus
+def test_fit_independent_of_blas_threads():
+    """Weights, biases and stop iterations have the same bits with one BLAS
+    thread as with two, at row counts up to 5000, where a threaded
+    matrix-vector product could split its sums over the threads."""
+    code = """
+import hashlib
+import numpy as np
+from vgsynth.evaluate import LogisticClassifier, fit_classifiers
+sets = []
+for m in (340, 680, 2000, 5000):
+    rng = np.random.default_rng(m)
+    X = rng.standard_normal((m, 8)) * rng.uniform(0.1, 20.0, 8) + rng.uniform(-5.0, 5.0, 8)
+    y = ((X - X.mean(axis=0)) / X.std(axis=0) @ rng.standard_normal(8)
+         + rng.logistic(size=m) > 0).astype(int)
+    sets.append((X, y))
+models = [LogisticClassifier(max_iter=1500, tol=0.0) for _ in sets]
+fit_classifiers(models, sets)
+digest = hashlib.sha256()
+for model in models:
+    digest.update(model.weights.tobytes() + np.float64(model.bias).tobytes())
+    digest.update(str(model.n_iter_).encode())
+print(digest.hexdigest())
+"""
+    digests = outputs_per_blas_thread_count(code, timeout=120)
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
