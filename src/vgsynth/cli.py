@@ -72,7 +72,7 @@ def cmd_evaluate(args) -> int:
     windows_by_key = {(w.ticker, w.start_index): w
                       for ws in windows_by_ticker.values() for w in ws}
     sequences_by_method = {
-        m: read_sequences(sequences_path(out_dir, m), windows_by_key)
+        m: read_sequences(sequences_path(out_dir, m), windows_by_key, m)
         for m in config.methods
     }
     runtime_file = out_dir / "runtime.jsonl"

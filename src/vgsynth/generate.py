@@ -72,7 +72,8 @@ class SyntheticSequence:
     ``values`` are in price space and ``scale_min``/``scale_max`` are the
     source window's min-max map. ``scaled_values`` is the walk output in
     [0, 1]; a sequence read back from a file carries None, and evaluation
-    maps ``values`` with the scale instead.
+    maps ``values`` with the scale instead. Arrays are stored as given; every
+    producer (walk, shuffle, ``read_sequences``) makes them float64.
     """
 
     values: np.ndarray
@@ -83,11 +84,6 @@ class SyntheticSequence:
     seed: int
     scale_min: float
     scale_max: float
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.scaled_values is not None:
-            self.scaled_values = np.asarray(self.scaled_values, dtype=float)
 
 
 _LOW32 = 0xFFFFFFFF
@@ -319,43 +315,32 @@ def vrp_generate(window: Window, seed: int = 0) -> SyntheticSequence:
 
 
 def dtw_distances(candidates, references) -> np.ndarray:
-    """Dynamic time warping distance of each candidate to its own row of
-    ``references``, which holds one sequence per candidate.
+    """DTW distance of each row of ``candidates``, an ``(N, n)`` array, to
+    the same row of ``references``, an ``(N, m)`` array. A ragged batch
+    raises ValueError; pairs of any lengths go through :func:`dtw_distance`.
 
     Absolute-difference local cost, full alignment, no window constraint.
-    All candidates share one anti-diagonal wavefront: step d fills the cells
-    (i, d - i) of every candidate's accumulated-cost matrix with one array
-    update, since each cell needs only the two previous anti-diagonals.
-    Every cell is ``cost + min(up, left, diag)`` of the same operands as the
-    textbook row-by-row recurrence, so the distances are bit-identical to
-    it. Shorter candidates and reference rows are zero-padded; candidate k of
-    length n against a reference of length m is read at cell (n, m), which
-    depends only on cells (i <= n, j <= m), so the padding never reaches it.
+    All rows share one anti-diagonal wavefront: step d fills the cells
+    (i, d - i) of every row's accumulated-cost matrix with one array update,
+    since each cell needs only the two previous anti-diagonals. Every cell is
+    ``cost + min(up, left, diag)`` of the same operands as the textbook
+    row-by-row recurrence, so the distances are bit-identical to it.
     """
-    rows = [np.asarray(c, dtype=float) for c in candidates]
-    refs = [np.asarray(r, dtype=float) for r in references]
-    if not rows or len(refs) != len(rows) or any(r.ndim != 1 or r.size == 0
-                                                 for r in rows + refs):
-        raise ValueError("dtw_distances requires candidates, one reference row per "
-                         "candidate, and non-empty one-dimensional sequences")
-    count = len(rows)
-    lengths, ref_lengths = (np.array([r.size for r in x]) for x in (rows, refs))
-    n, m = int(lengths.max()), int(ref_lengths.max())
-    # a[i, k] and b[j, k]: value i + 1 of candidate k and value j + 1 of its
-    # reference, candidate fastest, each filled by one scatter
-    a, b = np.zeros((n, count)), np.zeros((m, count))
-    for padded, x, sizes in ((a, rows, lengths), (b, refs, ref_lengths)):
-        padded.T[np.arange(len(padded)) < sizes[:, None]] = np.concatenate(x)
-    # cost[(i - 1) * m + j - 1, k] is cell (i, j)'s local cost for candidate
-    # k; the last row is inf, the cost of every cell off the n x m grid
+    a, b = np.asarray(candidates, dtype=float), np.asarray(references, dtype=float)
+    if a.ndim != 2 or b.ndim != 2 or len(a) != len(b) or 0 in a.shape + b.shape:
+        raise ValueError("dtw_distances requires an (N, n) candidate array and an (N, m) "
+                         f"reference array with N, n, m >= 1, got {a.shape} and {b.shape}")
+    (count, n), m = a.shape, b.shape[1]
+    # cost[(i - 1) * m + j - 1, k] is cell (i, j)'s local cost for row k; the
+    # last row is inf, the cost of every cell off the n x m grid
     cost = np.empty((n * m + 1, count))
-    np.subtract(a[:, None, :], b[None, :, :], out=cost[:-1].reshape(n, m, count))
+    np.subtract(a.T[:, None, :], b.T[None, :, :], out=cost[:-1].reshape(n, m, count))
     np.abs(cost, out=cost)
     cost[-1] = np.inf
-    # acc[d, i, k] is cell (i, j = d - i) of candidate k's matrix, laid onto
-    # the diagonals by one take. A diagonal is one flat row with candidates
-    # fastest, so a step is three contiguous updates shifted by one cell
-    # (count entries); cells of different candidates never meet.
+    # acc[d, i, k] is cell (i, j = d - i) of row k's matrix, laid onto the
+    # diagonals by one take. A diagonal is one flat row with the rows of the
+    # batch fastest, so a step is three contiguous updates shifted by one
+    # cell (count entries); cells of different rows never meet.
     i = np.arange(n + 1)
     j = np.arange(n + m + 1)[:, None] - i
     inside = (i >= 1) & (j >= 1) & (j <= m)
@@ -367,11 +352,12 @@ def dtw_distances(candidates, references) -> np.ndarray:
         np.minimum(diagonals[d - 1, :-count], diagonals[d - 1, count:], out=best)
         np.minimum(best, diagonals[d - 2, :-count], out=best)
         diagonals[d, count:] += best
-    return acc[lengths + ref_lengths, lengths, np.arange(count)]
+    return acc[n + m, n]
 
 
 def dtw_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """DTW distance of one pair; symmetric in its arguments."""
+    """DTW distance of one pair of any two lengths, as a batch of one;
+    symmetric in its arguments."""
     return float(dtw_distances([a], [b])[0])
 
 
@@ -395,10 +381,11 @@ def downsample(
     window's raw values (SimDS), in generation order, ties keeping the earlier.
 
     ``sequences`` holds the candidates of ``windows`` in window order, the
-    same number for each, all scored in one :func:`dtw_distances` call. A
-    window with at most ``k`` candidates keeps them all: so DS, whose
-    :func:`ds_indices` pick precedes generation, keeps what it generated.
-    Fewer than ``k`` also emit a DownsampleWarning.
+    same number for each. Their values, stacked once, are scored in one
+    :func:`dtw_distances` call against the windows' raw values, stacked once
+    and repeated per candidate. A window with at most ``k`` candidates keeps
+    them all: so DS, whose :func:`ds_indices` pick precedes generation,
+    keeps what it generated. Fewer than ``k`` also emit a DownsampleWarning.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -411,8 +398,8 @@ def downsample(
                       DownsampleWarning, stacklevel=2)
     if k >= per:
         return list(sequences)
-    dists = dtw_distances([s.values for s in sequences],
-                          [w.raw_values for w in windows for _ in range(per)])
+    dists = dtw_distances(np.array([s.values for s in sequences]),
+                          np.repeat([w.raw_values for w in windows], per, axis=0))
     nearest = np.sort(np.argsort(dists.reshape(len(windows), per), axis=1, kind="stable")[:, :k])
     nearest += per * np.arange(len(windows))[:, None]
     return [sequences[i] for i in nearest.ravel().tolist()]

@@ -319,17 +319,18 @@ def write_sequences(sequences: list[SyntheticSequence], path: str | Path) -> Non
             }) + "\n")
 
 
-def read_sequences(path: str | Path,
-                   windows_by_key: dict[tuple[str, int], Window]) -> list[SyntheticSequence]:
+def read_sequences(path: str | Path, windows_by_key: dict[tuple[str, int], Window],
+                   method: str) -> list[SyntheticSequence]:
     """Read generated sequences and re-attach each one's source-window scale.
 
     A sequence read back holds its prices and its window's
     ``(scale_min, scale_max)``, and no scaled values: evaluation maps the
     prices with that scale, as it does for sequences generated in-process.
 
-    Every record's (ticker, window_start) must name one of the windows in
-    ``windows_by_key`` and hold as many values as that window. A record that
-    does not, or is not a complete JSON record, raises ValueError naming
+    Every record must name ``method``, hold only finite values, and have a
+    (ticker, window_start) that names one of the windows in
+    ``windows_by_key`` and as many values as that window. A record that does
+    not, or is not a complete JSON record, raises ValueError naming
     ``path:line``; a record of the wrong length raises only once every
     record's window was found, so a file written for other windows names a
     window it lacks.
@@ -341,12 +342,17 @@ def read_sequences(path: str | Path,
                 rec = json.loads(line)
                 values = np.array(rec["values"], dtype=float)
                 key = (rec["ticker"], rec["window_start"])
-                method, seed = rec["method"], rec["seed"]
+                named, seed = rec["method"], rec["seed"]
                 window = windows_by_key.get(key)
             except KeyError as exc:
                 raise ValueError(f"{path}:{lineno}: record has no field {exc}") from exc
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: malformed record: {exc}") from exc
+            if named != method:
+                raise ValueError(f"{path}:{lineno}: a {named!r} record in a file of "
+                                 f"method {method!r}")
+            if not np.isfinite(values).all():
+                raise ValueError(f"{path}:{lineno}: record holds a value that is not finite")
             if window is None:
                 raise ValueError(f"{path}:{lineno}: no input window for "
                                  f"(ticker, window_start) {key}")

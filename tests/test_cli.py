@@ -229,6 +229,38 @@ class TestEvaluateCommand:
         assert f"error: {path}:{line}: malformed record" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    def test_non_finite_sequence_value_exits_1_naming_the_line(self, tmp_path,
+                                                               eval_corpus_csv, capsys):
+        """Python's json reads NaN, so a record can carry one; evaluated, it
+        turns every embedding coordinate into nan."""
+        out = tmp_path / "out"
+        cfg = config_file(tmp_path, eval_corpus_csv, out)
+        assert main(["generate", "--config", str(cfg)]) == 0
+        path = out / "sequences_vrp.jsonl"
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[-1])
+        record["values"][3] = float("nan")
+        lines[-1] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(cfg)]) == 1
+        assert (f"error: {path}:{len(lines)}: record holds a value that is not finite"
+                in capsys.readouterr().err)
+        assert not (out / "report.json").exists()
+
+    def test_records_of_another_method_exit_1_naming_both(self, tmp_path, eval_corpus_csv,
+                                                          capsys):
+        out = tmp_path / "out"
+        cfg = config_file(tmp_path, eval_corpus_csv, out)
+        assert main(["generate", "--config", str(cfg)]) == 0
+        path = out / "sequences_nvg.jsonl"
+        (out / "sequences_vrp.jsonl").rename(path)
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(cfg), "--methods", "nvg"]) == 1
+        assert (f"error: {path}:1: a 'vrp' record in a file of method 'nvg'"
+                in capsys.readouterr().err)
+        assert not (out / "report.json").exists()
+
     def test_mixing_k_above_the_points_exits_2_without_report(self, tmp_path,
                                                               eval_corpus_csv, capsys):
         out = tmp_path / "out"

@@ -267,11 +267,11 @@ class TestDTW:
             dtw_distance([], [1.0])
 
     def test_batched_rows_equal_pairwise_and_row_loop(self, rng):
+        """Each call scores one equal-length batch; the lengths vary between
+        calls, and each row equals its pair scored alone."""
         for _ in range(100):
+            cands = rng.random((int(rng.integers(1, 13)), int(rng.integers(1, 25))))
             ref = rng.random(int(rng.integers(1, 25)))
-            cands = [rng.random(int(rng.integers(1, 25)))
-                     for _ in range(int(rng.integers(1, 12)))]
-            cands.append(rng.random(1))
             batched = dtw_distances(cands, [ref] * len(cands))
             assert batched.shape == (len(cands),)
             for cand, d in zip(cands, batched):
@@ -280,15 +280,15 @@ class TestDTW:
     def test_batched_matches_bruteforce(self, rng):
         for _ in range(30):
             ref = rng.random(int(rng.integers(1, 8)))
-            cands = [rng.random(int(rng.integers(1, 8))) for _ in range(5)]
+            cands = rng.random((5, int(rng.integers(1, 8))))
             for cand, d in zip(cands, dtw_distances(cands, [ref] * len(cands))):
                 assert d == pytest.approx(dtw_bruteforce(cand, ref), abs=1e-9)
 
     def test_reference_row_per_candidate_equals_one_call_per_reference(self, rng):
         for _ in range(100):
             count = int(rng.integers(1, 12))
-            cands = [rng.random(int(rng.integers(1, 25))) for _ in range(count)]
-            refs = [rng.random(int(rng.integers(1, 25))) for _ in range(count)]
+            cands = rng.random((count, int(rng.integers(1, 25))))
+            refs = rng.random((count, int(rng.integers(1, 25))))
             got = dtw_distances(cands, refs)
             want = [dtw_distances([cand], [ref])[0] for cand, ref in zip(cands, refs)]
             assert [d.hex() for d in got.tolist()] == [float(d).hex() for d in want]
@@ -306,16 +306,26 @@ class TestDTW:
             assert got == hexes(dtw_row_loop(c, r) for c, r in zip(cands, rows))
 
     @pytest.mark.parametrize("count", [40, 200])
-    def test_ragged_batches_with_length_one_rows_equal_references(self, rng, count):
+    def test_length_one_rows_equal_references(self, rng, count):
+        """Length-1 candidates against longer references, the reverse, and
+        both of length 1, each as one (N, 1) or (N, m) batch."""
         for _ in range(3):
-            cands = [rng.random(int(rng.integers(1, 21))) for _ in range(count)]
-            refs = [rng.random(int(rng.integers(1, 21))) for _ in range(count)]
-            # length-1 candidates, length-1 references, and at 0, 35, ... both
-            cands[::7] = [rng.random(1) for _ in cands[::7]]
-            refs[::5] = [rng.random(1) for _ in refs[::5]]
-            got = hexes(dtw_distances(cands, refs))
-            assert got == hexes(reference_dtw_distances(cands, refs))
-            assert got == hexes(dtw_row_loop(c, r) for c, r in zip(cands, refs))
+            m = int(rng.integers(2, 21))
+            for n_cand, n_ref in ((1, m), (m, 1), (1, 1)):
+                cands, refs = rng.random((count, n_cand)), rng.random((count, n_ref))
+                got = hexes(dtw_distances(cands, refs))
+                assert got == hexes(reference_dtw_distances(cands, refs))
+                assert got == hexes(dtw_row_loop(c, r) for c, r in zip(cands, refs))
+
+    @pytest.mark.parametrize("cands, refs", [([[1.0, 2.0], [3.0]], [[1.0], [2.0]]),
+                                             ([[1.0], [2.0]], [[1.0, 2.0], [3.0]])])
+    def test_ragged_batch_rejected(self, cands, refs):
+        """Rows of one batch share a length; pairs of other lengths go
+        through ``dtw_distance`` one at a time."""
+        with pytest.raises(ValueError):
+            dtw_distances(cands, refs)
+        assert [dtw_distance(c, r) for c, r in zip(cands, refs)] == [
+            dtw_row_loop(np.asarray(c), np.asarray(r)) for c, r in zip(cands, refs)]
 
     @pytest.mark.parametrize("cands, ref", [([[1.0], []], [[1.0]] * 2), ([[1.0]], [[]]),
                                             ([], [1.0]), ([[1.0]], [[1.0], []]),

@@ -250,7 +250,7 @@ class TestGeneration:
         write_sequences(by_method["nvg"], path)
         windows_by_key = {(w.ticker, w.start_index): w
                           for ws in pipeline.prepare_windows(config).values() for w in ws}
-        back = read_sequences(path, windows_by_key)
+        back = read_sequences(path, windows_by_key, "nvg")
         assert len(back) == len(by_method["nvg"])
         for a, b in zip(by_method["nvg"], back):
             assert (a.ticker, a.window_start, a.seed) == (b.ticker, b.window_start, b.seed)
@@ -266,10 +266,10 @@ class TestGeneration:
         windows_by_key = {(w.ticker, w.start_index): w
                           for ws in pipeline.prepare_windows(config).values() for w in ws}
         first = min(windows_by_key)
-        assert len(read_sequences(path, windows_by_key)) > 0
+        assert len(read_sequences(path, windows_by_key, "vrp")) > 0
         del windows_by_key[first]
         with pytest.raises(ValueError, match=rf"{path.name}.*{first[0]!r}, {first[1]}"):
-            read_sequences(path, windows_by_key)
+            read_sequences(path, windows_by_key, "vrp")
 
     @pytest.mark.parametrize("corrupt, problem", [
         (lambda line: line[:len(line) // 2], "malformed record"),
@@ -279,7 +279,12 @@ class TestGeneration:
          "malformed record: could not convert"),
         (lambda line: json.dumps({**json.loads(line), "values": json.loads(line)["values"][1:]}),
          "19 values for a window of length 20"),
-    ], ids=["truncated", "missing_field", "not_a_number", "wrong_length"])
+        (lambda line: json.dumps({**json.loads(line), "values": [float("nan")] * 20}),
+         "record holds a value that is not finite"),
+        (lambda line: json.dumps({**json.loads(line), "method": "hvg"}),
+         "a 'hvg' record in a file of method 'vrp'"),
+    ], ids=["truncated", "missing_field", "not_a_number", "wrong_length", "not_finite",
+            "other_method"])
     def test_malformed_record_names_path_and_line(self, tiny_corpus_csv, tmp_path, corrupt,
                                                   problem):
         config = tiny_config(tiny_corpus_csv, methods=("vrp",))
@@ -291,7 +296,7 @@ class TestGeneration:
         windows_by_key = {(w.ticker, w.start_index): w
                           for ws in pipeline.prepare_windows(config).values() for w in ws}
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: {problem}"):
-            read_sequences(path, windows_by_key)
+            read_sequences(path, windows_by_key, "vrp")
 
     @pytest.mark.parametrize("methods", [("nvg",), ("nvmg",), ("vrp", "nvmg")])
     def test_no_complete_window_rejected_before_any_unit(self, tmp_path, monkeypatch,
