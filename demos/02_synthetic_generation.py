@@ -7,11 +7,11 @@ DTW-based downsampling to keep the candidates closest to the source window.
 import numpy as np
 
 from vgsynth import (WalkConfig, Window, build_nvg, downsample, dtw_distance,
-                     generate_sequence, minmax_scale, vrp_generate)
+                     generate_sequence, vrp_generate)
 
 rng = np.random.default_rng(21)
 prices = 100 * np.exp(np.cumsum(0.004 + rng.standard_normal(20) * 0.015))
-window = minmax_scale(Window(ticker="DEMO", start_index=0, raw_values=prices))
+window = Window(ticker="DEMO", start_index=0, raw_values=prices)
 graph = build_nvg([window])
 
 print("source window:", np.round(prices, 2))

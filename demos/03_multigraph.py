@@ -7,14 +7,14 @@ value merge. Walks can then hop between tickers.
 
 import numpy as np
 
-from vgsynth import WalkConfig, Window, build_multigraph, generate_sequence, minmax_scale
+from vgsynth import WalkConfig, Window, build_multigraph, generate_sequence
 from vgsynth.graphs import CO_OCCURRENCE, SIMILAR_VALUE, VISIBILITY
 
 rng = np.random.default_rng(33)
 windows = []
 for name in ("AAA", "BBB", "CCC"):
     prices = 50 * np.exp(np.cumsum(rng.standard_normal(12) * 0.02))
-    windows.append(minmax_scale(Window(ticker=name, start_index=0, raw_values=prices)))
+    windows.append(Window(ticker=name, start_index=0, raw_values=prices))
 
 mg = build_multigraph(windows, similar_value_epsilon=0.05)
 

@@ -7,15 +7,14 @@ prints a per-method runtime table in days hh:mm:ss.
 
 import numpy as np
 
-from vgsynth import Window, minmax_scale, vrp_generate
+from vgsynth import Window, vrp_generate
 from vgsynth.embedding import embedding_overlap, write_embedding_csv
 from vgsynth.runtime import RuntimeRecord, summary_table, time_unit
 
 rng = np.random.default_rng(55)
 
 # windows whose values carry no temporal order: shuffles should intermix
-windows = [minmax_scale(Window("D", i, 100 + rng.standard_normal(20) * 2))
-           for i in range(200)]
+windows = [Window("D", i, 100 + rng.standard_normal(20) * 2) for i in range(200)]
 real = np.array([w.scaled_values for w in windows])
 synth = np.array([vrp_generate(w, seed=100 + i).scaled_values
                   for i, w in enumerate(windows)])

@@ -68,9 +68,8 @@ def cmd_evaluate(args) -> int:
         return 1
 
     series_list = load_series(config.input)
-    windows_by_ticker = prepare_windows(config, series_list)
     windows_by_key = {(w.ticker, w.start_index): w
-                      for ws in windows_by_ticker.values() for w in ws}
+                      for ws in prepare_windows(config, series_list).values() for w in ws}
     sequences_by_method = {
         m: read_sequences(sequences_path(out_dir, m), windows_by_key, m)
         for m in config.methods

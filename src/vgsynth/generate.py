@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import GraphIntegrityError
 from .graphs import Graph
-from .ingest import Window, inverse_transform, minmax_scale
+from .ingest import Window, inverse_transform
 
 NODE_STRATEGIES = (
     "uniform_random",
@@ -69,11 +69,11 @@ class WalkConfig:
 class SyntheticSequence:
     """Generated sequence plus provenance.
 
-    ``values`` are in price space and ``scale_min``/``scale_max`` are the
-    source window's min-max map. ``scaled_values`` is the walk output in
-    [0, 1]; a sequence read back from a file carries None, and evaluation
-    maps ``values`` with the scale instead. Arrays are stored as given; every
-    producer (walk, shuffle, ``read_sequences``) makes them float64.
+    ``values`` are in price space, mapped with the scale of the source window
+    at (ticker, window_start), of which the sequence keeps no copy.
+    ``scaled_values`` is the walk output in [0, 1]; a sequence read back from
+    a file carries None. Arrays are stored as given; every producer (walk,
+    shuffle, ``read_sequences``) makes them float64.
     """
 
     values: np.ndarray
@@ -82,8 +82,6 @@ class SyntheticSequence:
     ticker: str
     window_start: int
     seed: int
-    scale_min: float
-    scale_max: float
 
 
 _LOW32 = 0xFFFFFFFF
@@ -192,7 +190,7 @@ def generate_sequence(
     """Walk ``graph`` from window position ``window`` and emit a sequence of
     ``length`` values, by default as many as the window holds: the walk
     starts at the window's first node, jumps uniformly within the window's
-    node range, and takes the ticker, start and scale of its source window,
+    node range, and takes the ticker and start of its source window,
     ``graph.windows[window]``. The walk's scaled values are mapped to prices
     with that window's ``(scale_min, scale_max)`` by
     :func:`~vgsynth.ingest.inverse_transform`.
@@ -298,20 +296,16 @@ def generate_sequence(
     return SyntheticSequence(
         values=inverse_transform(scaled_arr, source.scale_min, source.scale_max),
         scaled_values=scaled_arr, method=graph.kind, ticker=source.ticker,
-        window_start=source.start_index, seed=int(seed),
-        scale_min=source.scale_min, scale_max=source.scale_max)
+        window_start=source.start_index, seed=int(seed))
 
 
 def vrp_generate(window: Window, seed: int = 0) -> SyntheticSequence:
-    """Shuffle-baseline: a uniformly random permutation of the window values,
-    which is min-max scaled first if it is not yet."""
-    if window.scaled_values is None:
-        window = minmax_scale(window)
+    """Shuffle-baseline: a uniformly random permutation of the window's
+    prices and, in the same order, of its scaled values."""
     perm = np.random.default_rng(seed).permutation(window.length)
     return SyntheticSequence(
         values=window.raw_values[perm], scaled_values=window.scaled_values[perm],
-        method="vrp", ticker=window.ticker, window_start=window.start_index, seed=int(seed),
-        scale_min=window.scale_min, scale_max=window.scale_max)
+        method="vrp", ticker=window.ticker, window_start=window.start_index, seed=int(seed))
 
 
 def dtw_distances(candidates, references) -> np.ndarray:

@@ -178,9 +178,7 @@ def _csr(u: np.ndarray, v: np.ndarray, kind: np.ndarray, n: int):
 def _require_scaled(window: Window) -> np.ndarray:
     if window.length < 2:
         raise ValueError(f"window of length {window.length} cannot form a visibility graph")
-    if window.scaled_values is None:
-        raise ValueError("window must be min-max scaled before graph construction")
-    return np.asarray(window.scaled_values, dtype=float)
+    return window.scaled_values
 
 
 def _window_graph(kind: str, windows: list[Window], visibility) -> Graph:

@@ -1,11 +1,12 @@
-"""Load per-ticker close-price series, slice them into fixed-length windows,
-and apply reversible min-max scaling.
+"""Load per-ticker close-price series and slice them into fixed-length
+windows, each min-max scaled when made.
 
-This module owns the min-max map: :func:`forward_transform` takes prices to
-[0, 1] with a window's ``(scale_min, scale_max)`` and :func:`inverse_transform`
-takes them back. A window whose ``scale_max`` does not exceed its
-``scale_min`` is constant: it scales to 0.5 everywhere and inverts to
-``scale_min``. Graphs, walks and evaluation all go through these two maps.
+This module owns the min-max map: a :class:`Window` carries its own
+``(scale_min, scale_max)`` and scaled values, :func:`forward_transform` takes
+prices to [0, 1] with such a scale and :func:`inverse_transform` takes them
+back. A window whose ``scale_max`` does not exceed its ``scale_min`` is
+constant: it scales to 0.5 everywhere and inverts to ``scale_min``. Graphs,
+walks and evaluation all go through these two maps.
 
 Input files are comma-delimited text with header ``date,ticker,close`` and
 ISO-8601 dates. A missing close is encoded as an empty field; unparseable
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
 
@@ -54,11 +55,12 @@ class TimeSeries:
 
 @dataclass(eq=False)
 class Window:
-    """Fixed-length slice of one ticker's series, optionally min-max scaled.
+    """Fixed-length slice of one ticker's series, min-max scaled when made.
 
-    ``scaled_values`` and the scale parameters are filled in by
-    :func:`minmax_scale`; a freshly sliced window carries raw values only.
-    A constant window (``scale_min == scale_max``) scales every value to 0.5.
+    ``scaled_values`` is ``raw_values`` under :func:`forward_transform` with
+    ``(scale_min, scale_max)``, which default to the window's own minimum and
+    maximum; a constant window scales every value to 0.5. An empty window,
+    or one holding NaN, raises ValueError naming ``ticker@start``.
     """
 
     ticker: str
@@ -66,12 +68,16 @@ class Window:
     raw_values: np.ndarray
     scale_min: float | None = None
     scale_max: float | None = None
-    scaled_values: np.ndarray | None = None
+    scaled_values: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.raw_values = np.asarray(self.raw_values, dtype=float)
-        if self.scaled_values is not None:
-            self.scaled_values = np.asarray(self.scaled_values, dtype=float)
+        raw = self.raw_values = np.asarray(self.raw_values, dtype=float)
+        if not raw.size or np.isnan(raw).any():
+            problem = "contains missing values" if raw.size else "holds no values"
+            raise ValueError(f"{self.ticker}@{self.start_index}: window {problem}")
+        self.scale_min = float(raw.min()) if self.scale_min is None else self.scale_min
+        self.scale_max = float(raw.max()) if self.scale_max is None else self.scale_max
+        self.scaled_values = forward_transform(raw, self.scale_min, self.scale_max)
 
     @property
     def length(self) -> int:
@@ -161,25 +167,9 @@ def slice_windows(series: TimeSeries, length: int, stride: int | None = None) ->
 
 
 def minmax_scale(window: Window) -> Window:
-    """Return a copy of ``window`` with values scaled to [0, 1] by
-    :func:`forward_transform` over its own minimum and maximum.
-
-    The minimum maps to 0 and the maximum to 1; a constant window maps every
-    value to 0.5.
-    """
-    raw = window.raw_values
-    if np.isnan(raw).any():
-        raise ValueError(f"{window.ticker}@{window.start_index}: window contains missing values")
-    lo = float(raw.min())
-    hi = float(raw.max())
-    return Window(
-        ticker=window.ticker,
-        start_index=window.start_index,
-        raw_values=raw.copy(),
-        scale_min=lo,
-        scale_max=hi,
-        scaled_values=forward_transform(raw, lo, hi),
-    )
+    """A copy of ``window`` scaled over its own minimum and maximum, whatever
+    scale it was made with."""
+    return Window(window.ticker, window.start_index, window.raw_values.copy())
 
 
 def forward_transform(values: np.ndarray, scale_min: float, scale_max: float) -> np.ndarray:

@@ -12,7 +12,7 @@ import numpy as np
 from .evaluate import auc_bruteforce, roc_auc
 from .generate import dtw_distance
 from .graphs import build_hvg, build_nvg, hvg_bruteforce, nvg_bruteforce
-from .ingest import Window, minmax_scale
+from .ingest import Window
 
 
 def dtw_bruteforce(a: np.ndarray, b: np.ndarray) -> float:
@@ -46,7 +46,7 @@ def check_visibility(n_windows: int, nvg_builder=build_nvg,
     rng = np.random.default_rng(101)
     for length in (20, 60):
         for _ in range(n_windows):
-            window = minmax_scale(Window("T", 0, rng.random(length) * 40 + 10))
+            window = Window("T", 0, rng.random(length) * 40 + 10)
             for builder, oracle, name in ((nvg_builder, nvg_bruteforce, "nvg"),
                                           (hvg_builder, hvg_bruteforce, "hvg")):
                 fast, slow = set(builder([window]).edges), set(oracle(window).edges)

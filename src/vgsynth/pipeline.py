@@ -23,8 +23,7 @@ from .evaluate import EvalReport, run_experiment
 from .generate import (PreparedSeed, SyntheticSequence, WalkConfig, derive_seed, downsample,
                        ds_indices, generate_sequence, seed_states, vrp_generate)
 from .graphs import DEFAULT_SIMILAR_VALUE_EPSILON, Graph, build_hvg, build_multigraph, build_nvg
-from .ingest import (TimeSeries, Window, forward_transform, load_series, minmax_scale,
-                     slice_windows)
+from .ingest import TimeSeries, Window, forward_transform, load_series, slice_windows
 from .runtime import RuntimeRecord, aggregate, time_unit
 
 METHODS = ("nvg", "hvg", "nvmg", "vrp")
@@ -197,14 +196,11 @@ class RunConfig:
 
 def prepare_windows(config: RunConfig,
                     series_list: list[TimeSeries] | None = None) -> dict[str, list[Window]]:
-    """Slice and scale all windows, keyed by ticker (sorted)."""
+    """All windows, keyed by ticker (sorted), each scaled as it is sliced."""
     if series_list is None:
         series_list = load_series(config.input)
-    out: dict[str, list[Window]] = {}
-    for series in sorted(series_list, key=lambda s: s.ticker):
-        windows = slice_windows(series, config.window_length, config.stride)
-        out[series.ticker] = [minmax_scale(w) for w in windows]
-    return out
+    return {series.ticker: slice_windows(series, config.window_length, config.stride)
+            for series in sorted(series_list, key=lambda s: s.ticker)}
 
 
 _BUILDERS = {"nvg": build_nvg, "hvg": build_hvg}
@@ -321,21 +317,19 @@ def write_sequences(sequences: list[SyntheticSequence], path: str | Path) -> Non
 
 def read_sequences(path: str | Path, windows_by_key: dict[tuple[str, int], Window],
                    method: str) -> list[SyntheticSequence]:
-    """Read generated sequences and re-attach each one's source-window scale.
+    """Read generated sequences, checked against the input windows; a
+    sequence read back holds its prices and no scaled values.
 
-    A sequence read back holds its prices and its window's
-    ``(scale_min, scale_max)``, and no scaled values: evaluation maps the
-    prices with that scale, as it does for sequences generated in-process.
-
-    Every record must name ``method``, hold only finite values, and have a
-    (ticker, window_start) that names one of the windows in
-    ``windows_by_key`` and as many values as that window. A record that does
-    not, or is not a complete JSON record, raises ValueError naming
-    ``path:line``; a record of the wrong length raises only once every
-    record's window was found, so a file written for other windows names a
-    window it lacks.
+    Every record must name ``method``, an integer ``window_start``, an
+    integer seed in [0, 2**64), and as many finite values as the window at
+    its (ticker, window_start) in ``windows_by_key``; no two records may
+    share a (ticker, window_start, seed). Otherwise, or on a record that is
+    not complete JSON, ValueError names ``path:line`` (a repeat also names
+    the first record's line); a wrong length raises only once every record's
+    window was found, so a file written for other windows names a window it
+    lacks.
     """
-    out, wrong_length = [], None
+    out, wrong_length, first_line = [], None, {}
     with Path(path).open() as fh:
         for lineno, line in enumerate(fh, 1):
             try:
@@ -351,19 +345,24 @@ def read_sequences(path: str | Path, windows_by_key: dict[tuple[str, int], Windo
             if named != method:
                 raise ValueError(f"{path}:{lineno}: a {named!r} record in a file of "
                                  f"method {method!r}")
+            if not _is_integer(key[1]):
+                raise ValueError(f"{path}:{lineno}: window_start {key[1]!r} is not an integer")
+            if not (_is_integer(seed) and 0 <= seed < 2**64):
+                raise ValueError(f"{path}:{lineno}: seed {seed!r} is not an integer in [0, 2**64)")
             if not np.isfinite(values).all():
                 raise ValueError(f"{path}:{lineno}: record holds a value that is not finite")
             if window is None:
                 raise ValueError(f"{path}:{lineno}: no input window for "
                                  f"(ticker, window_start) {key}")
+            first = first_line.setdefault((*key, seed), lineno)
+            if first != lineno:
+                raise ValueError(f"{path}:{lineno}: (ticker, window_start, seed) "
+                                 f"{(*key, seed)} repeats line {first}")
             if values.shape != (window.length,) and wrong_length is None:
                 wrong_length = ValueError(f"{path}:{lineno}: {values.size} values for a "
                                           f"window of length {window.length}")
-            out.append(SyntheticSequence(
-                values=values, scaled_values=None, method=method, ticker=key[0],
-                window_start=key[1], seed=seed, scale_min=window.scale_min,
-                scale_max=window.scale_max,
-            ))
+            out.append(SyntheticSequence(values=values, scaled_values=None, method=method,
+                                         ticker=key[0], window_start=key[1], seed=seed))
     if wrong_length is not None:
         raise wrong_length
     return out
@@ -377,11 +376,17 @@ def run_evaluation(
     with_embedding: bool = True,
 ) -> tuple[EvalReport, dict[str, OverlapResult]]:
     """Run the classification experiment and the embedding diagnostic. The
-    embedding reads a sequence as its prices mapped by its source window's
-    scale, so a sequence embeds the same whether generated in-process or
-    read back by :func:`read_sequences`."""
+    embedding maps a sequence's prices with the scale of its source window,
+    the prepared window at its (ticker, window_start), in-process or read
+    back alike; a sequence naming no such window raises before any fit."""
     windows_by_ticker = prepare_windows(config, series_list)
     all_windows = [w for ws in windows_by_ticker.values() for w in ws]
+    by_key = {(w.ticker, w.start_index): w for w in all_windows}
+    for method, sequences in sequences_by_method.items():
+        for s in sequences:
+            if (s.ticker, s.window_start) not in by_key:
+                raise ValueError(f"method {method!r}: no input window for "
+                                 f"(ticker, window_start) {(s.ticker, s.window_start)}")
     if with_embedding and all_windows:  # without windows the experiment itself fails
         _check_embedding_points(config, len(all_windows), sequences_by_method)
     report = run_experiment(
@@ -403,8 +408,9 @@ def run_evaluation(
         for method, sequences in sequences_by_method.items():
             if not sequences:
                 continue
-            synthetic_vectors = np.array([forward_transform(s.values, s.scale_min, s.scale_max)
-                                          for s in sequences])
+            sources = [by_key[s.ticker, s.window_start] for s in sequences]
+            synthetic_vectors = np.array([forward_transform(s.values, w.scale_min, w.scale_max)
+                                          for s, w in zip(sequences, sources)])
             overlap = embedding_overlap(
                 real_vectors, synthetic_vectors,
                 perplexity=config.perplexity, iterations=config.embed_iterations,

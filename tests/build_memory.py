@@ -13,13 +13,13 @@ import tracemalloc
 
 from vgsynth.corpus import make_desk_corpus
 from vgsynth.graphs import Graph, build_multigraph
-from vgsynth.ingest import minmax_scale, slice_windows
+from vgsynth.ingest import slice_windows
 
 
 def segment_windows() -> list:
     """Segment 0's windows, in the pipeline's ticker order."""
     series = sorted(make_desk_corpus(40, 120, seed=1), key=lambda s: s.ticker)
-    return [minmax_scale(slice_windows(s, 60)[0]) for s in series]
+    return [slice_windows(s, 60)[0] for s in series]
 
 
 def traced_build(windows: list) -> tuple[Graph, int, int]:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vgsynth.graphs import KIND_CODE, VISIBILITY, Graph
-from vgsynth.ingest import Window, minmax_scale
+from vgsynth.ingest import Window
 
 
 @pytest.fixture
@@ -11,29 +11,24 @@ def rng():
 
 
 def make_window(values, ticker="T", start=0):
-    """Raw window helper."""
+    """Window of the given raw values, scaled over their own range."""
     return Window(ticker=ticker, start_index=start, raw_values=np.asarray(values, float))
 
 
-def make_scaled_window(values, ticker="T", start=0):
-    """Window whose raw values are min-max scaled in place."""
-    return minmax_scale(make_window(values, ticker=ticker, start=start))
-
-
 def make_prescaled_window(scaled, ticker="T", start=0):
-    """Window carrying the given values verbatim as its scaled values.
+    """Window whose scaled values are the given values verbatim: they are its
+    raw values under the scale 0..1.
 
     Useful when a test needs exact scaled values (e.g. similar-value links)
     that min-max scaling would distort.
     """
-    arr = np.asarray(scaled, float)
-    return Window(ticker=ticker, start_index=start, raw_values=arr.copy(),
-                  scale_min=0.0, scale_max=1.0, scaled_values=arr.copy())
+    return Window(ticker=ticker, start_index=start, raw_values=np.asarray(scaled, float),
+                  scale_min=0.0, scale_max=1.0)
 
 
 def random_scaled_window(rng, length, ticker="T", start=0):
     raw = rng.random(length) * 40.0 + 10.0
-    return make_scaled_window(raw, ticker=ticker, start=start)
+    return make_window(raw, ticker=ticker, start=start)
 
 
 def make_graph(node_values, u=(), v=(), kind=None, mult=None, start=0):

@@ -124,6 +124,4 @@ def reference_generate_sequence(
         ticker=graph.windows[window].ticker,
         window_start=graph.windows[window].start_index,
         seed=seed,
-        scale_min=scale_min,
-        scale_max=scale_max,
     )

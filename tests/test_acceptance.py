@@ -16,7 +16,7 @@ from vgsynth.embedding import conditional_affinities, embed_2d, embedding_overla
 from vgsynth.evaluate import FEATURE_NAMES, extract_features
 from vgsynth.generate import vrp_generate
 from vgsynth.graphs import VISIBILITY, build_hvg, build_multigraph, build_nvg
-from vgsynth.ingest import Window, minmax_scale
+from vgsynth.ingest import Window
 from vgsynth.oracles import check_auc, check_dtw, check_visibility
 from vgsynth.pipeline import RunConfig, run_evaluation, run_generation, write_sequences
 
@@ -30,7 +30,7 @@ def check(criterion: str, ok: bool, detail: str = ""):
 
 
 def random_scaled(rng, length):
-    return minmax_scale(Window("T", 0, rng.random(length) * 40 + 10))
+    return Window("T", 0, rng.random(length) * 40 + 10)
 
 
 def test_criterion_1_visibility_oracle_equivalence():
@@ -115,8 +115,7 @@ def test_criterion_6_mixing_score_sanity():
     # VRP against a real source whose windows carry no temporal order:
     # shuffling exchangeable values must leave the embedding well mixed.
     rng = np.random.default_rng(606)
-    windows = [minmax_scale(Window("T", i, 100.0 + rng.standard_normal(20) * 2.0))
-               for i in range(400)]
+    windows = [Window("T", i, 100.0 + rng.standard_normal(20) * 2.0) for i in range(400)]
     real = np.array([w.scaled_values for w in windows])
     synth = np.array([vrp_generate(w, seed=9000 + i).scaled_values
                       for i, w in enumerate(windows)])
@@ -162,8 +161,7 @@ def test_criterion_7_property_suites(tmp_path):
                 break
 
     # multigraph value conservation + consecutive edges
-    windows = [minmax_scale(Window(f"T{i}", 0, rng.random(15) * 50 + 25))
-               for i in range(6)]
+    windows = [Window(f"T{i}", 0, rng.random(15) * 50 + 25) for i in range(6)]
     mg = build_multigraph(windows)
     node_values = sorted(mg.values.tolist())
     win_values = sorted(v for w in windows for v in w.scaled_values)

@@ -261,6 +261,52 @@ class TestEvaluateCommand:
                 in capsys.readouterr().err)
         assert not (out / "report.json").exists()
 
+    def test_repeated_records_exit_1_naming_both_lines(self, tmp_path, eval_corpus_csv,
+                                                       capsys):
+        """A file holding every record twice would train on and embed each
+        synthetic row twice, a different experiment."""
+        out = tmp_path / "out"
+        cfg = config_file(tmp_path, eval_corpus_csv, out)
+        assert main(["generate", "--config", str(cfg)]) == 0
+        path = out / "sequences_vrp.jsonl"
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines + lines) + "\n")
+        first = json.loads(lines[0])
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(cfg)]) == 1
+        identity = (first["ticker"], first["window_start"], first["seed"])
+        assert (f"error: {path}:{len(lines) + 1}: (ticker, window_start, seed) {identity} "
+                f"repeats line 1" in capsys.readouterr().err)
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("field, value, problem", [
+        ("seed", "x", "seed 'x' is not an integer in [0, 2**64)"),
+        ("seed", -1, "seed -1 is not an integer in [0, 2**64)"),
+        ("seed", 2**64, f"seed {2**64} is not an integer in [0, 2**64)"),
+        ("seed", 7.0, "seed 7.0 is not an integer in [0, 2**64)"),
+        ("seed", True, "seed True is not an integer in [0, 2**64)"),
+        ("window_start", 0.0, "window_start 0.0 is not an integer"),
+        ("window_start", False, "window_start False is not an integer")])
+    def test_non_integer_seed_or_start_exits_1_naming_the_line(self, tmp_path,
+                                                               eval_corpus_csv, capsys,
+                                                               field, value, problem):
+        """Each value here once evaluated: a float or bool start still found
+        its window, since 0.0 == False == 0 as a key."""
+        out = tmp_path / "out"
+        cfg = config_file(tmp_path, eval_corpus_csv, out)
+        assert main(["generate", "--config", str(cfg)]) == 0
+        path = out / "sequences_vrp.jsonl"
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[0])
+        assert record["window_start"] == 0
+        record[field] = value
+        lines[0] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(cfg)]) == 1
+        assert f"error: {path}:1: {problem}" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     def test_mixing_k_above_the_points_exits_2_without_report(self, tmp_path,
                                                               eval_corpus_csv, capsys):
         out = tmp_path / "out"

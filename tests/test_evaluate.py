@@ -168,8 +168,7 @@ def trending_windows(rng, n_tickers=4, n_windows=30, length=10):
 def as_sequences(windows, method="copy"):
     return [SyntheticSequence(values=w.raw_values.copy(), scaled_values=None,
                               method=method, ticker=w.ticker,
-                              window_start=w.start_index, seed=0,
-                              scale_min=0.0, scale_max=1.0)
+                              window_start=w.start_index, seed=0)
             for w in windows]
 
 

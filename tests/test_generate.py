@@ -9,9 +9,10 @@ from vgsynth.generate import (DownsampleWarning, SyntheticSequence, WalkConfig,
                               derive_seed, downsample, ds_indices, dtw_distance,
                               dtw_distances, generate_sequence, vrp_generate)
 from vgsynth.graphs import build_multigraph, build_nvg
+from vgsynth.ingest import inverse_transform
 from vgsynth.oracles import dtw_bruteforce
 
-from conftest import (make_graph, make_prescaled_window, make_scaled_window,
+from conftest import (make_graph, make_prescaled_window, make_window,
                       random_scaled_window)
 
 
@@ -130,19 +131,19 @@ class TestGenerateSequence:
             generate_sequence(graph, WalkConfig(), length=0)
 
     def test_inverse_scaling_applied(self, rng):
-        window = make_scaled_window([10.0, 20.0, 30.0, 15.0])
+        window = make_window([10.0, 20.0, 30.0, 15.0])
         graph = build_nvg([window])
         seq = generate_sequence(graph, WalkConfig(), seed=3, length=10)
         # every emitted price must be one of the window prices
         assert set(np.round(seq.values, 9)) <= set(np.round(window.raw_values, 9))
 
     def test_multigraph_walk_uses_anchor_scale(self, rng):
-        a = make_scaled_window([10, 20, 30], ticker="A")
-        b = make_scaled_window([100, 200, 300], ticker="B")
+        a = make_window([10, 20, 30], ticker="A")
+        b = make_window([100, 200, 300], ticker="B")
         mg = build_multigraph([a, b])
         seq = generate_sequence(mg, WalkConfig(), window=1, seed=5, length=8)
         assert seq.ticker == "B"
-        assert seq.scale_min == 100 and seq.scale_max == 300
+        np.testing.assert_array_equal(seq.values, inverse_transform(seq.scaled_values, 100, 300))
         assert seq.values.min() >= 100 and seq.values.max() <= 300
 
 
@@ -164,20 +165,20 @@ class TestWalkConfig:
 
 class TestVRP:
     def test_constant_window(self):
-        seq = vrp_generate(make_scaled_window([7, 7, 7]), seed=1)
+        seq = vrp_generate(make_window([7, 7, 7]), seed=1)
         np.testing.assert_array_equal(seq.values, [7, 7, 7])
 
     def test_multiset_preserved(self, rng):
         for _ in range(1000):
             raw = rng.random(int(rng.integers(3, 30)))
-            seq = vrp_generate(make_scaled_window(raw), seed=int(rng.integers(1 << 30)))
+            seq = vrp_generate(make_window(raw), seed=int(rng.integers(1 << 30)))
             np.testing.assert_array_equal(np.sort(seq.values), np.sort(raw))
 
     def test_permutations_uniform(self):
         from itertools import permutations
 
         counts = {p: 0 for p in permutations((1.0, 2.0, 3.0))}
-        window = make_scaled_window([1.0, 2.0, 3.0])
+        window = make_window([1.0, 2.0, 3.0])
         for seed in range(6000):
             seq = vrp_generate(window, seed=seed)
             counts[tuple(seq.values)] += 1
@@ -341,25 +342,24 @@ class TestDTW:
 def seq_of(values, ticker="T", start=0, seed=0):
     arr = np.asarray(values, float)
     return SyntheticSequence(values=arr, scaled_values=None, method="nvg",
-                             ticker=ticker, window_start=start, seed=seed,
-                             scale_min=0.0, scale_max=1.0)
+                             ticker=ticker, window_start=start, seed=seed)
 
 
 class TestDownsample:
     def test_identity_when_k_equals_n(self, rng):
         seqs = [seq_of(rng.random(5), seed=i) for i in range(4)]
-        ref = make_scaled_window(rng.random(5))
+        ref = make_window(rng.random(5))
         assert downsample(seqs, [ref], k=4) == seqs
 
     def test_simds_selects_exact_copy(self, rng):
-        ref = make_scaled_window([1.0, 2.0, 3.0, 4.0])
+        ref = make_window([1.0, 2.0, 3.0, 4.0])
         seqs = [seq_of(rng.random(4) + 10) for _ in range(5)]
         seqs.insert(2, seq_of([1.0, 2.0, 3.0, 4.0]))
         kept = downsample(seqs, [ref], k=1)
         np.testing.assert_array_equal(kept[0].values, ref.raw_values)
 
     def test_simds_hand_computed_distances(self):
-        ref = make_scaled_window([0.0, 0.0, 0.0])
+        ref = make_window([0.0, 0.0, 0.0])
         near = seq_of([0.0, 0.0, 0.0])       # dtw 0.0
         mid = seq_of([0.0, 0.0, 1.5])        # dtw 1.5
         far = seq_of([0.0, 1.5, 1.5])        # dtw 3.0
@@ -369,7 +369,7 @@ class TestDownsample:
         assert kept == [near, mid]
 
     def test_simds_tie_keeps_earlier(self):
-        ref = make_scaled_window([0.0, 0.0, 0.0])
+        ref = make_window([0.0, 0.0, 0.0])
         far = seq_of([2.0, 2.0, 2.0])
         first = seq_of([0.0, 0.0, 1.0])
         second = seq_of([1.0, 0.0, 0.0])  # same distance as ``first``
@@ -380,7 +380,7 @@ class TestDownsample:
 
     def test_each_window_keeps_its_own_nearest(self):
         """One call over two windows selects as two one-window calls do."""
-        low, high = make_scaled_window([0.0, 0.0, 0.0]), make_scaled_window([5.0, 5.0, 5.0])
+        low, high = make_window([0.0, 0.0, 0.0]), make_window([5.0, 5.0, 5.0])
         seqs = [seq_of([v] * 3, seed=i) for i, v in enumerate([5.0, 1.0, 0.0, 0.0, 5.0, 4.0])]
         kept = downsample(seqs, [low, high], k=2)
         assert kept == downsample(seqs[:3], [low], k=2) + downsample(seqs[3:], [high], k=2)
@@ -390,7 +390,7 @@ class TestDownsample:
         """DS's pick is ``ds_indices``, drawn before generation; ``downsample``
         then keeps every one of the k candidates it is given."""
         seqs = [seq_of(rng.random(5), seed=i) for i in range(10)]
-        ref = make_scaled_window(rng.random(5))
+        ref = make_window(rng.random(5))
         picked = ds_indices(10, 3, 9)
         assert picked == ds_indices(10, 3, 9) == sorted(set(picked))
         assert len(picked) == 3 and set(picked) <= set(range(10))
@@ -399,7 +399,7 @@ class TestDownsample:
 
     def test_oversized_k_warns_and_returns_all(self, rng):
         seqs = [seq_of(rng.random(5))]
-        ref = make_scaled_window(rng.random(5))
+        ref = make_window(rng.random(5))
         with pytest.warns(DownsampleWarning):
             out = downsample(seqs, [ref], k=5)
         assert out == seqs
@@ -410,7 +410,7 @@ class TestDownsample:
     @pytest.mark.parametrize("count, windows", [(3, 2), (1, 0)])
     def test_uneven_split_rejected(self, rng, count, windows):
         seqs = [seq_of(rng.random(3)) for _ in range(count)]
-        refs = [make_scaled_window(rng.random(3)) for _ in range(windows)]
+        refs = [make_window(rng.random(3)) for _ in range(windows)]
         with pytest.raises(ValueError, match="do not split evenly"):
             downsample(seqs, refs, k=1)
 

@@ -10,15 +10,15 @@ from hypothesis import strategies as st
 
 from vgsynth.corpus import make_desk_corpus
 from vgsynth.errors import SegmentMismatchError
-from vgsynth.generate import WalkConfig, generate_sequence
+from vgsynth.generate import WalkConfig, generate_sequence, vrp_generate
 from vgsynth.graphs import (CO_OCCURRENCE, DEFAULT_SIMILAR_VALUE_EPSILON, EDGE_KINDS,
                             KIND_CODE, NVMG, SIMILAR_VALUE, VISIBILITY, Graph,
                             _require_scaled, build_hvg, build_multigraph,
                             build_nvg, dump_graph, hvg_bruteforce, nvg_bruteforce)
-from vgsynth.ingest import Window, minmax_scale, slice_windows
+from vgsynth.ingest import Window, slice_windows
 
 from build_memory import segment_windows, traced_build
-from conftest import (make_graph, make_prescaled_window, make_scaled_window,
+from conftest import (make_graph, make_prescaled_window, make_window,
                       random_scaled_window)
 
 
@@ -36,15 +36,15 @@ def edge_set(graph):
 
 class TestNVG:
     def test_collinear_points_not_visible(self):
-        g = build_nvg([make_scaled_window([1, 2, 3])])
+        g = build_nvg([make_window([1, 2, 3])])
         assert edge_set(g) == {(0, 1), (1, 2)}
 
     def test_triangle(self):
-        g = build_nvg([make_scaled_window([3, 1, 2])])
+        g = build_nvg([make_window([3, 1, 2])])
         assert edge_set(g) == {(0, 1), (1, 2), (0, 2)}
 
     def test_length_two_single_edge(self):
-        g = build_nvg([make_scaled_window([4, 9])])
+        g = build_nvg([make_window([4, 9])])
         assert edge_set(g) == {(0, 1)}
 
     def test_too_short_rejected(self):
@@ -52,11 +52,11 @@ class TestNVG:
             build_nvg([make_prescaled_window([0.5])])
 
     def test_linear_decreasing_is_path(self):
-        g = build_nvg([make_scaled_window([5, 4, 3, 2, 1])])
+        g = build_nvg([make_window([5, 4, 3, 2, 1])])
         assert edge_set(g) == {(i, i + 1) for i in range(4)}
 
     def test_convex_decreasing_matches_oracle(self):
-        window = make_scaled_window([16, 8, 4, 2, 1])
+        window = make_window([16, 8, 4, 2, 1])
         assert edge_set(build_nvg([window])) == edge_set(nvg_bruteforce(window))
         # convexity opens long-range sight lines
         assert (0, 2) in edge_set(build_nvg([window]))
@@ -64,11 +64,11 @@ class TestNVG:
 
 class TestHVG:
     def test_valley_triangle(self):
-        g = build_hvg([make_scaled_window([2, 1, 2])])
+        g = build_hvg([make_window([2, 1, 2])])
         assert edge_set(g) == {(0, 1), (1, 2), (0, 2)}
 
     def test_increasing_is_path(self):
-        g = build_hvg([make_scaled_window([1, 2, 3])])
+        g = build_hvg([make_window([1, 2, 3])])
         assert edge_set(g) == {(0, 1), (1, 2)}
 
     def test_plateau_only_consecutive(self):
@@ -104,7 +104,7 @@ class TestOracleEquivalence:
             return values[k] < min(values[i], values[j])
 
         for _ in range(150):
-            window = make_scaled_window(rng.integers(0, 4, int(rng.integers(2, 26))))
+            window = make_window(rng.integers(0, 4, int(rng.integers(2, 26))))
             values = window.scaled_values
             assert list(nvg_bruteforce(window).edges) == \
                 [(i, j, VISIBILITY) for i, j in loop_pairs(values, nvg_visible)]
@@ -118,7 +118,7 @@ class TestOracleEquivalence:
     def test_long_window_spans_several_anchor_blocks(self, rng):
         n = 320
         assert 2**16 // n < n - 1  # the kernel runs more than one block of anchors
-        ties = make_scaled_window(rng.integers(0, 4, n))
+        ties = make_window(rng.integers(0, 4, n))
         assert build_hvg([ties]).edges == hvg_bruteforce(ties).edges
         window = random_scaled_window(rng, n)
         assert build_nvg([window]).edges == nvg_bruteforce(window).edges
@@ -159,15 +159,15 @@ class TestGraphInvariants:
 
     def test_determinism(self, rng):
         raw = rng.random(25)
-        a = build_nvg([make_scaled_window(raw)])
-        b = build_nvg([make_scaled_window(raw)])
+        a = build_nvg([make_window(raw)])
+        b = build_nvg([make_window(raw)])
         assert a.edges == b.edges
         assert a.node_values == b.node_values
 
 
 class TestMultigraph:
     def test_single_ticker_matches_nvg(self):
-        window = make_scaled_window([3, 1, 2, 5], ticker="A")
+        window = make_window([3, 1, 2, 5], ticker="A")
         mg = build_multigraph([window])
         vg = build_nvg([window])
         assert {(u, v) for (u, v, kind) in mg.edges if kind == VISIBILITY} == edge_set(vg)
@@ -175,8 +175,8 @@ class TestMultigraph:
         assert mg.num_nodes == 4
 
     def test_identical_windows_merge(self):
-        a = make_scaled_window([1, 2], ticker="A")
-        b = make_scaled_window([1, 2], ticker="B")
+        a = make_window([1, 2], ticker="A")
+        b = make_window([1, 2], ticker="B")
         mg = build_multigraph([a, b])
         assert mg.num_nodes == 2
         assert mg.edges == {(0, 1, VISIBILITY): 2}
@@ -215,8 +215,8 @@ class TestMultigraph:
                 assert (min(u, v), max(u, v), VISIBILITY) in mg.edges
 
     def test_segment_mismatch(self):
-        a = make_scaled_window([1, 2, 3], ticker="A", start=0)
-        b = make_scaled_window([1, 2, 3], ticker="B", start=3)
+        a = make_window([1, 2, 3], ticker="A", start=0)
+        b = make_window([1, 2, 3], ticker="B", start=3)
         with pytest.raises(SegmentMismatchError):
             build_multigraph([a, b])
 
@@ -252,6 +252,18 @@ class TestMultigraph:
         assert mg.num_nodes == 21  # continuous values: no merges
         similar = {(u, v) for (u, v, kind) in mg.edges if kind == SIMILAR_VALUE}
         assert similar == {(u, v) for u in range(21) for v in range(u + 1, 21) if u // 7 != v // 7}
+
+
+def test_a_window_made_from_prices_needs_no_scaling_step():
+    a = Window("A", 0, [3.0, 1.0, 2.0, 5.0])
+    b = Window("B", 0, [10.0, 30.0, 20.0, 40.0])
+    assert set(build_nvg([a]).edges) == set(nvg_bruteforce(a).edges)
+    assert set(build_hvg([a]).edges) == set(hvg_bruteforce(a).edges)
+    mg = build_multigraph([a, b])
+    assert sorted(mg.values) == sorted([*a.scaled_values, *b.scaled_values])
+    seq = vrp_generate(a, seed=1)
+    np.testing.assert_array_equal(np.sort(seq.values), np.sort(a.raw_values))
+    np.testing.assert_array_equal(np.sort(seq.scaled_values), np.sort(a.scaled_values))
 
 
 def test_dump_graph_format(tmp_path, rng):
@@ -311,7 +323,7 @@ class TestGraphConstructor:
 
         monkeypatch.setattr(Graph, "__post_init__", spy)
         for n in (20, 150):
-            ties = [make_scaled_window(rng.integers(0, 4, n), ticker=f"T{i}") for i in range(6)]
+            ties = [make_window(rng.integers(0, 4, n), ticker=f"T{i}") for i in range(6)]
             smooth = [random_scaled_window(rng, n, ticker=f"T{i}") for i in range(6)]
             for windows in (ties, smooth):
                 for build in (build_nvg, build_hvg, build_multigraph):
@@ -525,7 +537,7 @@ def test_multigraph_matches_reference_on_desk_segments():
     by_start = defaultdict(list)
     for series in make_desk_corpus(20, 500, seed=2024):
         for w in slice_windows(series, 20):
-            by_start[w.start_index].append(minmax_scale(w))
+            by_start[w.start_index].append(w)
     assert len(by_start) == 25
     for start in sorted(by_start):
         assert_matches_reference(by_start[start])
@@ -534,7 +546,7 @@ def test_multigraph_matches_reference_on_desk_segments():
 def test_multigraph_matches_reference_across_blocks(rng):
     # 4 windows of 150 points: the NVG anchors and the later nodes that a
     # source window is compared with both span more than one 2**16-entry block
-    windows = [make_scaled_window(rng.integers(0, 4, 150), ticker=f"T{i}") for i in range(4)]
+    windows = [make_window(rng.integers(0, 4, 150), ticker=f"T{i}") for i in range(4)]
     assert_matches_reference(windows, similar_value_epsilon=0.34)
 
 
@@ -543,7 +555,7 @@ def test_multigraph_matches_reference_across_blocks(rng):
 tie_segments = st.integers(min_value=2, max_value=40).flatmap(
     lambda n: st.lists(st.lists(st.integers(min_value=0, max_value=3), min_size=n, max_size=n),
                        min_size=1, max_size=4)
-).map(lambda rows: [make_scaled_window(row, ticker=f"T{i}", start=11)
+).map(lambda rows: [make_window(row, ticker=f"T{i}", start=11)
                     for i, row in enumerate(rows)])
 
 

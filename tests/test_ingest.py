@@ -1,10 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from vgsynth.errors import DuplicateRowError, SchemaError
-from vgsynth.ingest import (TimeSeries, inverse_transform, load_series,
+from vgsynth.ingest import (TimeSeries, Window, inverse_transform, load_series,
                             minmax_scale, slice_windows)
 
 from conftest import make_window
@@ -167,6 +168,28 @@ class TestMinMaxScale:
     def test_missing_values_rejected(self):
         with pytest.raises(ValueError):
             minmax_scale(make_window([1.0, math.nan, 2.0]))
+
+    def test_rescales_over_the_windows_own_range(self):
+        window = Window("T", 4, [2.0, 4.0, 6.0], scale_min=0.0, scale_max=8.0)
+        np.testing.assert_array_equal(window.scaled_values, [0.25, 0.5, 0.75])
+        rescaled = minmax_scale(window)
+        assert (rescaled.ticker, rescaled.start_index) == ("T", 4)
+        assert (rescaled.scale_min, rescaled.scale_max) == (2.0, 6.0)
+        np.testing.assert_array_equal(rescaled.scaled_values, [0.0, 0.5, 1.0])
+        np.testing.assert_array_equal(rescaled.raw_values, window.raw_values)
+        assert not np.shares_memory(rescaled.raw_values, window.raw_values)
+
+
+class TestWindow:
+    @pytest.mark.parametrize("raw, problem", [
+        ([], "holds no values"), ([1.0, math.nan, 2.0], "contains missing values")])
+    def test_empty_or_missing_values_rejected_when_made(self, raw, problem):
+        with pytest.raises(ValueError, match=re.escape(f"T@3: window {problem}")):
+            Window("T", 3, raw)
+
+    def test_scaled_values_are_not_an_argument(self):
+        with pytest.raises(TypeError):
+            Window("T", 0, [1.0, 2.0], scaled_values=[0.0, 1.0])
 
 
 def test_timestamps_must_strictly_increase():

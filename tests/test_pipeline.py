@@ -255,9 +255,7 @@ class TestGeneration:
         for a, b in zip(by_method["nvg"], back):
             assert (a.ticker, a.window_start, a.seed) == (b.ticker, b.window_start, b.seed)
             np.testing.assert_allclose(a.values, b.values, rtol=0, atol=0)
-            window = windows_by_key[(b.ticker, b.window_start)]
-            assert (b.scale_min, b.scale_max) == (window.scale_min, window.scale_max) \
-                == (a.scale_min, a.scale_max)
+            assert b.scaled_values is None
 
     def test_read_with_windows_rejects_unknown_window(self, tiny_corpus_csv, tmp_path):
         config = tiny_config(tiny_corpus_csv, methods=("vrp",))
@@ -547,6 +545,24 @@ class TestEvaluation:
         with pytest.raises(ValueError, match=r"'vrp'.s embedding would hold 2 points") as excinfo:
             run_evaluation(config, by_method)
         assert not isinstance(excinfo.value, ConfigError)
+        assert fits == []
+
+    @pytest.mark.parametrize("with_embedding", [True, False])
+    def test_sequence_of_no_input_window_rejected_before_any_fit(self, tiny_corpus_csv,
+                                                                 monkeypatch, with_embedding):
+        """A sequence is read with its source window's scale, so one whose
+        (ticker, window_start) names no prepared window raises a ValueError
+        naming the method and the key, before any fit."""
+        config = tiny_config(tiny_corpus_csv, methods=("nvg", "vrp"))
+        by_method, _ = run_generation(config)
+        stray = dataclasses.replace(by_method["vrp"][0], window_start=7)
+        by_method["vrp"].append(stray)
+        fits = []
+        monkeypatch.setattr(evaluate, "fit_classifiers", lambda *a, **k: fits.append(a))
+        key = (stray.ticker, 7)
+        with pytest.raises(ValueError, match=re.escape(
+                f"method 'vrp': no input window for (ticker, window_start) {key}")):
+            run_evaluation(config, by_method, with_embedding=with_embedding)
         assert fits == []
 
     def test_single_class_test_split_rejected_before_any_fit(self, monkeypatch):

@@ -13,7 +13,7 @@ from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vgsynth.errors import DuplicateRowError, SchemaError
@@ -22,16 +22,16 @@ from vgsynth.generate import (NODE_STRATEGIES, RESTART_JUMPS, VALUE_POLICIES,
                               SyntheticSequence, WalkConfig, downsample, ds_indices,
                               dtw_distance, generate_sequence)
 from vgsynth.graphs import build_hvg, build_multigraph, build_nvg
-from vgsynth.ingest import inverse_transform, load_series, slice_windows
+from vgsynth.ingest import Window, inverse_transform, load_series, slice_windows
 
-from conftest import make_scaled_window
+from conftest import make_window
 
 # a small pool of values makes repeats (plateaus, equal peaks) common
 prices = st.one_of(st.sampled_from([1.0, 2.0, 3.0]),
                    st.floats(min_value=-1e6, max_value=1e6,
                              allow_nan=False, allow_infinity=False))
 windows = st.builds(
-    make_scaled_window,
+    make_window,
     st.lists(prices, min_size=2, max_size=60),
     ticker=st.sampled_from(["A", "BB"]),
     start=st.integers(min_value=0, max_value=500),
@@ -39,11 +39,11 @@ windows = st.builds(
 # windows on three price levels only: plateaus, equal peaks and collinear
 # runs everywhere
 tie_heavy_windows = st.builds(
-    make_scaled_window, st.lists(st.sampled_from([1.0, 2.0, 3.0]), min_size=2, max_size=60))
+    make_window, st.lists(st.sampled_from([1.0, 2.0, 3.0]), min_size=2, max_size=60))
 # 1-3 tickers' windows of one time segment
 segments = st.integers(min_value=2, max_value=30).flatmap(
     lambda n: st.lists(st.lists(prices, min_size=n, max_size=n), min_size=1, max_size=3)
-).map(lambda rows: [make_scaled_window(row, ticker=f"T{i}", start=40)
+).map(lambda rows: [make_window(row, ticker=f"T{i}", start=40)
                     for i, row in enumerate(rows)])
 # 1-4 windows of one ticker: each row continuous-or-tied or on three levels
 units = st.integers(min_value=2, max_value=30).flatmap(
@@ -51,7 +51,7 @@ units = st.integers(min_value=2, max_value=30).flatmap(
                                  st.lists(st.sampled_from([1.0, 2.0, 3.0]), min_size=n,
                                           max_size=n)),
                        min_size=1, max_size=4)
-).map(lambda rows: [make_scaled_window(row, ticker="U", start=w * len(row))
+).map(lambda rows: [make_window(row, ticker="U", start=w * len(row))
                     for w, row in enumerate(rows)])
 # (config, the walk's seed and length)
 walks = st.tuples(
@@ -150,9 +150,8 @@ def test_ds_indices_are_the_positions_ds_keeps(n_k, seed):
     picked = ds_indices(n, k, seed)
     assert picked == sorted(set(picked)) and len(picked) == k and set(picked) <= set(range(n))
     candidates = [SyntheticSequence(values=[float(i)], scaled_values=None, method="vrp",
-                                    ticker="T", window_start=0, seed=i, scale_min=0.0,
-                                    scale_max=1.0) for i in picked]
-    kept = downsample(candidates, [make_scaled_window([0.0, 1.0])], k=k)
+                                    ticker="T", window_start=0, seed=i) for i in picked]
+    kept = downsample(candidates, [make_window([0.0, 1.0])], k=k)
     assert [seq.seed for seq in kept] == picked
 
 
@@ -170,9 +169,30 @@ def test_auc_unchanged_by_doubling_scores(scored):
 def test_minmax_scale_inverts(raw):
     # rounding happens at the window's scale: [1e-4, -2048.0] restores 1e-4 as
     # 1.0000000002e-4, so the tolerance is relative to the largest magnitude
-    w = make_scaled_window(raw)
+    w = make_window(raw)
     restored = inverse_transform(w.scaled_values, w.scale_min, w.scale_max)
     np.testing.assert_allclose(restored, raw, rtol=0, atol=1e-9 * np.abs(raw).max())
+
+
+@settings(deadline=None)
+@given(raw=st.one_of(st.lists(prices, min_size=1, max_size=60),
+                     st.builds(lambda value, n: [value] * n, prices,
+                               st.integers(min_value=1, max_value=60))),
+       ticker=st.sampled_from(["A", "BB"]), start=st.integers(min_value=0, max_value=500))
+@example(raw=[5.0], ticker="A", start=0)
+@example(raw=[7.0, 7.0, 7.0], ticker="A", start=0)
+def test_window_scales_itself_as_minmax_scale_did(raw, ticker, start):
+    """A window made from its prices alone holds the bytes the former
+    ``minmax_scale`` computed: float min and max, and (x - min) / (max - min),
+    or 0.5 everywhere for a constant (or one-value) window."""
+    arr = np.asarray(raw, dtype=float)
+    lo, hi = float(arr.min()), float(arr.max())
+    expected = (arr - lo) / (hi - lo) if hi > lo else np.full_like(arr, 0.5)
+    w = Window(ticker, start, raw)
+    assert type(w.scale_min) is float and type(w.scale_max) is float
+    assert (w.scale_min.hex(), w.scale_max.hex()) == (lo.hex(), hi.hex())
+    assert w.scaled_values.dtype == np.float64
+    assert w.scaled_values.tobytes() == expected.tobytes()
 
 
 @st.composite

@@ -13,7 +13,7 @@ from vgsynth.generate import (NODE_STRATEGIES, RESTART_JUMPS, VALUE_POLICIES,
 from vgsynth.graphs import (CO_OCCURRENCE, KIND_CODE, SIMILAR_VALUE, VISIBILITY, build_hvg,
                             build_multigraph, build_nvg)
 
-from conftest import make_graph, make_scaled_window
+from conftest import make_graph, make_window
 from reference_walk import reference_generate_sequence
 
 # n = 1 draws nothing; 2**31 + 11 and 3 * 2**30 + 1 reject about half and a
@@ -148,7 +148,7 @@ def test_lazy_mult_sums_each_pairs_edges(build):
 def tie_heavy_windows(rng, n_tickers, length, start=0):
     """Windows drawn from a few price levels, so multigraph nodes merge and
     similar-value links are common."""
-    return [make_scaled_window(rng.integers(0, 4, length) + rng.choice([0.0, 0.5], length),
+    return [make_window(rng.integers(0, 4, length) + rng.choice([0.0, 0.5], length),
                                ticker=f"T{i}", start=start)
             for i in range(n_tickers)]
 
@@ -156,7 +156,7 @@ def tie_heavy_windows(rng, n_tickers, length, start=0):
 def unit_windows(rng, count, length, ties):
     """``count`` consecutive windows of one ticker, on a few price levels
     (``ties``) or continuous."""
-    return [make_scaled_window(rng.integers(0, 4, length) + rng.choice([0.0, 0.5], length)
+    return [make_window(rng.integers(0, 4, length) + rng.choice([0.0, 0.5], length)
                                if ties else rng.random(length) * 40 + 10,
                                ticker="U", start=w * length)
             for w in range(count)]
