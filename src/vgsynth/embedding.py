@@ -4,7 +4,8 @@ The embedding follows the classic exact algorithm: per-point Gaussian
 bandwidths found by binary search against the perplexity entropy target,
 symmetrized joint affinities, a Student-t low-dimensional kernel, and
 gradient descent with momentum (0.5 for the first 250 iterations, 0.8 after)
-plus early exaggeration (factor 12, first 250 iterations).
+plus early exaggeration (factor 12, first 250 iterations), on full n x n
+arrays made once per embedding.
 
 The mixing score quantifies how intermixed two point sets are in the plane:
 the average fraction of opposite-origin points among each point's k nearest
@@ -94,13 +95,13 @@ def embed_2d(points, perplexity: float = 30.0, iterations: int = 1000,
     iteration number, so the KL after i iterations of a longer run is the
     ``final_kl`` of a run with ``iterations=i``, to the bit.
 
-    Each descent step keeps its per-pair values on the n(n-1)/2 pairs, in
-    reused buffers; only the normaliser Z, the row sums and the gradient use
-    the full n x n matrix.
+    Every iteration refills two n x n buffers made once per call, the kernel
+    ``num`` and the Laplacian ``L``. Three reductions fix the coordinates'
+    bits: Z as ``num.sum()``, L's row sums and the product L @ Y.
     """
     # imported here, not at module level: scipy.spatial is most of the
     # package's import time, and generation never needs it
-    from scipy.spatial.distance import pdist, squareform
+    from scipy.spatial.distance import cdist, pdist, squareform
 
     X = np.asarray(points, dtype=float)
     if X.ndim != 2:
@@ -113,40 +114,36 @@ def embed_2d(points, perplexity: float = 30.0, iterations: int = 1000,
     if perplexity >= n:
         raise ValueError(f"perplexity {perplexity} must be < number of points {n}")
 
-    D2 = squareform(pdist(X, "sqeuclidean"))
-    P_cond, _ = conditional_affinities(D2, perplexity)
-    # joint affinities of the n(n-1)/2 pairs, in pdist order (P is symmetric)
-    P = squareform((P_cond + P_cond.T) / (2.0 * n), checks=False)
+    P = conditional_affinities(squareform(pdist(X, "sqeuclidean")), perplexity)[0]
+    P = (P + P.T) / (2.0 * n)  # the joint affinities: symmetric, zero diagonal
 
     Y = np.random.default_rng(seed).normal(0.0, 1e-4, size=(n, 2))
     update = np.zeros_like(Y)
     gains = np.ones_like(Y)
     eps = np.finfo(float).eps
-    num, Q, W = np.empty_like(P), np.empty_like(P), np.empty_like(P)
+    num, L = np.empty_like(P), np.empty_like(P)
+    num_diag, L_diag = num.reshape(-1)[::n + 1], L.reshape(-1)[::n + 1]
 
     for it in range(1, iterations + 1):
         exag = EARLY_EXAGGERATION if it <= EXAGGERATION_ITERS else 1.0
         momentum = 0.5 if it <= EXAGGERATION_ITERS else 0.8
         if it in (1, EXAGGERATION_ITERS + 1):
             Peff = P * exag
-            positive = Peff[Peff > 0]
-            # the KL sum runs over the full matrix, so every pair counts twice
-            kl_const = 2.0 * float(np.sum(positive * np.log(positive)))
 
-        pdist(Y, "sqeuclidean", out=num)
+        cdist(Y, Y, "sqeuclidean", out=num)
         num += 1.0
         np.divide(1.0, num, out=num)
-        # Z, the row sums and the gradient are reduced over the full n x n
-        # matrix: the coordinates' bits depend on that summation order
-        np.divide(num, squareform(num).sum(), out=Q)
-        np.maximum(Q, eps, out=Q)
+        num_diag[:] = 0.0
+        Z = num.sum()
 
-        np.subtract(Peff, Q, out=W)
-        W *= num
-        L = squareform(W, checks=False)
-        row_sums = L.sum(axis=1)
-        np.subtract(0.0, L, out=L)
-        np.fill_diagonal(L, row_sums)  # L = diag(row sums) - W
+        # L = (max(num / Z, eps) - Peff) * num is exactly -W, W being
+        # (Peff - Q) * num; num's zero diagonal zeroes L's, so L's row sums
+        # are W's negated
+        np.divide(num, Z, out=L)
+        np.maximum(L, eps, out=L)
+        L -= Peff
+        L *= num
+        np.negative(L.sum(axis=1), out=L_diag)  # L = diag(row sums of W) - W
         grad = 4.0 * (L @ Y)
 
         inc = (grad * update) < 0
@@ -157,9 +154,15 @@ def embed_2d(points, perplexity: float = 30.0, iterations: int = 1000,
         Y = Y + update
         Y = Y - Y.mean(axis=0)
 
-    # Q and Peff are the last iteration's. einsum sums in a fixed order; a
-    # BLAS dot would split the sum over threads, and the KL's bits with it
-    final_kl = kl_const - 2.0 * float(np.einsum("i,i", Peff, np.log(Q, out=Q)))
+    # the KL over the n(n-1)/2 pairs, in pdist order, from the last
+    # iteration's Peff and num; every pair counts twice in the full sum.
+    # einsum sums in a fixed order; a BLAS dot would split the sum over
+    # threads, and the KL's bits with it
+    pairs = squareform(Peff, checks=False)
+    positive = pairs[pairs > 0]
+    Q = np.maximum(squareform(num, checks=False) / Z, eps)
+    final_kl = 2.0 * (float(np.sum(positive * np.log(positive)))
+                      - float(np.einsum("i,i", pairs, np.log(Q, out=Q))))
     return Embedding(coords=Y, final_kl=final_kl)
 
 

@@ -60,7 +60,7 @@ class Window:
     ``scaled_values`` is ``raw_values`` under :func:`forward_transform` with
     ``(scale_min, scale_max)``, which default to the window's own minimum and
     maximum; a constant window scales every value to 0.5. An empty window,
-    or one holding NaN, raises ValueError naming ``ticker@start``.
+    or one holding NaN or ±inf, raises ValueError naming ``ticker@start``.
     """
 
     ticker: str
@@ -72,11 +72,14 @@ class Window:
 
     def __post_init__(self):
         raw = self.raw_values = np.asarray(self.raw_values, dtype=float)
-        if not raw.size or np.isnan(raw).any():
-            problem = "contains missing values" if raw.size else "holds no values"
+        # min and max are NaN if any value is, and infinite if any value is
+        lo, hi = (float(raw.min()), float(raw.max())) if raw.size else (math.nan, math.nan)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            problem = ("holds no values" if not raw.size else "contains missing values"
+                       if math.isnan(lo) else "contains infinite values")
             raise ValueError(f"{self.ticker}@{self.start_index}: window {problem}")
-        self.scale_min = float(raw.min()) if self.scale_min is None else self.scale_min
-        self.scale_max = float(raw.max()) if self.scale_max is None else self.scale_max
+        self.scale_min = lo if self.scale_min is None else self.scale_min
+        self.scale_max = hi if self.scale_max is None else self.scale_max
         self.scaled_values = forward_transform(raw, self.scale_min, self.scale_max)
 
     @property

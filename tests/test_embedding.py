@@ -72,8 +72,8 @@ def reference_embed_2d(points, perplexity: float = 30.0, iterations: int = 1000,
 
     Kept verbatim but for the input checks, the subsample branch (the
     caller picks the rows now) and the returned KL, the last of its
-    per-iteration trace, as the reference: ``embed_2d`` now works on the
-    n(n-1)/2 pairs and computes the KL once, and its coordinates must equal
+    per-iteration trace, as the reference: ``embed_2d`` now refills two
+    reused buffers and computes the KL once, and its coordinates must equal
     these bit for bit, and its final KL within rounding.
     """
     X = np.asarray(points, dtype=float)
@@ -123,22 +123,35 @@ def two_clouds(seed, n, dim=6):
                       gaussian_cloud(rng, n - n // 2, dim=dim, center=1.5)])
 
 
-# (points, embed_2d arguments, sha256 of the coordinates' bytes); the digests
-# were recorded with the full-matrix loop, before the pair-buffer rewrite
+# (points, embed_2d arguments, sha256 of the coordinates' bytes, final KL as
+# float.hex); the first two digests were recorded with the full-matrix loop,
+# before the pair-buffer rewrite, and every other value with the pair-buffer
+# loop, before the reused n x n buffers
 PINNED_EMBEDDINGS = {
     "across_exaggeration_boundary": (
         two_clouds(11, 60), dict(perplexity=10, iterations=300, seed=4),
-        "06d26cc7c77151a6c8de7ce015582582b7d29a485709a7f781e691d3b8b4bce6"),
+        "06d26cc7c77151a6c8de7ce015582582b7d29a485709a7f781e691d3b8b4bce6",
+        "0x1.17755572222dcp+1"),
     "four_points": (
         two_clouds(13, 4), dict(perplexity=2, iterations=300, seed=1),
-        "c68d4e4297a6f5bc97f6bb1c73a5b69112ff92b77f320f0cf1f559bc392a93e1"),
+        "c68d4e4297a6f5bc97f6bb1c73a5b69112ff92b77f320f0cf1f559bc392a93e1",
+        "0x1.55628d4662d08p-1"),
+    # the embed_mix workload's point count
+    "benchmark_points": (
+        two_clouds(21, 400), dict(perplexity=30, iterations=300, seed=5),
+        "a0fdae63613292232d36410678a88ad8be80d6a06e8945997add7201dae45d80",
+        "0x1.0c853dd2ee09cp+1"),
+    "odd_n_across_boundary": (
+        two_clouds(22, 97), dict(perplexity=12, iterations=262, seed=6),
+        "6945b057b3ca8d54f5476978150876deb4ac57db8243f9f5eaf64ec6bd1b7307",
+        "0x1.7f05aa545099cp+1"),
 }
 
 
 class TestEmbed2dMatchesReference:
     @pytest.mark.parametrize("case", sorted(PINNED_EMBEDDINGS))
     def test_coordinates_bit_identical(self, case):
-        points, kwargs, digest = PINNED_EMBEDDINGS[case]
+        points, kwargs, digest, _ = PINNED_EMBEDDINGS[case]
         emb = embed_2d(points, **kwargs)
         ref = reference_embed_2d(points, **kwargs)
         assert emb.coords.tobytes() == ref.coords.tobytes()
@@ -146,9 +159,12 @@ class TestEmbed2dMatchesReference:
 
     @pytest.mark.parametrize("case", sorted(PINNED_EMBEDDINGS))
     def test_kl_trace_within_rounding(self, case):
-        points, kwargs, _ = PINNED_EMBEDDINGS[case]
+        """The final KL keeps its pinned bits, and is the reference's last
+        per-iteration KL within rounding."""
+        points, kwargs, _, kl_hex = PINNED_EMBEDDINGS[case]
         emb = embed_2d(points, **kwargs)
         ref = reference_embed_2d(points, **kwargs)
+        assert emb.final_kl.hex() == kl_hex
         np.testing.assert_allclose(emb.final_kl, ref.final_kl, rtol=1e-12, atol=0)
         assert emb.kl_trace == [emb.final_kl]
 
@@ -160,6 +176,25 @@ class TestEmbed2dMatchesReference:
         ref = embedding_overlap(real, synth, **kwargs)
         assert result.coords.tobytes() == ref.coords.tobytes()
         assert result.mixing == ref.mixing
+
+
+def test_no_pair_scatter_per_iteration(monkeypatch):
+    """The descent refills buffers made once per call: the pdist and
+    squareform calls do not grow with the iteration count."""
+    import scipy.spatial.distance as distance
+
+    calls = []
+    for name in ("pdist", "squareform"):
+        def spy(*args, _real=getattr(distance, name), **kwargs):
+            calls.append(_real)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(distance, name, spy)
+    counts = []
+    for iterations in (10, 40):
+        calls.clear()
+        embed_2d(two_clouds(23, 20), perplexity=5, iterations=iterations, seed=0)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 class TestMixingScore:

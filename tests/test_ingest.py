@@ -182,7 +182,9 @@ class TestMinMaxScale:
 
 class TestWindow:
     @pytest.mark.parametrize("raw, problem", [
-        ([], "holds no values"), ([1.0, math.nan, 2.0], "contains missing values")])
+        ([], "holds no values"), ([1.0, math.nan, 2.0], "contains missing values"),
+        ([1.0, math.inf, 2.0], "contains infinite values"),
+        ([1.0, -math.inf, 2.0], "contains infinite values")])
     def test_empty_or_missing_values_rejected_when_made(self, raw, problem):
         with pytest.raises(ValueError, match=re.escape(f"T@3: window {problem}")):
             Window("T", 3, raw)
