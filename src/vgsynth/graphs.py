@@ -38,6 +38,10 @@ SIMILAR_VALUE = "similar_value"
 # order, so sorting edges by code sorts them by kind name
 EDGE_KINDS = (CO_OCCURRENCE, SIMILAR_VALUE, VISIBILITY)
 KIND_CODE = {kind: code for code, kind in enumerate(EDGE_KINDS)}
+# the dtype a Graph stores each edge array in: node ids fit in int32, as a
+# Graph has fewer than 2**31 nodes
+EDGE_DTYPES = {"edge_u": np.int32, "edge_v": np.int32, "edge_kind": np.int8,
+               "edge_mult": np.int32}
 
 DEFAULT_SIMILAR_VALUE_EPSILON = 0.01
 
@@ -50,14 +54,16 @@ class Graph:
     its windows' walks ranges over all of its nodes.
 
     The constructor takes the edges sorted by (u, v, kind), as every builder
-    hands them over. It raises ``ValueError`` naming the first edge with a
-    node id out of range, u >= v, an unknown kind, a multiplicity below 1, or
-    a key that does not exceed the previous edge's (a duplicate when equal,
-    unsorted edges when lower). It builds CSR adjacency with sorted
+    hands them over, in any integer dtype. Before it stores them in
+    ``EDGE_DTYPES`` it raises ``ValueError`` for a non-integer field or 2**31
+    nodes or more, or names the first edge with a node id out of range,
+    u >= v, an unknown kind, a multiplicity below 1 or past int32, or a key
+    that does not exceed the previous edge's (a duplicate when equal,
+    unsorted edges when lower). It builds CSR adjacency with sorted int32
     neighbours: ``indptr``/``indices`` and ``cross_indptr``/``cross_indices``
     (cross-ticker kinds only). ``mult``, each entry's multiplicities summed
-    across kinds, is not built here but on first read. ``node_values[i]``
-    lists node i's values.
+    across kinds, is made on first read. ``node_values[i]`` lists node i's
+    values.
     """
 
     kind: str
@@ -75,9 +81,15 @@ class Graph:
 
     def __post_init__(self):
         n = self.num_nodes
-        u, v, kind, mult = (np.asarray(a, dtype=np.int64) for a in
-                            (self.edge_u, self.edge_v, self.edge_kind, self.edge_mult))
-        key = (u * n + v) * len(EDGE_KINDS) + kind
+        if n >= 2**31:
+            raise ValueError(f"{n} nodes: node ids must fit in int32")
+        u, v, kind, mult = (np.asarray(getattr(self, name)) for name in EDGE_DTYPES)
+        for name, a in zip(EDGE_DTYPES, (u, v, kind, mult)):
+            if a.size and a.dtype.kind not in "iu":
+                raise ValueError(f"{name} must hold integers, got {a.dtype}")
+        # the (u, v, kind) key in uint64, exact for every in-range edge
+        key = ((u.astype(np.uint64) * n + v.astype(np.uint64)) * len(EDGE_KINDS)
+               + kind.astype(np.uint64))
         unsorted = np.concatenate(([False], key[1:] <= key[:-1]))
         first = int(np.argmax(unsorted))
         repeated = bool(unsorted.any()) and key[first] == key[first - 1]
@@ -86,13 +98,15 @@ class Graph:
                 (u == v, "self-loop"), (u > v, "endpoints must be ordered u < v"),
                 ((kind < 0) | (kind >= len(EDGE_KINDS)), "unknown edge kind"),
                 (mult < 1, "multiplicity must be >= 1"),
+                (mult >= 2**31, "multiplicity must fit in int32"),
                 (unsorted, "duplicate edge" if repeated else "edges not sorted by (u, v, kind)")):
             if bad.any():
                 e = int(np.argmax(bad))
                 name = dict(enumerate(EDGE_KINDS)).get(int(kind[e]), f"kind code {kind[e]}")
                 raise ValueError(f"edge ({u[e]}, {v[e]}, {name}): {problem}")
         del key, unsorted
-        self.edge_u, self.edge_v, self.edge_kind, self.edge_mult = u, v, kind, mult
+        self.edge_u, self.edge_v, self.edge_kind, self.edge_mult = u, v, kind, mult = [
+            a.astype(t, copy=False) for a, t in zip((u, v, kind, mult), EDGE_DTYPES.values())]
         self.indptr, self.indices, self.cross_indptr, self.cross_indices = _csr(u, v, kind, n)
         values = self.values.tolist()
         self.node_values = [values[lo:hi] for lo, hi in pairwise(self.value_ptr.tolist())]
@@ -112,10 +126,10 @@ class Graph:
     @cached_property
     def mult(self) -> np.ndarray:
         """Multiplicity of each ``indices`` entry: its (u, v) pair's edge
-        multiplicities summed across kinds. Made on first read and kept; only
-        degree-weighted walks read it."""
+        multiplicities summed across kinds, in int64. Made on first read and
+        kept; only degree-weighted walks read it."""
         starts, _, order = _pair_entries(self.edge_u, self.edge_v, self.num_nodes)
-        weights = np.add.reduceat(self.edge_mult, starts)
+        weights = np.add.reduceat(self.edge_mult, starts, dtype=np.int64)
         return np.concatenate((weights, weights))[order]
 
     @cached_property
@@ -149,30 +163,32 @@ class Graph:
 
 def _pair_entries(u: np.ndarray, v: np.ndarray, n: int):
     """For edges u < v sorted by (u, v, kind): ``starts``, the index of each
-    (u, v) pair's first edge; the CSR row pointers of those P pairs; and the
-    order that takes their 2P entries, ``concatenate((u[starts], v[starts]))``,
-    to CSR order."""
-    pair = u * n + v
-    starts = np.flatnonzero(pair != np.concatenate(([-1], pair[:-1])))
-    del pair
+    (u, v) pair's first edge; ``row``, the CSR row of each of those P pairs'
+    2P entries, ``concatenate((u[starts], v[starts]))``; and the order that
+    takes those entries to CSR order."""
+    starts = np.flatnonzero(np.concatenate(([u.size > 0], (u[1:] != u[:-1]) | (v[1:] != v[:-1]))))
     # entry u in row v and entry v in row u; a stable sort by row (a radix
     # sort while node ids fit in uint16) puts each row's lower neighbours, in
     # u order, before its upper ones, in v order
     row = np.concatenate((v[starts], u[starts]))
     order = np.argsort(row.astype(np.uint16) if n <= 1 << 16 else row, kind="stable")
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=n))))
-    return starts, indptr, order
+    return starts, row, order
 
 
 def _csr(u: np.ndarray, v: np.ndarray, kind: np.ndarray, n: int):
     """Symmetric CSR ``(indptr, indices)`` of edges u < v sorted by (u, v, kind),
-    and ``(cross_indptr, cross_indices)`` over its cross-ticker pairs."""
-    starts, indptr, order = _pair_entries(u, v, n)
+    and ``(cross_indptr, cross_indices)`` over its cross-ticker pairs, each
+    row pointer found in its entries' rows, which CSR order sorts."""
+    starts, row, order = _pair_entries(u, v, n)
     cross = kind[starts] != KIND_CODE[VISIBILITY]  # cross-ticker kinds have the lower codes
     cross = np.concatenate((cross, cross))[order]
+    row = row[order]
+    bounds = np.arange(n + 1, dtype=row.dtype)
+    indptr, cross_indptr = np.searchsorted(row, bounds), np.searchsorted(row[cross], bounds)
+    del row
     indices = np.concatenate((u[starts], v[starts]))[order]
     del starts, order
-    return indptr, indices, np.concatenate(([0], np.cumsum(cross)))[indptr], indices[cross]
+    return indptr, indices, cross_indptr, indices[cross]
 
 
 def _require_scaled(window: Window) -> np.ndarray:
@@ -193,23 +209,23 @@ def _window_graph(kind: str, windows: list[Window], visibility) -> Graph:
                  node_range=node_of[:, [0, -1]] + [0, 1], node_time=np.tile(np.arange(n), count),
                  value_ptr=np.arange(scaled.size + 1), values=scaled.ravel(),
                  value_window=np.repeat(np.arange(count), n), edge_u=row * n + i,
-                 edge_v=row * n + j, edge_kind=np.full(row.size, KIND_CODE[VISIBILITY]),
-                 edge_mult=np.ones(row.size, dtype=np.int64))
+                 edge_v=row * n + j, edge_kind=np.full(row.size, KIND_CODE[VISIBILITY], np.int8),
+                 edge_mult=np.ones(row.size, dtype=np.int32))
 
 
 def _visibility_edges(values: np.ndarray, horizontal: bool = False) -> tuple[np.ndarray, ...]:
     """``(row, i, j)`` of the visibility edges of every row of ``values``, in
-    that order. Anchor i's grid holds the slopes (i, j) (NVG) or the heights
-    ``values[j]`` (HVG, ``horizontal``), -inf where j <= i; j is visible from
-    i iff ``grid[j]``, and for the HVG ``values[i]``, strictly exceed the
-    grid's running maximum over i < k < j. Anchors go in row-major blocks of
-    (row, anchor) pairs, each block's grid about 2**16 entries at most."""
+    that order, in int32. Anchor i's grid holds the slopes (i, j) (NVG) or
+    the heights ``values[j]`` (HVG, ``horizontal``), -inf where j <= i; j is
+    visible from i iff ``grid[j]``, and for the HVG ``values[i]``, strictly
+    exceed the grid's running maximum over i < k < j. Anchors go in row-major
+    blocks of (row, anchor) pairs, each block's grid about 2**16 entries at most."""
     rows, n = values.shape
     j = np.arange(n)
     block = max(1, 2**16 // n)
     parts = []
     for lo in range(0, rows * (n - 1), block):
-        row, i = np.divmod(np.arange(lo, min(lo + block, rows * (n - 1))), n - 1)
+        row, i = np.divmod(np.arange(lo, min(lo + block, rows * (n - 1)), dtype=np.int32), n - 1)
         anchor, i = values[row, i][:, None], i[:, None]
         grid = np.where(j > i, values[row] if horizontal
                         else (values[row] - anchor) / np.maximum(j - i, 1), -np.inf)
@@ -218,7 +234,7 @@ def _visibility_edges(values: np.ndarray, horizontal: bool = False) -> tuple[np.
         if horizontal:
             visible &= anchor > highest
         a, k = np.nonzero(visible)
-        parts.append((row[a], i[a, 0], k + 1))
+        parts.append((row[a], i[a, 0], np.add(k, 1, dtype=np.int32)))
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
@@ -306,41 +322,46 @@ def build_multigraph(
 
 def _segment_edges(scaled: np.ndarray, remap: np.ndarray, nodes: int, epsilon: float):
     """Sorted ``(u, v, kind, mult)`` of a segment's multigraph over its merged
-    node ids: its windows' visibility, co-occurrence and similar-value edges,
-    those inside a merged node dropped and parallel ones of one kind counted.
-    Its temporaries, each dropped once read, are gone before the caller
-    builds the ``Graph``."""
+    node ids, in ``EDGE_DTYPES``: its windows' visibility, co-occurrence and
+    similar-value edges, those inside a merged node dropped and parallel
+    ones of one kind counted. Its temporaries, each dropped once read, are
+    gone before the caller builds the ``Graph``."""
     count, n = scaled.shape
+    remap = remap.astype(np.int32)
     wi, i, j = _visibility_edges(scaled)
     # co-occurrence: node pairs (a * n + t, b * n + t) of windows a < b
-    a, b = np.multiply(np.triu_indices(count, 1), n)[..., None] + np.arange(n)
+    a, b = (np.multiply(np.triu_indices(count, 1), n, dtype=np.int32)[..., None]
+            + np.arange(n, dtype=np.int32))
     p, q = _similar_value_pairs(scaled.ravel(), n, epsilon)
     sizes = (wi.size, a.size, p.size)
     u = remap[np.concatenate((wi * n + i, a.ravel(), p))]
     del i, a, p
     v = remap[np.concatenate((wi * n + j, b.ravel(), q))]
     del wi, j, b, q
-    kind = np.repeat([KIND_CODE[VISIBILITY], KIND_CODE[CO_OCCURRENCE],
-                      KIND_CODE[SIMILAR_VALUE]], sizes)
-    key = (np.minimum(u, v) * nodes + np.maximum(u, v)) * len(EDGE_KINDS) + kind
+    # the key (min << bits | max) << 2 | kind orders the edges as
+    # (min * nodes + max) * 3 + kind does, and fits in uint64
+    bits = (nodes - 1).bit_length()
+    key = (np.minimum(u, v).astype(np.uint64) << bits | np.maximum(u, v).astype(np.uint64)) << 2
+    key |= np.repeat(np.array([KIND_CODE[VISIBILITY], KIND_CODE[CO_OCCURRENCE],
+                               KIND_CODE[SIMILAR_VALUE]], dtype=np.uint64), sizes)
     key = key[u != v]  # edges inside a merged node drop
-    del u, v, kind
-    key, mult = np.unique(key, return_counts=True)
-    pair, kind = np.divmod(key, len(EDGE_KINDS))
-    del key
-    u, v = np.divmod(pair, nodes)
-    return u, v, kind, mult
+    del u, v
+    key.sort()
+    first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    mult, key = np.diff(first, append=key.size).astype(np.int32), key[first]
+    kind, key = (key & 3).astype(np.int8), key >> 2
+    return (key >> bits).astype(np.int32), (key & ((1 << bits) - 1)).astype(np.int32), kind, mult
 
 
 def _similar_value_pairs(flat: np.ndarray, n: int, epsilon: float):
-    """Provisional ids ``(p, q)`` of the pairs of values in different windows
+    """Provisional int32 ids ``(p, q)`` of the pairs of values in different windows
     (``n`` values each) with ``|a - b| < epsilon``, from one sorted sweep: each
     pair is found from its smaller value x among the y up to the rounded
     x + epsilon, ties included, and kept if the exact predicate holds across
     windows. The bound loses no pair: |x - y| rounds to the float nearest
     y - x, so a float epsilon above it exceeds y - x, and rounding x + epsilon
     is monotone."""
-    by_value = np.argsort(flat, kind="stable")
+    by_value = np.argsort(flat, kind="stable").astype(np.int32)
     x = flat[by_value]
     reach = np.searchsorted(x, x + epsilon, "right") - np.arange(x.size) - 1
     low = np.repeat(np.arange(x.size), reach)

@@ -4,11 +4,14 @@ largest segment the ``wide_w60_ds`` benchmark workload builds.
 
 Run as a script (``PYTHONPATH=src python tests/build_memory.py``) it prints
 the build's traced peak and the graph's retained size, in MiB and in bytes
-per edge; ``test_graphs.py`` asserts bounds on the same figures.
+per edge, and then where the retained bytes sit: the edge arrays, the CSR
+arrays, the node arrays and the per-node value lists. ``test_graphs.py``
+asserts bounds on the peak and the retained size.
 """
 
 from __future__ import annotations
 
+import sys
 import tracemalloc
 
 from vgsynth.corpus import make_desk_corpus
@@ -41,9 +44,26 @@ def traced_build(windows: list) -> tuple[Graph, int, int]:
     return graph, peak - base, current - base
 
 
+def retained_parts(graph: Graph) -> dict[str, int]:
+    """Bytes held by each group of ``graph``'s arrays, named with their
+    dtypes, and by its per-node value lists."""
+    parts = {}
+    for names in (("edge_u", "edge_v", "edge_kind", "edge_mult"),
+                  ("indptr", "indices", "cross_indptr", "cross_indices"),
+                  ("node_of", "node_range", "node_time", "value_ptr", "values", "value_window")):
+        arrays = [getattr(graph, name) for name in names]
+        label = ", ".join(f"{name} {a.dtype}" for name, a in zip(names, arrays))
+        parts[label] = sum(a.nbytes for a in arrays)
+    parts["node_values lists"] = sys.getsizeof(graph.node_values) + sum(
+        sys.getsizeof(values) + sum(map(sys.getsizeof, values)) for values in graph.node_values)
+    return parts
+
+
 if __name__ == "__main__":
     graph, peak, retained = traced_build(segment_windows())
     edges = graph.edge_u.size
     print(f"edges: {edges}")
     print(f"traced build peak: {peak / 2**20:.2f} MiB ({peak / edges:.1f} B per edge)")
     print(f"retained by the graph: {retained / 2**20:.2f} MiB ({retained / edges:.1f} B per edge)")
+    for label, size in retained_parts(graph).items():
+        print(f"  {size / 2**20:5.2f} MiB ({size / edges:4.1f} B per edge) {label}")

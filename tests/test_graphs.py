@@ -1,6 +1,6 @@
 import tempfile
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -292,6 +292,13 @@ class TestGraphConstructor:
         ([0, 1], [1, 2], [VIS, VIS], [1, 0], r"\(1, 2, visibility\): multiplicity must be >= 1"),
         ([0, 2], [1, 2], [VIS, VIS], [1, 1], r"\(2, 2, visibility\): self-loop"),
         ([0, 1, 1], [1, 2, 2], [VIS] * 3, [1, 1, 1], r"\(1, 2, visibility\): duplicate edge"),
+        # every check reads the values as given, before they are narrowed to
+        # int32 ids and mults and int8 kinds, where each would wrap
+        ([0, 1], [1, 2**32 + 3], [VIS, VIS], [1, 1],
+         r"\(1, 4294967299, visibility\): node id not in 0..2"),
+        ([0, 1], [1, 2], [VIS, 258], [1, 1], r"\(1, 2, kind code 258\): unknown edge kind"),
+        ([0, 1], [1, 2], [VIS, VIS], [1, 2**32 + 1],
+         r"\(1, 2, visibility\): multiplicity must fit in int32"),
         # the constructor takes the edges as given and never sorts them
         ([1, 0, 0], [2, 2, 1], [VIS, SIM, VIS], [1] * 3,
          r"\(0, 2, similar_value\): edges not sorted by \(u, v, kind\)"),
@@ -302,11 +309,54 @@ class TestGraphConstructor:
          r"\(0, 1, visibility\): edges not sorted by \(u, v, kind\)"),
         ([0, 0, 1, 0], [1, 1, 2, 2], [VIS] * 4, [1] * 4, r"\(0, 1, visibility\): duplicate edge"),
     ], ids=["out_of_range", "reversed", "unknown_kind", "zero_multiplicity", "self_loop",
-            "duplicate", "unsorted_by_endpoints", "unsorted_by_kind", "unsorted_before_duplicate",
+            "duplicate", "id_past_int32", "kind_past_int8", "multiplicity_past_int32",
+            "unsorted_by_endpoints", "unsorted_by_kind", "unsorted_before_duplicate",
             "duplicate_before_unsorted"])
     def test_bad_edge_rejected(self, u, v, kind, mult, message):
         with pytest.raises(ValueError, match="^edge " + message):
             make_graph([[0.0], [0.5], [1.0]], u, v, kind, mult)
+
+    @pytest.mark.parametrize("field, values", [
+        ("edge_u", [0.0, 1.2, 2.9]), ("edge_v", [1, 2, 3.5]), ("edge_kind", [2.0, 2.5, 2.0]),
+        ("edge_mult", [1.9, 1, 1]), ("edge_u", [False, True, True])])
+    def test_non_integer_edge_field_rejected(self, field, values):
+        # a cast to integers would truncate each of these into a valid graph
+        graph = make_graph([[0.0], [0.3], [0.6], [1.0]], [0, 1, 2], [1, 2, 3])
+        with pytest.raises(ValueError, match=f"^{field} must hold integers, got "):
+            replace(graph, **{field: np.array(values)})
+
+    def test_graph_of_2_31_nodes_rejected(self):
+        # a zero-stride view: the node count without the memory
+        graph = make_graph([[0.0], [1.0]], [0], [1])
+        with pytest.raises(ValueError, match="^2147483648 nodes: node ids must fit in int32"):
+            replace(graph, node_time=np.broadcast_to(0, 2**31))
+
+    def test_edge_arrays_in_declared_dtypes(self, rng, monkeypatch):
+        # each builder hands its edges over in the stored dtypes, so the
+        # constructor copies none of them; Python lists are narrowed
+        handed_over = []
+        post_init = Graph.__post_init__
+
+        def spy(graph):
+            handed_over.append([getattr(graph, name).dtype for name in
+                                ("edge_u", "edge_v", "edge_kind", "edge_mult")])
+            post_init(graph)
+
+        monkeypatch.setattr(Graph, "__post_init__", spy)
+        windows = [random_scaled_window(rng, 30, ticker=f"T{i}") for i in range(3)]
+        built = [build(windows) for build in (build_nvg, build_hvg, build_multigraph)]
+        assert handed_over == [[np.int32, np.int32, np.int8, np.int32]] * 3
+        monkeypatch.undo()
+        listed = replace(make_graph([[0.0], [0.5], [1.0]]), edge_u=[0, 0, 1], edge_v=[1, 2, 2],
+                         edge_kind=[KIND_CODE[SIMILAR_VALUE], KIND_CODE[VISIBILITY],
+                                    KIND_CODE[CO_OCCURRENCE]], edge_mult=[1, 2, 3])
+        assert listed.edges == {(0, 1, SIMILAR_VALUE): 1, (0, 2, VISIBILITY): 2,
+                                (1, 2, CO_OCCURRENCE): 3}
+        for graph in built + [listed]:
+            assert [graph.edge_u.dtype, graph.edge_v.dtype, graph.edge_kind.dtype,
+                    graph.edge_mult.dtype] == [np.int32, np.int32, np.int8, np.int32]
+            assert graph.indices.dtype == graph.cross_indices.dtype == np.int32
+            assert graph.mult.dtype == np.int64
 
     def test_builders_hand_over_sorted_edges(self, rng, monkeypatch):
         # every builder's (u, v, kind) keys strictly increase, as the
@@ -504,8 +554,9 @@ def reference_nvg_pairs(window: Window) -> list[tuple[int, int]]:
 def assert_matches_reference(windows, similar_value_epsilon=DEFAULT_SIMILAR_VALUE_EPSILON):
     """The array build equals the reference in edges, node numbering, node
     values and ticker tags in member order, merge_map, per-node neighbour,
-    multiplicity and cross arrays, and ``dump_graph`` bytes; each window's
-    ``build_nvg`` edges equal the per-anchor loop's."""
+    multiplicity and cross arrays (in their declared int32, int64 and int32),
+    and ``dump_graph`` bytes; each window's ``build_nvg`` edges equal the
+    per-anchor loop's."""
     ref = reference_build_multigraph(windows, similar_value_epsilon)
     mg = build_multigraph(windows, similar_value_epsilon)
     assert mg.edges == ref.edges
@@ -516,11 +567,12 @@ def assert_matches_reference(windows, similar_value_epsilon=DEFAULT_SIMILAR_VALU
         assert [int(mg.node_time[i])] == node.time_indices
         assert [v.hex() for v in mg.node_values[i]] == [v.hex() for v in node.values]
         assert node_tickers(mg, i) == node.ticker_tags
-        for got, want in ((mg.neighbor_ids(i), ref._adjacency[i]),
-                          (mg.mult[mg.indptr[i]:mg.indptr[i + 1]], ref._multiplicities[i]),
-                          (mg.cross_indices[mg.cross_indptr[i]:mg.cross_indptr[i + 1]],
-                           ref._cross[i])):
-            assert got.dtype == want.dtype
+        for got, want, dtype in (
+                (mg.neighbor_ids(i), ref._adjacency[i], np.int32),
+                (mg.mult[mg.indptr[i]:mg.indptr[i + 1]], ref._multiplicities[i], np.int64),
+                (mg.cross_indices[mg.cross_indptr[i]:mg.cross_indptr[i + 1]], ref._cross[i],
+                 np.int32)):
+            assert got.dtype == dtype
             np.testing.assert_array_equal(got, want)
     assert {(w.ticker, t): node for w, row in zip(mg.windows, mg.node_of.tolist())
             for t, node in enumerate(row)} == ref.merge_map
@@ -592,11 +644,13 @@ def test_similar_value_sweep_is_exact_at_its_boundary(case):
 def test_multigraph_build_memory():
     # 112,294 edges; a build that kept every temporary alive through the
     # Graph constructor and summed the CSR multiplicities up front peaked at
-    # 26.6 MiB traced and left 8.7 MiB in the graph
+    # 26.6 MiB traced and left 8.7 MiB in the graph. With int64 edge and CSR
+    # arrays the build peaked at 9.87 MiB and left 6.96 MiB; with int32 ids
+    # and mults and int8 kinds, 6.17 MiB and 3.33 MiB
     graph, peak, retained = traced_build(segment_windows())
     assert graph.edge_u.size == 112_294
-    assert peak <= 26.6 * 2**20 / 2
-    assert retained < 8.7 * 2**20
+    assert peak <= 6.5 * 2**20
+    assert retained <= 3.5 * 2**20
     # only degree-weighted walks make the multiplicities
     generate_sequence(graph, WalkConfig(node_strategy="random_neighbor_graph_switching"),
                       window=3, seed=1)
