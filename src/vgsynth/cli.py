@@ -19,10 +19,22 @@ from .evaluate import EvalReport
 from .graphs import build_hvg, build_nvg
 from .ingest import load_series
 from .oracles import check_auc, check_dtw, check_visibility
-from .pipeline import (ConfigError, RunConfig, embedding_path, prepare_windows,
-                       read_sequences, run_evaluation, run_generation, sequences_path,
-                       write_config_snapshot, write_sequences)
+from .pipeline import (ConfigError, RunConfig, prepare_windows, read_sequences, run_evaluation,
+                       run_generation, write_sequences)
 from .runtime import read_runtime_log, summary_table, write_runtime_log
+
+# a run directory's files, each name spelled here only
+RUNTIME_LOG, REPORT, CONFIG_SNAPSHOT = "runtime.jsonl", "report.json", "config_snapshot.json"
+
+
+def sequences_path(out_dir: str | Path, method: str) -> Path:
+    return Path(out_dir) / f"sequences_{method}.jsonl"
+
+
+def _write_config_snapshot(config: RunConfig, out_dir: Path) -> None:
+    with (out_dir / CONFIG_SNAPSHOT).open("w") as fh:
+        json.dump(config.to_dict(), fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _load_config(args) -> RunConfig:
@@ -52,8 +64,8 @@ def cmd_generate(args) -> int:
         path = sequences_path(out_dir, method)
         write_sequences(sequences, path)
         print(f"{method}: wrote {len(sequences)} sequences to {path}")
-    write_runtime_log(records, out_dir / "runtime.jsonl")
-    write_config_snapshot(config, out_dir / "config_snapshot.json")
+    write_runtime_log(records, out_dir / RUNTIME_LOG)
+    _write_config_snapshot(config, out_dir)
     print(summary_table(records))
     return 0
 
@@ -74,25 +86,23 @@ def cmd_evaluate(args) -> int:
         m: read_sequences(sequences_path(out_dir, m), windows_by_key, m)
         for m in config.methods
     }
-    runtime_file = out_dir / "runtime.jsonl"
+    runtime_file = out_dir / RUNTIME_LOG
     records = read_runtime_log(runtime_file) if runtime_file.exists() else []
 
     report, overlaps = run_evaluation(config, sequences_by_method, series_list,
                                       runtime_records=records)
-    report.write(out_dir / "report.json")
+    report.write(out_dir / REPORT)
     for method, overlap in overlaps.items():
-        write_embedding_csv(overlap.coords, overlap.origins,
-                            embedding_path(out_dir, method))
-    write_config_snapshot(config, out_dir / "config_snapshot.json")
-    print(f"wrote {out_dir / 'report.json'}")
+        write_embedding_csv(overlap.coords, overlap.origins, out_dir / f"embedding_{method}.csv")
+    _write_config_snapshot(config, out_dir)
+    print(f"wrote {out_dir / REPORT}")
     _print_report(report)
     return 0
 
 
 def cmd_report(args) -> int:
     out_dir = Path(args.out or "out")
-    report_file = out_dir / "report.json"
-    runtime_file = out_dir / "runtime.jsonl"
+    report_file, runtime_file = out_dir / REPORT, out_dir / RUNTIME_LOG
     if not report_file.exists() and not runtime_file.exists():
         print(f"error: nothing to report in {out_dir}", file=sys.stderr)
         return 1

@@ -94,9 +94,9 @@ def extract_features(values) -> tuple[np.ndarray, np.ndarray]:
 
 def roc_auc(scores, labels) -> float:
     """Probability that a random positive outranks a random negative;
-    ties count one half (Mann-Whitney formulation)."""
-    scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels, dtype=int)
+    ties count one half (Mann-Whitney formulation). A NaN score, which
+    ranks against nothing, raises ValueError."""
+    scores, labels = _checked_scores(scores), np.asarray(labels, dtype=int)
     n_pos = int((labels == 1).sum())
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
@@ -111,8 +111,7 @@ def roc_auc(scores, labels) -> float:
 
 def auc_bruteforce(scores, labels) -> float:
     """Pairwise positive-negative count; test oracle for roc_auc."""
-    scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels, dtype=int)
+    scores, labels = _checked_scores(scores), np.asarray(labels, dtype=int)
     pos = scores[labels == 1]
     neg = scores[labels == 0]
     if pos.size == 0 or neg.size == 0:
@@ -125,6 +124,13 @@ def auc_bruteforce(scores, labels) -> float:
             elif p == q:
                 total += 0.5
     return total / (pos.size * neg.size)
+
+
+def _checked_scores(scores) -> np.ndarray:
+    scores = np.asarray(scores, dtype=float)
+    if np.isnan(scores).any():
+        raise ValueError("AUC scores must not be NaN")
+    return scores
 
 
 class LogisticClassifier:
@@ -378,7 +384,6 @@ def run_experiment(
     real_windows: list[Window],
     synthetic_by_method: dict[str, list[SyntheticSequence]],
     split: tuple[float, float, float] = (0.7, 0.15, 0.15),
-    seed: int = 0,
     **hyperparams,
 ) -> EvalReport:
     """Train on real / synthetic / mixed data, evaluate on real test data.
@@ -426,7 +431,7 @@ def run_experiment(
     fit_classifiers(models, training_sets)
     aucs = [roc_auc(model.predict_proba(test_X), test_y) for model in models]
 
-    report = EvalReport(seed=seed)
+    report = EvalReport()
     for method, (n_synthetic, mixed, synth) in plans.items():
         if not n_synthetic:
             annotation = "skipped: no synthetic rows in the training range"

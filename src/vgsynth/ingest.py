@@ -59,8 +59,9 @@ class Window:
 
     ``scaled_values`` is ``raw_values`` under :func:`forward_transform` with
     ``(scale_min, scale_max)``, which default to the window's own minimum and
-    maximum; a constant window scales every value to 0.5. An empty window,
-    or one holding NaN or ±inf, raises ValueError naming ``ticker@start``.
+    maximum; a constant window scales every value to 0.5. Values that are
+    not one-dimensional, an empty window, or one holding NaN or ±inf, raise
+    ValueError naming ``ticker@start``.
     """
 
     ticker: str
@@ -72,6 +73,9 @@ class Window:
 
     def __post_init__(self):
         raw = self.raw_values = np.asarray(self.raw_values, dtype=float)
+        if raw.ndim != 1:
+            raise ValueError(f"{self.ticker}@{self.start_index}: window values must be "
+                             f"one-dimensional, got shape {raw.shape}")
         # min and max are NaN if any value is, and infinite if any value is
         lo, hi = (float(raw.min()), float(raw.max())) if raw.size else (math.nan, math.nan)
         if not (math.isfinite(lo) and math.isfinite(hi)):

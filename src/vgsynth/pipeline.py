@@ -22,7 +22,7 @@ from .embedding import (MAX_EMBED_POINTS, MIN_EMBED_POINTS, OverlapResult, embed
 from .evaluate import EvalReport, run_experiment
 from .generate import (PreparedSeed, SyntheticSequence, WalkConfig, derive_seed, downsample,
                        ds_indices, generate_sequence, seed_states, vrp_generate)
-from .graphs import DEFAULT_SIMILAR_VALUE_EPSILON, Graph, build_hvg, build_multigraph, build_nvg
+from .graphs import DEFAULT_SIMILAR_VALUE_EPSILON, build_hvg, build_multigraph, build_nvg
 from .ingest import TimeSeries, Window, forward_transform, load_series, slice_windows
 from .runtime import RuntimeRecord, aggregate, time_unit
 
@@ -375,80 +375,59 @@ def run_evaluation(
     runtime_records: list[RuntimeRecord] | None = None,
     with_embedding: bool = True,
 ) -> tuple[EvalReport, dict[str, OverlapResult]]:
-    """Run the classification experiment and the embedding diagnostic. The
-    embedding maps a sequence's prices with the scale of its source window,
-    the prepared window at its (ticker, window_start), in-process or read
-    back alike; a sequence naming no such window raises before any fit."""
+    """Run the classification experiment and the embedding diagnostic.
+
+    One pass per method, in method order, checks its sequences before any
+    fit: each must name a prepared window at its (ticker, window_start), its
+    source window, or ValueError names the method and the key. With the
+    embedding on, the pass then rejects an embedding of fewer than
+    ``MIN_EMBED_POINTS`` points (ValueError) and a ``mixing_k`` not below
+    its point count (ConfigError), counted as ``embedding_overlap`` samples
+    them, and maps the prices with their source windows' scales, in-process
+    or read back alike."""
     windows_by_ticker = prepare_windows(config, series_list)
     all_windows = [w for ws in windows_by_ticker.values() for w in ws]
     by_key = {(w.ticker, w.start_index): w for w in all_windows}
+    synthetic_vectors: dict[str, np.ndarray] = {}  # method -> the points it embeds
     for method, sequences in sequences_by_method.items():
-        for s in sequences:
-            if (s.ticker, s.window_start) not in by_key:
-                raise ValueError(f"method {method!r}: no input window for "
-                                 f"(ticker, window_start) {(s.ticker, s.window_start)}")
-    if with_embedding and all_windows:  # without windows the experiment itself fails
-        _check_embedding_points(config, len(all_windows), sequences_by_method)
-    report = run_experiment(
-        all_windows,
-        sequences_by_method,
-        split=config.split,
-        seed=config.seed,
-        l2=config.l2,
-        max_iter=config.max_iter,
-        tol=config.tol,
-    )
-    report.config = config.to_dict()
-    if runtime_records:
-        report.runtime_totals.update(aggregate(runtime_records))
-
-    overlaps: dict[str, OverlapResult] = {}
-    if with_embedding:
-        real_vectors = np.array([w.scaled_values for w in all_windows])
-        for method, sequences in sequences_by_method.items():
-            if not sequences:
-                continue
+        try:
             sources = [by_key[s.ticker, s.window_start] for s in sequences]
-            synthetic_vectors = np.array([forward_transform(s.values, w.scale_min, w.scale_max)
-                                          for s, w in zip(sequences, sources)])
-            overlap = embedding_overlap(
-                real_vectors, synthetic_vectors,
-                perplexity=config.perplexity, iterations=config.embed_iterations,
-                seed=config.seed, k=config.mixing_k,
-                max_points=config.embed_max_points,
-            )
-            overlaps[method] = overlap
-            if method in report.methods:
-                report.methods[method].mixing_score = overlap.mixing
-    return report, overlaps
-
-
-def _check_embedding_points(config: RunConfig, n_real: int,
-                            sequences_by_method: dict[str, list[SyntheticSequence]]) -> None:
-    """Reject, before any classifier is fit, an embedding of fewer than
-    ``MIN_EMBED_POINTS`` points (ValueError) and a ``mixing_k`` not below its
-    point count (ConfigError), counted as ``embedding_overlap`` samples them."""
-    for method, sequences in sequences_by_method.items():
-        if not sequences:
+        except KeyError as exc:
+            raise ValueError(f"method {method!r}: no input window for "
+                             f"(ticker, window_start) {exc.args[0]}") from None
+        if not (with_embedding and sequences):
             continue
-        points = 2 * points_per_side(n_real, len(sequences), config.embed_max_points)
+        points = 2 * points_per_side(len(all_windows), len(sequences), config.embed_max_points)
         if points < MIN_EMBED_POINTS:
             raise ValueError(f"method {method!r}'s embedding would hold {points} points, "
                              f"below {MIN_EMBED_POINTS}")
         if config.mixing_k >= points:
             raise ConfigError(f"evaluation.mixing_k must be below the {points} points "
                               f"embedded for method {method!r}, got {config.mixing_k}")
+        synthetic_vectors[method] = np.array([
+            forward_transform(s.values, w.scale_min, w.scale_max)
+            for s, w in zip(sequences, sources)])
+    report = run_experiment(
+        all_windows,
+        sequences_by_method,
+        split=config.split,
+        l2=config.l2,
+        max_iter=config.max_iter,
+        tol=config.tol,
+    )
+    report.seed, report.config = config.seed, config.to_dict()
+    if runtime_records:
+        report.runtime_totals.update(aggregate(runtime_records))
 
-
-def write_config_snapshot(config: RunConfig, path: str | Path) -> None:
-    with Path(path).open("w") as fh:
-        json.dump(config.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def sequences_path(out_dir: str | Path, method: str) -> Path:
-    return Path(out_dir) / f"sequences_{method}.jsonl"
-
-
-def embedding_path(out_dir: str | Path, method: str) -> Path:
-    return Path(out_dir) / f"embedding_{method}.csv"
+    overlaps: dict[str, OverlapResult] = {}
+    if synthetic_vectors:
+        real_vectors = np.array([w.scaled_values for w in all_windows])
+    for method, vectors in synthetic_vectors.items():
+        overlaps[method] = overlap = embedding_overlap(
+            real_vectors, vectors,
+            perplexity=config.perplexity, iterations=config.embed_iterations,
+            seed=config.seed, k=config.mixing_k,
+            max_points=config.embed_max_points,
+        )
+        report.methods[method].mixing_score = overlap.mixing
+    return report, overlaps

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,19 @@ class TestRocAuc:
     def test_single_class_rejected(self):
         with pytest.raises(UndefinedMetricError):
             roc_auc([0.1, 0.9], [1, 1])
+
+    @pytest.mark.parametrize("scores, labels", [
+        ([math.nan, 0.1, 0.2], [1, 0, 1]), ([0.3, math.nan, 0.2, 0.9], [0, 1, 1, 0])])
+    def test_nan_score_rejected_by_both(self, scores, labels):
+        """np.unique ranks NaN above every value, where the pairwise count
+        ranks it against nothing: both refuse it instead of disagreeing."""
+        for auc in (roc_auc, auc_bruteforce):
+            with pytest.raises(ValueError, match="must not be NaN"):
+                auc(scores, labels)
+
+    def test_infinite_scores_agree_with_bruteforce(self):
+        scores, labels = [math.inf, -math.inf, 0.2, math.inf], [1, 0, 1, 0]
+        assert roc_auc(scores, labels) == auc_bruteforce(scores, labels) == 0.625
 
     def test_matches_bruteforce(self, rng):
         for _ in range(300):
@@ -191,13 +206,13 @@ class TestRunExperiment:
     def test_synthetic_copy_of_real_matches_real_auc(self, rng):
         windows = trending_windows(rng)
         train, _, _ = chronological_split(windows)
-        report = run_experiment(windows, {"copy": as_sequences(train)}, seed=1)
+        report = run_experiment(windows, {"copy": as_sequences(train)})
         ev = report.methods["copy"]
         assert ev.auc_synthetic == pytest.approx(ev.auc_real, abs=1e-12)
 
     def test_empty_synthetic_method_is_annotated(self, rng):
         windows = trending_windows(rng)
-        report = run_experiment(windows, {"ghost": []}, seed=1)
+        report = run_experiment(windows, {"ghost": []})
         ev = report.methods["ghost"]
         assert ev.auc_synthetic is None
         assert ev.auc_mixed == ev.auc_real
@@ -205,9 +220,9 @@ class TestRunExperiment:
 
     def test_real_auc_beats_chance_on_momentum_data(self, rng):
         windows = trending_windows(rng)
-        report = run_experiment(windows, {}, seed=1)
+        report = run_experiment(windows, {})
         # grab auc_real via a dummy method
-        report = run_experiment(windows, {"copy": as_sequences(windows)}, seed=1)
+        report = run_experiment(windows, {"copy": as_sequences(windows)})
         assert report.methods["copy"].auc_real > 0.8
 
     def test_shuffled_test_labels_give_chance_auc(self, rng):
@@ -225,7 +240,8 @@ class TestRunExperiment:
 
     def test_report_round_trip(self, rng, tmp_path):
         windows = trending_windows(rng)
-        report = run_experiment(windows, {"copy": as_sequences(windows)}, seed=3)
+        report = run_experiment(windows, {"copy": as_sequences(windows)})
+        report.seed = 3
         report.write(tmp_path / "report.json")
         import json
 

@@ -177,7 +177,7 @@ def experiment(windows, by_method, monkeypatch, features):
         fitted.extend(model.n_iter_ for model in models)
 
     monkeypatch.setattr(evaluate, "fit_classifiers", spy)
-    report = run_experiment(windows, by_method, seed=17)
+    report = run_experiment(windows, by_method)
     return report.to_dict(), fitted
 
 

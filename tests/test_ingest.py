@@ -184,7 +184,9 @@ class TestWindow:
     @pytest.mark.parametrize("raw, problem", [
         ([], "holds no values"), ([1.0, math.nan, 2.0], "contains missing values"),
         ([1.0, math.inf, 2.0], "contains infinite values"),
-        ([1.0, -math.inf, 2.0], "contains infinite values")])
+        ([1.0, -math.inf, 2.0], "contains infinite values"),
+        ([[1.0, 2.0], [3.0, 4.0]], "values must be one-dimensional, got shape (2, 2)"),
+        (5.0, "values must be one-dimensional, got shape ()")])
     def test_empty_or_missing_values_rejected_when_made(self, raw, problem):
         with pytest.raises(ValueError, match=re.escape(f"T@3: window {problem}")):
             Window("T", 3, raw)

@@ -20,11 +20,11 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vgsynth.cli import sequences_path
 from vgsynth.corpus import make_desk_corpus, write_corpus_csv
 from vgsynth.generate import NODE_STRATEGIES, RESTART_JUMPS, VALUE_POLICIES
 from vgsynth.ingest import TimeSeries
-from vgsynth.pipeline import (DOWNSAMPLE_MODES, RunConfig, run_generation, sequences_path,
-                              write_sequences)
+from vgsynth.pipeline import DOWNSAMPLE_MODES, RunConfig, run_generation, write_sequences
 
 WINDOW = 20
 

@@ -6,15 +6,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vgsynth import evaluate, generate, pipeline
+from vgsynth import evaluate, generate, ingest, pipeline
+from vgsynth.cli import sequences_path
 from vgsynth.corpus import make_desk_corpus, write_corpus_csv
 from vgsynth.errors import UndefinedMetricError
 from vgsynth.generate import (WalkConfig, derive_seed, ds_indices, dtw_distances,
                               generate_sequence, vrp_generate)
 from vgsynth.graphs import Graph, build_hvg, build_multigraph, build_nvg
-from vgsynth.pipeline import (ConfigError, RunConfig, read_sequences,
-                              run_evaluation, run_generation, sequences_path,
-                              write_sequences)
+from vgsynth.pipeline import (ConfigError, RunConfig, read_sequences, run_evaluation,
+                              run_generation, write_sequences)
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +58,15 @@ def rejection(input_path, **bad) -> str:
         messages.append(str(excinfo.value))
     assert messages == messages[:1] * 3
     return messages[0]
+
+
+def mapped_prices(monkeypatch) -> list:
+    """The argument tuples of every ``pipeline.forward_transform`` call from
+    now on; the calls still map."""
+    calls = []
+    monkeypatch.setattr(pipeline, "forward_transform",
+                        lambda *a: calls.append(a) or ingest.forward_transform(*a))
+    return calls
 
 
 class TestRunConfig:
@@ -564,6 +573,58 @@ class TestEvaluation:
                 f"method 'vrp': no input window for (ticker, window_start) {key}")):
             run_evaluation(config, by_method, with_embedding=with_embedding)
         assert fits == []
+
+    @pytest.mark.parametrize("fault, error, message", [
+        ("too_small", ValueError, "method 'vrp''s embedding would hold 2 points, below 4"),
+        ("mixing_k", ConfigError,
+         "evaluation.mixing_k must be below the 10 points embedded for method 'vrp', got 10"),
+        ("no_window", ValueError, "method 'vrp': no input window for (ticker, window_start)"),
+    ], ids=["too_small", "mixing_k", "no_window"])
+    def test_second_method_fault_rejected_before_any_fit(self, tiny_corpus_csv, monkeypatch,
+                                                         fault, error, message):
+        """Only the second-listed method is faulty: its fault still raises
+        before any fit, once the first method's pass has mapped its prices."""
+        config = tiny_config(tiny_corpus_csv, methods=("nvg", "vrp"))
+        by_method, _ = run_generation(config)
+        assert len(by_method["nvg"]) == 36
+        if fault == "too_small":
+            by_method["vrp"] = by_method["vrp"][:1]
+        elif fault == "mixing_k":
+            by_method["vrp"] = by_method["vrp"][:5]
+            config = dataclasses.replace(config, mixing_k=10)
+        else:
+            by_method["vrp"].append(dataclasses.replace(by_method["vrp"][0], window_start=7))
+        fits, mapped = [], mapped_prices(monkeypatch)
+        monkeypatch.setattr(evaluate, "fit_classifiers", lambda *a, **k: fits.append(a))
+        with pytest.raises(error, match=re.escape(message)) as excinfo:
+            run_evaluation(config, by_method)
+        assert isinstance(excinfo.value, ConfigError) == (error is ConfigError)
+        assert fits == [] and len(mapped) == 36
+
+    def test_first_listed_fault_is_the_one_reported(self, tiny_corpus_csv, monkeypatch):
+        """Each method is checked in one pass, in method order: nvg's too
+        small embedding is reported before vrp's sequence of no window."""
+        config = tiny_config(tiny_corpus_csv, methods=("nvg", "vrp"))
+        by_method, _ = run_generation(config)
+        by_method["nvg"] = by_method["nvg"][:1]
+        by_method["vrp"].append(dataclasses.replace(by_method["vrp"][0], window_start=7))
+        fits = []
+        monkeypatch.setattr(evaluate, "fit_classifiers", lambda *a, **k: fits.append(a))
+        with pytest.raises(ValueError, match="'nvg'.s embedding would hold 2 points"):
+            run_evaluation(config, by_method)
+        assert fits == []
+
+    @pytest.mark.parametrize("with_embedding", [True, False])
+    def test_prices_mapped_only_for_the_embedding(self, tiny_corpus_csv, monkeypatch,
+                                                  with_embedding):
+        """With the embedding on, each sequence's prices are mapped once;
+        without it, never."""
+        config = tiny_config(tiny_corpus_csv, methods=("nvg", "vrp"), embed_iterations=20)
+        by_method, _ = run_generation(config)
+        mapped = mapped_prices(monkeypatch)
+        _, overlaps = run_evaluation(config, by_method, with_embedding=with_embedding)
+        assert len(mapped) == (72 if with_embedding else 0)
+        assert set(overlaps) == ({"nvg", "vrp"} if with_embedding else set())
 
     def test_single_class_test_split_rejected_before_any_fit(self, monkeypatch):
         """Window 20 over 60 days leaves the real test split one window per
