@@ -16,11 +16,10 @@ from pathlib import Path
 
 from .embedding import write_embedding_csv
 from .evaluate import EvalReport
-from .graphs import build_hvg, build_nvg
 from .ingest import load_series
 from .oracles import check_auc, check_dtw, check_visibility
-from .pipeline import (ConfigError, RunConfig, prepare_windows, read_sequences, run_evaluation,
-                       run_generation, write_sequences)
+from .pipeline import (ConfigError, RunConfig, read_sequences, run_evaluation, run_generation,
+                       write_sequences)
 from .runtime import read_runtime_log, summary_table, write_runtime_log
 
 # a run directory's files, each name spelled here only
@@ -57,8 +56,15 @@ def cmd_generate(args) -> int:
     if not Path(config.input).exists():
         print(f"error: input file not found: {config.input}", file=sys.stderr)
         return 1
-    by_method, records = run_generation(config)
     out_dir = Path(config.out_dir)
+    # out_dir is made after generation, which fails unless the nearest path
+    # on it that exists is a directory: check that before generating
+    nearest = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not nearest.is_dir():
+        print(f"error: cannot make output directory {out_dir}: {nearest} is not a directory",
+              file=sys.stderr)
+        return 1
+    by_method, records = run_generation(config)
     out_dir.mkdir(parents=True, exist_ok=True)
     for method, sequences in by_method.items():
         path = sequences_path(out_dir, method)
@@ -80,12 +86,8 @@ def cmd_evaluate(args) -> int:
         return 1
 
     series_list = load_series(config.input)
-    windows_by_key = {(w.ticker, w.start_index): w
-                      for ws in prepare_windows(config, series_list).values() for w in ws}
-    sequences_by_method = {
-        m: read_sequences(sequences_path(out_dir, m), windows_by_key, m)
-        for m in config.methods
-    }
+    sequences_by_method = {m: read_sequences(sequences_path(out_dir, m), m)
+                           for m in config.methods}
     runtime_file = out_dir / RUNTIME_LOG
     records = read_runtime_log(runtime_file) if runtime_file.exists() else []
 
@@ -133,11 +135,10 @@ def _print_report(report: EvalReport) -> None:
         print(line)
 
 
-def cmd_selftest(args=None, nvg_builder=build_nvg, hvg_builder=build_hvg) -> int:
+def cmd_selftest(args=None) -> int:
     """Acceptance criteria 1-3's oracle checks at smaller sizes."""
     suites = [
-        ("visibility vs brute force", lambda: check_visibility(
-            60, nvg_builder=nvg_builder, hvg_builder=hvg_builder)),
+        ("visibility vs brute force", lambda: check_visibility(60)),
         ("dtw vs brute force", lambda: check_dtw(150)),
         ("auc vs pairwise count", lambda: check_auc(200)),
     ]

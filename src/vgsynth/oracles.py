@@ -39,16 +39,15 @@ def dtw_bruteforce(a: np.ndarray, b: np.ndarray) -> float:
     return float(rec(a.size - 1, b.size - 1))
 
 
-def check_visibility(n_windows: int, nvg_builder=build_nvg,
-                     hvg_builder=build_hvg) -> tuple[bool, str]:
+def check_visibility(n_windows: int) -> tuple[bool, str]:
     """Exact edge sets of the builders against the per-pair criterion, on
     ``n_windows`` random windows of each length 20 and 60."""
     rng = np.random.default_rng(101)
     for length in (20, 60):
         for _ in range(n_windows):
             window = Window("T", 0, rng.random(length) * 40 + 10)
-            for builder, oracle, name in ((nvg_builder, nvg_bruteforce, "nvg"),
-                                          (hvg_builder, hvg_bruteforce, "hvg")):
+            for builder, oracle, name in ((build_nvg, nvg_bruteforce, "nvg"),
+                                          (build_hvg, hvg_bruteforce, "hvg")):
                 fast, slow = set(builder([window]).edges), set(oracle(window).edges)
                 if fast != slow:
                     return False, (f"{name}: edge mismatch on pair {sorted(fast ^ slow)[0]} "

@@ -315,21 +315,18 @@ def write_sequences(sequences: list[SyntheticSequence], path: str | Path) -> Non
             }) + "\n")
 
 
-def read_sequences(path: str | Path, windows_by_key: dict[tuple[str, int], Window],
-                   method: str) -> list[SyntheticSequence]:
-    """Read generated sequences, checked against the input windows; a
-    sequence read back holds its prices and no scaled values.
+def read_sequences(path: str | Path, method: str) -> list[SyntheticSequence]:
+    """Read generated sequences; a sequence read back holds its prices and no
+    scaled values.
 
-    Every record must name ``method``, an integer ``window_start``, an
-    integer seed in [0, 2**64), and as many finite values as the window at
-    its (ticker, window_start) in ``windows_by_key``; no two records may
-    share a (ticker, window_start, seed). Otherwise, or on a record that is
-    not complete JSON, ValueError names ``path:line`` (a repeat also names
-    the first record's line); a wrong length raises only once every record's
-    window was found, so a file written for other windows names a window it
-    lacks.
+    Every record must name ``method``, a string ticker, an integer
+    ``window_start``, an integer seed in [0, 2**64) and finite values; no two
+    records may share a (ticker, window_start, seed). Otherwise, or on a
+    record that is not complete JSON, ValueError names ``path:line`` (a
+    repeat also names the first record's line). Whether each sequence has a
+    source window of its length is :func:`run_evaluation`'s check.
     """
-    out, wrong_length, first_line = [], None, {}
+    out, first_line = [], {}
     with Path(path).open() as fh:
         for lineno, line in enumerate(fh, 1):
             try:
@@ -337,7 +334,6 @@ def read_sequences(path: str | Path, windows_by_key: dict[tuple[str, int], Windo
                 values = np.array(rec["values"], dtype=float)
                 key = (rec["ticker"], rec["window_start"])
                 named, seed = rec["method"], rec["seed"]
-                window = windows_by_key.get(key)
             except KeyError as exc:
                 raise ValueError(f"{path}:{lineno}: record has no field {exc}") from exc
             except (TypeError, ValueError) as exc:
@@ -345,26 +341,20 @@ def read_sequences(path: str | Path, windows_by_key: dict[tuple[str, int], Windo
             if named != method:
                 raise ValueError(f"{path}:{lineno}: a {named!r} record in a file of "
                                  f"method {method!r}")
+            if not isinstance(key[0], str):
+                raise ValueError(f"{path}:{lineno}: ticker {key[0]!r} is not a string")
             if not _is_integer(key[1]):
                 raise ValueError(f"{path}:{lineno}: window_start {key[1]!r} is not an integer")
             if not (_is_integer(seed) and 0 <= seed < 2**64):
                 raise ValueError(f"{path}:{lineno}: seed {seed!r} is not an integer in [0, 2**64)")
             if not np.isfinite(values).all():
                 raise ValueError(f"{path}:{lineno}: record holds a value that is not finite")
-            if window is None:
-                raise ValueError(f"{path}:{lineno}: no input window for "
-                                 f"(ticker, window_start) {key}")
             first = first_line.setdefault((*key, seed), lineno)
             if first != lineno:
                 raise ValueError(f"{path}:{lineno}: (ticker, window_start, seed) "
                                  f"{(*key, seed)} repeats line {first}")
-            if values.shape != (window.length,) and wrong_length is None:
-                wrong_length = ValueError(f"{path}:{lineno}: {values.size} values for a "
-                                          f"window of length {window.length}")
             out.append(SyntheticSequence(values=values, scaled_values=None, method=method,
                                          ticker=key[0], window_start=key[1], seed=seed))
-    if wrong_length is not None:
-        raise wrong_length
     return out
 
 
@@ -378,13 +368,16 @@ def run_evaluation(
     """Run the classification experiment and the embedding diagnostic.
 
     One pass per method, in method order, checks its sequences before any
-    fit: each must name a prepared window at its (ticker, window_start), its
-    source window, or ValueError names the method and the key. With the
-    embedding on, the pass then rejects an embedding of fewer than
+    fit, with the embedding on or off, in-process or read back alike: each
+    must name a prepared window at its (ticker, window_start), its source
+    window, or ValueError names the method and the key; then its values must
+    have shape ``(window length,)``, or ValueError names the method, the
+    sequence's (ticker, window_start, seed), its values' shape and the
+    window's length. Nothing else checks a sequence against its window. With
+    the embedding on, the pass then rejects an embedding of fewer than
     ``MIN_EMBED_POINTS`` points (ValueError) and a ``mixing_k`` not below
     its point count (ConfigError), counted as ``embedding_overlap`` samples
-    them, and maps the prices with their source windows' scales, in-process
-    or read back alike."""
+    them, and maps the prices with their source windows' scales."""
     windows_by_ticker = prepare_windows(config, series_list)
     all_windows = [w for ws in windows_by_ticker.values() for w in ws]
     by_key = {(w.ticker, w.start_index): w for w in all_windows}
@@ -395,6 +388,11 @@ def run_evaluation(
         except KeyError as exc:
             raise ValueError(f"method {method!r}: no input window for "
                              f"(ticker, window_start) {exc.args[0]}") from None
+        for s, w in zip(sequences, sources):
+            if np.shape(s.values) != (w.length,):
+                raise ValueError(f"method {method!r}: sequence (ticker, window_start, seed) "
+                                 f"{(s.ticker, s.window_start, s.seed)} has values of shape "
+                                 f"{np.shape(s.values)} for a window of length {w.length}")
         if not (with_embedding and sequences):
             continue
         points = 2 * points_per_side(len(all_windows), len(sequences), config.embed_max_points)

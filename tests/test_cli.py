@@ -4,10 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from vgsynth import cli
+from vgsynth import cli, evaluate, oracles, pipeline
 from vgsynth.cli import cmd_selftest, main
 from vgsynth.corpus import make_desk_corpus, write_corpus_csv
-from vgsynth.graphs import build_nvg
+from vgsynth.graphs import build_hvg, build_nvg
 from vgsynth.pipeline import RunConfig, run_evaluation, run_generation
 
 
@@ -41,6 +41,25 @@ def config_file(tmp_path, corpus_csv, out_dir, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+def spy_on_fit(monkeypatch) -> list:
+    """The argument tuples of every ``evaluate.fit_classifiers`` call from
+    now on; none of them fits."""
+    fits = []
+    monkeypatch.setattr(evaluate, "fit_classifiers", lambda *a, **k: fits.append(a))
+    return fits
+
+
+def dropping_the_last_edge(builder):
+    """``builder``, with the last edge of each graph it builds dropped."""
+    def corrupted(windows):
+        graph = builder(windows)
+        last = slice(None, -1)
+        return replace(graph, edge_u=graph.edge_u[last], edge_v=graph.edge_v[last],
+                       edge_kind=graph.edge_kind[last], edge_mult=graph.edge_mult[last])
+
+    return corrupted
 
 
 class TestGenerateCommand:
@@ -177,6 +196,23 @@ class TestGenerateCommand:
         assert f"error: {short}: no ticker has a complete window of 20 values" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_out_under_a_file_exits_1_before_generating(self, tmp_path, corpus_csv, capsys,
+                                                        monkeypatch, below):
+        blocker = tmp_path / "taken"
+        blocker.write_text("a file\n")
+        out = blocker / below
+
+        def no_generation(*args, **kwargs):
+            raise AssertionError("generation ran for an output directory it cannot make")
+
+        monkeypatch.setattr(cli, "run_generation", no_generation)
+        assert main(["generate", "--input", str(corpus_csv), "--methods", "vrp",
+                     "--out", str(out)]) == 1
+        assert (f"error: cannot make output directory {out}: {blocker} is not a directory"
+                in capsys.readouterr().err)
+        assert blocker.read_text() == "a file\n"
+
     def test_flag_overrides(self, tmp_path, corpus_csv):
         out = tmp_path / "flags_out"
         cfg = config_file(tmp_path, corpus_csv, tmp_path / "ignored")
@@ -204,16 +240,65 @@ class TestEvaluateCommand:
         out = tmp_path / "out"
         cfg = config_file(tmp_path, eval_corpus_csv, out)
         assert main(["generate", "--config", str(cfg)]) == 0
+        ticker = json.loads((out / "sequences_vrp.jsonl").read_text().splitlines()[0])["ticker"]
         capsys.readouterr()
-
-        def no_evaluation(*args, **kwargs):
-            raise AssertionError("evaluation ran with unmatched sequences")
-
-        monkeypatch.setattr(cli, "run_evaluation", no_evaluation)
+        fits = spy_on_fit(monkeypatch)
         # window 30 has no window starting at 20, where a window-20 sequence sits
         assert main(["evaluate", "--config", str(cfg), "--window", "30"]) == 1
-        err = capsys.readouterr().err
-        assert "sequences_vrp.jsonl" in err and "20)" in err
+        assert (f"error: method 'vrp': no input window for (ticker, window_start) "
+                f"{(ticker, 20)}" in capsys.readouterr().err)
+        assert fits == []
+        assert not (out / "report.json").exists()
+
+    def test_sequence_of_wrong_length_exits_1_before_any_fit(self, tmp_path, eval_corpus_csv,
+                                                             capsys, monkeypatch):
+        out = tmp_path / "out"
+        cfg = config_file(tmp_path, eval_corpus_csv, out)
+        assert main(["generate", "--config", str(cfg)]) == 0
+        path = out / "sequences_vrp.jsonl"
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[-1])
+        del record["values"][-1]
+        lines[-1] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        fits = spy_on_fit(monkeypatch)
+        assert main(["evaluate", "--config", str(cfg)]) == 1
+        identity = (record["ticker"], record["window_start"], record["seed"])
+        assert (f"error: method 'vrp': sequence (ticker, window_start, seed) {identity} "
+                f"has values of shape (19,) for a window of length 20" in capsys.readouterr().err)
+        assert fits == []
+        assert not (out / "report.json").exists()
+
+    def test_prepares_the_windows_once(self, tmp_path, eval_corpus_csv, monkeypatch):
+        """Each ticker's series is sliced into windows once: one
+        ``prepare_windows`` call, made by the evaluation itself."""
+        out = tmp_path / "out"
+        cfg = config_file(tmp_path, eval_corpus_csv, out)
+        assert main(["generate", "--config", str(cfg)]) == 0
+        sliced = []
+        slice_windows = pipeline.slice_windows
+        monkeypatch.setattr(pipeline, "slice_windows",
+                            lambda series, *a: sliced.append(series.ticker)
+                            or slice_windows(series, *a))
+        assert main(["evaluate", "--config", str(cfg)]) == 0
+        assert len(sliced) == len(set(sliced)) == 3
+
+    @pytest.mark.parametrize("ticker", [["T00"], 5, None])
+    def test_non_string_ticker_exits_1_naming_the_line(self, tmp_path, eval_corpus_csv,
+                                                       capsys, monkeypatch, ticker):
+        out = tmp_path / "out"
+        cfg = config_file(tmp_path, eval_corpus_csv, out)
+        assert main(["generate", "--config", str(cfg)]) == 0
+        path = out / "sequences_vrp.jsonl"
+        lines = path.read_text().splitlines()
+        lines[1] = json.dumps({**json.loads(lines[1]), "ticker": ticker})
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        fits = spy_on_fit(monkeypatch)
+        assert main(["evaluate", "--config", str(cfg)]) == 1
+        assert f"error: {path}:2: ticker {ticker!r} is not a string" in capsys.readouterr().err
+        assert fits == []
         assert not (out / "report.json").exists()
 
     def test_truncated_sequence_record_exits_1_naming_the_line(self, tmp_path,
@@ -469,13 +554,14 @@ class TestSelftestCommand:
         out = capsys.readouterr().out
         assert out.count("PASS") == 3
 
-    def test_corrupted_criterion_fails_with_pair(self, capsys):
-        def corrupted_nvg(windows):
-            graph = build_nvg(windows)
-            last = slice(None, -1)  # drop the last edge
-            return replace(graph, edge_u=graph.edge_u[last], edge_v=graph.edge_v[last],
-                           edge_kind=graph.edge_kind[last], edge_mult=graph.edge_mult[last])
-
-        assert cmd_selftest(nvg_builder=corrupted_nvg) == 1
+    def test_corrupted_criterion_fails_with_pair(self, capsys, monkeypatch):
+        monkeypatch.setattr(oracles, "build_nvg", dropping_the_last_edge(build_nvg))
+        assert cmd_selftest() == 1
         out = capsys.readouterr().out
-        assert "FAIL" in out and "pair" in out
+        assert "FAIL" in out and "nvg: edge mismatch on pair" in out
+
+    def test_corrupted_hvg_fails_with_pair(self, capsys, monkeypatch):
+        monkeypatch.setattr(oracles, "build_hvg", dropping_the_last_edge(build_hvg))
+        assert cmd_selftest() == 1
+        out = capsys.readouterr().out
+        assert "FAIL" in out and "hvg: edge mismatch on pair" in out

@@ -257,26 +257,12 @@ class TestGeneration:
         by_method, _ = run_generation(config)
         path = sequences_path(tmp_path, "nvg")
         write_sequences(by_method["nvg"], path)
-        windows_by_key = {(w.ticker, w.start_index): w
-                          for ws in pipeline.prepare_windows(config).values() for w in ws}
-        back = read_sequences(path, windows_by_key, "nvg")
+        back = read_sequences(path, "nvg")
         assert len(back) == len(by_method["nvg"])
         for a, b in zip(by_method["nvg"], back):
             assert (a.ticker, a.window_start, a.seed) == (b.ticker, b.window_start, b.seed)
             np.testing.assert_allclose(a.values, b.values, rtol=0, atol=0)
             assert b.scaled_values is None
-
-    def test_read_with_windows_rejects_unknown_window(self, tiny_corpus_csv, tmp_path):
-        config = tiny_config(tiny_corpus_csv, methods=("vrp",))
-        path = sequences_path(tmp_path, "vrp")
-        write_sequences(run_generation(config)[0]["vrp"], path)
-        windows_by_key = {(w.ticker, w.start_index): w
-                          for ws in pipeline.prepare_windows(config).values() for w in ws}
-        first = min(windows_by_key)
-        assert len(read_sequences(path, windows_by_key, "vrp")) > 0
-        del windows_by_key[first]
-        with pytest.raises(ValueError, match=rf"{path.name}.*{first[0]!r}, {first[1]}"):
-            read_sequences(path, windows_by_key, "vrp")
 
     @pytest.mark.parametrize("corrupt, problem", [
         (lambda line: line[:len(line) // 2], "malformed record"),
@@ -284,14 +270,11 @@ class TestGeneration:
                                   if k != "window_start"}), "record has no field 'window_start'"),
         (lambda line: json.dumps({**json.loads(line), "values": ["x"] * 20}),
          "malformed record: could not convert"),
-        (lambda line: json.dumps({**json.loads(line), "values": json.loads(line)["values"][1:]}),
-         "19 values for a window of length 20"),
         (lambda line: json.dumps({**json.loads(line), "values": [float("nan")] * 20}),
          "record holds a value that is not finite"),
         (lambda line: json.dumps({**json.loads(line), "method": "hvg"}),
          "a 'hvg' record in a file of method 'vrp'"),
-    ], ids=["truncated", "missing_field", "not_a_number", "wrong_length", "not_finite",
-            "other_method"])
+    ], ids=["truncated", "missing_field", "not_a_number", "not_finite", "other_method"])
     def test_malformed_record_names_path_and_line(self, tiny_corpus_csv, tmp_path, corrupt,
                                                   problem):
         config = tiny_config(tiny_corpus_csv, methods=("vrp",))
@@ -300,10 +283,8 @@ class TestGeneration:
         lines = path.read_text().splitlines()
         lines[2] = corrupt(lines[2])
         path.write_text("\n".join(lines) + "\n")
-        windows_by_key = {(w.ticker, w.start_index): w
-                          for ws in pipeline.prepare_windows(config).values() for w in ws}
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: {problem}"):
-            read_sequences(path, windows_by_key, "vrp")
+            read_sequences(path, "vrp")
 
     @pytest.mark.parametrize("methods", [("nvg",), ("nvmg",), ("vrp", "nvmg")])
     def test_no_complete_window_rejected_before_any_unit(self, tmp_path, monkeypatch,
@@ -574,12 +555,51 @@ class TestEvaluation:
             run_evaluation(config, by_method, with_embedding=with_embedding)
         assert fits == []
 
+    def test_read_back_sequence_of_no_window_rejected_before_any_fit(
+            self, tiny_corpus_csv, tmp_path, monkeypatch):
+        """Sequences read back from a file meet their windows only in
+        evaluation: evaluated without their first ticker's series, they raise
+        naming the method and that ticker's first key, before any fit."""
+        config = tiny_config(tiny_corpus_csv, methods=("vrp",))
+        path = sequences_path(tmp_path, "vrp")
+        write_sequences(run_generation(config)[0]["vrp"], path)
+        back = read_sequences(path, "vrp")
+        first = (back[0].ticker, back[0].window_start)
+        series = [s for s in ingest.load_series(config.input) if s.ticker != first[0]]
+        fits = []
+        monkeypatch.setattr(evaluate, "fit_classifiers", lambda *a, **k: fits.append(a))
+        with pytest.raises(ValueError, match=re.escape(
+                f"method 'vrp': no input window for (ticker, window_start) {first}")):
+            run_evaluation(config, {"vrp": back}, series)
+        assert fits == []
+
+    @pytest.mark.parametrize("with_embedding", [True, False])
+    def test_wrong_length_sequences_rejected_before_any_fit(self, tiny_corpus_csv,
+                                                            monkeypatch, with_embedding):
+        """Sequences one value short of their windows raise a ValueError
+        naming the method, the first one's (ticker, window_start, seed) and
+        both lengths, before any fit, with the embedding on or off."""
+        config = tiny_config(tiny_corpus_csv, methods=("nvg", "vrp"))
+        by_method, _ = run_generation(config)
+        short = {m: [dataclasses.replace(s, values=s.values[:-1]) for s in sequences]
+                 for m, sequences in by_method.items()}
+        first = short["nvg"][0]
+        fits = []
+        monkeypatch.setattr(evaluate, "fit_classifiers", lambda *a, **k: fits.append(a))
+        with pytest.raises(ValueError, match=re.escape(
+                f"method 'nvg': sequence (ticker, window_start, seed) "
+                f"{(first.ticker, first.window_start, first.seed)} has values of shape (19,) "
+                f"for a window of length 20")):
+            run_evaluation(config, short, with_embedding=with_embedding)
+        assert fits == []
+
     @pytest.mark.parametrize("fault, error, message", [
         ("too_small", ValueError, "method 'vrp''s embedding would hold 2 points, below 4"),
         ("mixing_k", ConfigError,
          "evaluation.mixing_k must be below the 10 points embedded for method 'vrp', got 10"),
         ("no_window", ValueError, "method 'vrp': no input window for (ticker, window_start)"),
-    ], ids=["too_small", "mixing_k", "no_window"])
+        ("wrong_length", ValueError, "has values of shape (19,) for a window of length 20"),
+    ], ids=["too_small", "mixing_k", "no_window", "wrong_length"])
     def test_second_method_fault_rejected_before_any_fit(self, tiny_corpus_csv, monkeypatch,
                                                          fault, error, message):
         """Only the second-listed method is faulty: its fault still raises
@@ -592,8 +612,11 @@ class TestEvaluation:
         elif fault == "mixing_k":
             by_method["vrp"] = by_method["vrp"][:5]
             config = dataclasses.replace(config, mixing_k=10)
-        else:
+        elif fault == "no_window":
             by_method["vrp"].append(dataclasses.replace(by_method["vrp"][0], window_start=7))
+        else:
+            by_method["vrp"][0] = dataclasses.replace(by_method["vrp"][0],
+                                                      values=by_method["vrp"][0].values[:-1])
         fits, mapped = [], mapped_prices(monkeypatch)
         monkeypatch.setattr(evaluate, "fit_classifiers", lambda *a, **k: fits.append(a))
         with pytest.raises(error, match=re.escape(message)) as excinfo:
