@@ -30,12 +30,6 @@ def sequences_path(out_dir: str | Path, method: str) -> Path:
     return Path(out_dir) / f"sequences_{method}.jsonl"
 
 
-def _write_config_snapshot(config: RunConfig, out_dir: Path) -> None:
-    with (out_dir / CONFIG_SNAPSHOT).open("w") as fh:
-        json.dump(config.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _load_config(args) -> RunConfig:
     """The config file's config, each given flag's value in place of the file's."""
     methods = None if args.methods is None else [
@@ -71,7 +65,10 @@ def cmd_generate(args) -> int:
         write_sequences(sequences, path)
         print(f"{method}: wrote {len(sequences)} sequences to {path}")
     write_runtime_log(records, out_dir / RUNTIME_LOG)
-    _write_config_snapshot(config, out_dir)
+    # what this run generated with; report.json holds what evaluate ran with
+    with (out_dir / CONFIG_SNAPSHOT).open("w") as fh:
+        json.dump(config.to_dict(), fh, indent=2, sort_keys=True)
+        fh.write("\n")
     print(summary_table(records))
     return 0
 
@@ -96,7 +93,6 @@ def cmd_evaluate(args) -> int:
     report.write(out_dir / REPORT)
     for method, overlap in overlaps.items():
         write_embedding_csv(overlap.coords, overlap.origins, out_dir / f"embedding_{method}.csv")
-    _write_config_snapshot(config, out_dir)
     print(f"wrote {out_dir / REPORT}")
     _print_report(report)
     return 0

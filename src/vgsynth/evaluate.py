@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import UndefinedMetricError
-from .generate import SyntheticSequence
 from .ingest import Window
 
 FEATURE_NAMES = (
@@ -362,9 +361,12 @@ class EvalReport:
 def chronological_split(
     windows: list[Window], ratios: tuple[float, float, float] = (0.7, 0.15, 0.15)
 ) -> tuple[list[Window], list[Window], list[Window]]:
-    """Per-ticker chronological split: earliest windows train, latest test."""
+    """Per-ticker chronological split: earliest windows train, latest test.
+    Ratios that do not sum to 1, or hold a negative one, raise ValueError."""
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"split ratios must sum to 1, got {ratios}")
+    if min(ratios) < 0:
+        raise ValueError(f"split ratios must be >= 0, got {ratios}")
     by_ticker: dict[str, list[Window]] = {}
     for w in windows:
         by_ticker.setdefault(w.ticker, []).append(w)
@@ -382,15 +384,16 @@ def chronological_split(
 
 def run_experiment(
     real_windows: list[Window],
-    synthetic_by_method: dict[str, list[SyntheticSequence]],
+    synthetic_by_method: dict[str, tuple[np.ndarray, np.ndarray]],
     split: tuple[float, float, float] = (0.7, 0.15, 0.15),
     **hyperparams,
 ) -> EvalReport:
     """Train on real / synthetic / mixed data, evaluate on real test data.
 
-    Synthetic rows enter training only when their source window belongs to
-    the training portion of its ticker. A method with no usable synthetic
-    sequences is skipped and annotated in the report.
+    A method's ``(values, sources)`` are its ``(N, L)`` prices and each row's
+    source window as a position in ``real_windows``. A row enters training
+    only when its source window belongs to the training portion of its
+    ticker. A method with no usable rows is skipped and annotated.
     """
     train_windows, _, test_windows = chronological_split(real_windows, split)
     if not train_windows or not test_windows:
@@ -402,18 +405,16 @@ def run_experiment(
         raise UndefinedMetricError(f"the real test split's {test_y.size} windows all have "
                                    f"label {test_y[0]}; the AUC needs both classes")
 
-    train_starts = {}
-    for w in train_windows:
-        train_starts.setdefault(w.ticker, set()).add(w.start_index)
+    train_set = set(train_windows)  # a Window hashes by identity
+    in_train = np.array([w in train_set for w in real_windows], dtype=bool)
 
     # Every training set first, real then each method's mixed and synthetic
     # sets, so that fit_classifiers can fit them all in one descent.
     training_sets = [(real_X, real_y)]
     plans = {}  # method -> (synthetic rows, index of its mixed set, of its synthetic set)
-    for method, sequences in synthetic_by_method.items():
-        usable = [s.values for s in sequences
-                  if s.window_start in train_starts.get(s.ticker, ())]
-        if not usable:
+    for method, (values, sources) in synthetic_by_method.items():
+        usable = values[in_train[sources]]
+        if not len(usable):
             # mixing zero synthetic rows degenerates to the real training set
             plans[method] = (0, 0, None)
             continue

@@ -179,13 +179,14 @@ def minmax_scale(window: Window) -> Window:
     return Window(window.ticker, window.start_index, window.raw_values.copy())
 
 
-def forward_transform(values: np.ndarray, scale_min: float, scale_max: float) -> np.ndarray:
-    """The min-max map of ``[scale_min, scale_max]`` onto [0, 1], for an
-    arbitrary array of prices; 0.5 everywhere when ``scale_max <= scale_min``."""
+def forward_transform(values: np.ndarray, scale_min, scale_max) -> np.ndarray:
+    """The min-max map of ``[scale_min, scale_max]`` onto [0, 1] for an array
+    of prices, in its shape, with floats or scales that broadcast against it,
+    such as ``(N, 1)`` columns for ``(N, L)`` rows; 0.5 wherever
+    ``scale_max <= scale_min``."""
     values = np.asarray(values, dtype=float)
-    if scale_max > scale_min:
-        return (values - scale_min) / (scale_max - scale_min)
-    return np.full_like(values, 0.5)
+    span = scale_max - scale_min
+    return np.divide(values - scale_min, span, out=np.full_like(values, 0.5), where=span > 0)
 
 
 def inverse_transform(scaled: np.ndarray, scale_min: float, scale_max: float) -> np.ndarray:

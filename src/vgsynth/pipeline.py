@@ -270,7 +270,7 @@ def run_generation(
     Units are tickers for nvg/hvg/vrp and segments for nvmg; each unit's
     graph is built once, and each unit is timed. A method's seeds are
     hashed before its first unit starts, so unit times hold no seed hashing.
-    Output order is deterministic: sorted by (ticker, window start, seed).
+    Output order is deterministic: by (ticker, window start), then generation order.
     """
     windows_by_ticker = prepare_windows(config, series_list)
     if not any(windows_by_ticker.values()):
@@ -367,32 +367,38 @@ def run_evaluation(
 ) -> tuple[EvalReport, dict[str, OverlapResult]]:
     """Run the classification experiment and the embedding diagnostic.
 
-    One pass per method, in method order, checks its sequences before any
-    fit, with the embedding on or off, in-process or read back alike: each
-    must name a prepared window at its (ticker, window_start), its source
-    window, or ValueError names the method and the key; then its values must
-    have shape ``(window length,)``, or ValueError names the method, the
-    sequence's (ticker, window_start, seed), its values' shape and the
-    window's length. Nothing else checks a sequence against its window. With
-    the embedding on, the pass then rejects an embedding of fewer than
-    ``MIN_EMBED_POINTS`` points (ValueError) and a ``mixing_k`` not below
-    its point count (ConfigError), counted as ``embedding_overlap`` samples
-    them, and maps the prices with their source windows' scales."""
+    One pass per method, in method order, meets its sequences with their
+    source windows before any fit, with the embedding on or off, in-process
+    or read back alike: each must name a prepared window at its (ticker,
+    window_start), or ValueError names the method and the key; then its
+    values must have shape ``(window length,)``, or ValueError names the
+    method, the sequence's (ticker, window_start, seed), its values' shape
+    and the window's length. The experiment gets the values as one ``(N, L)``
+    array and their source windows' positions. With the embedding on, the
+    pass then rejects fewer than ``MIN_EMBED_POINTS`` points (ValueError)
+    and a ``mixing_k`` not below the point count (ConfigError), counted as
+    ``embedding_overlap`` samples them, and maps all the method's prices in
+    one ``forward_transform`` call with their source windows' scales."""
     windows_by_ticker = prepare_windows(config, series_list)
     all_windows = [w for ws in windows_by_ticker.values() for w in ws]
-    by_key = {(w.ticker, w.start_index): w for w in all_windows}
+    position = {(w.ticker, w.start_index): i for i, w in enumerate(all_windows)}
+    scales = np.array([(w.scale_min, w.scale_max) for w in all_windows])  # (W, 2)
+    synthetic: dict[str, tuple[np.ndarray, np.ndarray]] = {}  # method -> (values, sources)
     synthetic_vectors: dict[str, np.ndarray] = {}  # method -> the points it embeds
     for method, sequences in sequences_by_method.items():
         try:
-            sources = [by_key[s.ticker, s.window_start] for s in sequences]
+            sources = np.array([position[s.ticker, s.window_start] for s in sequences], dtype=int)
         except KeyError as exc:
             raise ValueError(f"method {method!r}: no input window for "
                              f"(ticker, window_start) {exc.args[0]}") from None
-        for s, w in zip(sequences, sources):
-            if np.shape(s.values) != (w.length,):
+        length = config.window_length  # the length of every prepared window
+        for s in sequences:
+            if np.shape(s.values) != (length,):
                 raise ValueError(f"method {method!r}: sequence (ticker, window_start, seed) "
                                  f"{(s.ticker, s.window_start, s.seed)} has values of shape "
-                                 f"{np.shape(s.values)} for a window of length {w.length}")
+                                 f"{np.shape(s.values)} for a window of length {length}")
+        values = np.array([s.values for s in sequences], dtype=float).reshape(-1, length)
+        synthetic[method] = values, sources
         if not (with_embedding and sequences):
             continue
         points = 2 * points_per_side(len(all_windows), len(sequences), config.embed_max_points)
@@ -402,17 +408,10 @@ def run_evaluation(
         if config.mixing_k >= points:
             raise ConfigError(f"evaluation.mixing_k must be below the {points} points "
                               f"embedded for method {method!r}, got {config.mixing_k}")
-        synthetic_vectors[method] = np.array([
-            forward_transform(s.values, w.scale_min, w.scale_max)
-            for s, w in zip(sequences, sources)])
-    report = run_experiment(
-        all_windows,
-        sequences_by_method,
-        split=config.split,
-        l2=config.l2,
-        max_iter=config.max_iter,
-        tol=config.tol,
-    )
+        synthetic_vectors[method] = forward_transform(values, scales[sources, :1],
+                                                      scales[sources, 1:])
+    report = run_experiment(all_windows, synthetic, split=config.split, l2=config.l2,
+                            max_iter=config.max_iter, tol=config.tol)
     report.seed, report.config = config.seed, config.to_dict()
     if runtime_records:
         report.runtime_totals.update(aggregate(runtime_records))

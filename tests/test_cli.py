@@ -235,6 +235,17 @@ class TestEvaluateCommand:
         assert {"auc_real", "auc_synthetic", "auc_mixed", "mixing_score"} <= set(triple)
         assert (out / "embedding_vrp.csv").exists()
 
+    def test_keeps_the_snapshot_generate_wrote(self, tmp_path, eval_corpus_csv):
+        """The snapshot stays what generated the sequences; report.json
+        records the config evaluate ran with."""
+        out = tmp_path / "out"
+        cfg = config_file(tmp_path, eval_corpus_csv, out)
+        assert main(["generate", "--config", str(cfg), "--seed", "1"]) == 0
+        assert main(["evaluate", "--config", str(cfg), "--seed", "2"]) == 0
+        assert json.loads((out / "config_snapshot.json").read_text())["seed"] == 1
+        report = json.loads((out / "report.json").read_text())
+        assert (report["seed"], report["config"]["seed"]) == (2, 2)
+
     def test_sequences_from_other_windows_exit_1(self, tmp_path, eval_corpus_csv, capsys,
                                                   monkeypatch):
         out = tmp_path / "out"

@@ -1,13 +1,16 @@
+import ast
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from vgsynth import evaluate
 from vgsynth.errors import UndefinedMetricError
 from vgsynth.evaluate import (FEATURE_NAMES, EvalReport, LogisticClassifier, MethodEval,
                               auc_bruteforce, chronological_split, extract_features,
                               relative_strength_index, roc_auc, run_experiment)
-from vgsynth.generate import SyntheticSequence
 from vgsynth.ingest import Window
 
 
@@ -180,11 +183,11 @@ def trending_windows(rng, n_tickers=4, n_windows=30, length=10):
     return windows
 
 
-def as_sequences(windows, method="copy"):
-    return [SyntheticSequence(values=w.raw_values.copy(), scaled_values=None,
-                              method=method, ticker=w.ticker,
-                              window_start=w.start_index, seed=0)
-            for w in windows]
+def copies(rows, windows):
+    """Synthetic copies of the windows ``rows`` as ``run_experiment`` takes
+    them: their prices, and each one's position in ``windows`` as its source."""
+    return (np.array([w.raw_values for w in rows]),
+            np.array([windows.index(w) for w in rows]))
 
 
 class TestChronologicalSplit:
@@ -201,18 +204,24 @@ class TestChronologicalSplit:
         train, val, test = chronological_split(windows, (0.7, 0.15, 0.15))
         assert (len(train), len(val), len(test)) == (14, 3, 3)
 
+    @pytest.mark.parametrize("ratios", [(1.5, -0.25, -0.25), (0.5, 0.8, -0.3)])
+    def test_negative_ratio_rejected(self, rng, ratios):
+        windows = trending_windows(rng, n_tickers=1, n_windows=20)
+        with pytest.raises(ValueError, match=re.escape(f"split ratios must be >= 0, got {ratios}")):
+            chronological_split(windows, ratios)
+
 
 class TestRunExperiment:
     def test_synthetic_copy_of_real_matches_real_auc(self, rng):
         windows = trending_windows(rng)
         train, _, _ = chronological_split(windows)
-        report = run_experiment(windows, {"copy": as_sequences(train)})
+        report = run_experiment(windows, {"copy": copies(train, windows)})
         ev = report.methods["copy"]
         assert ev.auc_synthetic == pytest.approx(ev.auc_real, abs=1e-12)
 
     def test_empty_synthetic_method_is_annotated(self, rng):
         windows = trending_windows(rng)
-        report = run_experiment(windows, {"ghost": []})
+        report = run_experiment(windows, {"ghost": (np.empty((0, 10)), np.empty(0, int))})
         ev = report.methods["ghost"]
         assert ev.auc_synthetic is None
         assert ev.auc_mixed == ev.auc_real
@@ -221,7 +230,7 @@ class TestRunExperiment:
     def test_real_auc_beats_chance_on_momentum_data(self, rng):
         windows = trending_windows(rng)
         # auc_real is reported per method, so a dummy method carries it
-        report = run_experiment(windows, {"copy": as_sequences(windows)})
+        report = run_experiment(windows, {"copy": copies(windows, windows)})
         assert report.methods["copy"].auc_real > 0.8
 
     def test_shuffled_test_labels_give_chance_auc(self, rng):
@@ -239,7 +248,7 @@ class TestRunExperiment:
 
     def test_report_round_trip(self, rng, tmp_path):
         windows = trending_windows(rng)
-        report = run_experiment(windows, {"copy": as_sequences(windows)})
+        report = run_experiment(windows, {"copy": copies(windows, windows)})
         report.seed = 3
         report.write(tmp_path / "report.json")
         import json
@@ -257,3 +266,17 @@ class TestRunExperiment:
         assert back.methods["nvg"] == MethodEval(auc_real=0.6, auc_synthetic=0.4,
                                                  auc_mixed=None)
         assert back.seed == 0 and back.config == {} and back.runtime_totals == {}
+
+
+def test_evaluation_knows_no_sequence_object():
+    """``evaluate.py`` reads arrays only: it imports nothing from the
+    generation module, whose sequence objects only pipeline resolves."""
+    imported = []
+    for node in ast.walk(ast.parse(Path(evaluate.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["vgsynth" if node.level else "", node.module]))
+            imported += [module] + [f"{module}.{alias.name}" for alias in node.names]
+    assert "vgsynth.ingest" in imported  # the walk sees the relative imports
+    assert [name for name in imported if name.startswith("vgsynth.generate")] == []

@@ -158,13 +158,17 @@ class TestInputErrors:
 
 @pytest.fixture(scope="module")
 def evaluation_inputs():
-    """The golden evaluation's corpus and configuration (tests/test_golden.py)."""
+    """The golden evaluation's corpus and configuration (tests/test_golden.py):
+    its windows, and each method's sequences as ``run_experiment`` takes them."""
     corpus = make_desk_corpus(n_tickers=6, n_days=120, seed=5)
     config = RunConfig(seed=17, window_length=10, methods=("nvg", "hvg", "nvmg", "vrp"),
                        sequences_per_window=10, downsample_k=1, downsample_mode="simds")
     by_method, _ = run_generation(config, corpus)
     windows = [w for ws in prepare_windows(config, corpus).values() for w in ws]
-    return windows, by_method
+    position = {(w.ticker, w.start_index): i for i, w in enumerate(windows)}
+    return windows, {method: (np.array([s.values for s in sequences]),
+                              np.array([position[s.ticker, s.window_start] for s in sequences]))
+                     for method, sequences in by_method.items()}
 
 
 def experiment(windows, by_method, monkeypatch, features):

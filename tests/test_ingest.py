@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from vgsynth.errors import DuplicateRowError, SchemaError
-from vgsynth.ingest import (TimeSeries, Window, inverse_transform, load_series,
-                            minmax_scale, slice_windows)
+from vgsynth.ingest import (TimeSeries, Window, forward_transform, inverse_transform,
+                            load_series, minmax_scale, slice_windows)
 
 from conftest import make_window
 
@@ -178,6 +178,19 @@ class TestMinMaxScale:
         np.testing.assert_array_equal(rescaled.scaled_values, [0.0, 0.5, 1.0])
         np.testing.assert_array_equal(rescaled.raw_values, window.raw_values)
         assert not np.shares_memory(rescaled.raw_values, window.raw_values)
+
+    def test_rows_map_as_the_row_by_row_calls(self, rng):
+        """``(N, 1)`` scale columns map ``(N, L)`` rows to the bytes of one
+        scalar call per row; a constant row maps to 0.5."""
+        values = rng.random((6, 9)) * 100
+        values[2] = 42.0
+        lo, hi = values.min(axis=1, keepdims=True), values.max(axis=1, keepdims=True)
+        hi[4] = lo[4] - 1.0  # a scale with max below min maps to 0.5 too
+        scalars = zip(values, lo.ravel().tolist(), hi.ravel().tolist())
+        rows = [forward_transform(v, a, b) for v, a, b in scalars]
+        mapped = forward_transform(values, lo, hi)
+        assert mapped.tobytes() == np.array(rows).tobytes()
+        assert (mapped[2] == 0.5).all() and (mapped[4] == 0.5).all()
 
 
 class TestWindow:

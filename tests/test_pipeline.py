@@ -62,7 +62,7 @@ def rejection(input_path, **bad) -> str:
 
 def mapped_prices(monkeypatch) -> list:
     """The argument tuples of every ``pipeline.forward_transform`` call from
-    now on; the calls still map."""
+    now on; the calls still map. A call maps all of one method's prices."""
     calls = []
     monkeypatch.setattr(pipeline, "forward_transform",
                         lambda *a: calls.append(a) or ingest.forward_transform(*a))
@@ -603,7 +603,8 @@ class TestEvaluation:
     def test_second_method_fault_rejected_before_any_fit(self, tiny_corpus_csv, monkeypatch,
                                                          fault, error, message):
         """Only the second-listed method is faulty: its fault still raises
-        before any fit, once the first method's pass has mapped its prices."""
+        before any fit, once the first method's pass has mapped its 36 rows
+        of prices, in one call."""
         config = tiny_config(tiny_corpus_csv, methods=("nvg", "vrp"))
         by_method, _ = run_generation(config)
         assert len(by_method["nvg"]) == 36
@@ -622,7 +623,7 @@ class TestEvaluation:
         with pytest.raises(error, match=re.escape(message)) as excinfo:
             run_evaluation(config, by_method)
         assert isinstance(excinfo.value, ConfigError) == (error is ConfigError)
-        assert fits == [] and len(mapped) == 36
+        assert fits == [] and [args[0].shape for args in mapped] == [(36, 20)]
 
     def test_first_listed_fault_is_the_one_reported(self, tiny_corpus_csv, monkeypatch):
         """Each method is checked in one pass, in method order: nvg's too
@@ -640,13 +641,13 @@ class TestEvaluation:
     @pytest.mark.parametrize("with_embedding", [True, False])
     def test_prices_mapped_only_for_the_embedding(self, tiny_corpus_csv, monkeypatch,
                                                   with_embedding):
-        """With the embedding on, each sequence's prices are mapped once;
-        without it, never."""
+        """With the embedding on, each method's prices are mapped in one call,
+        each sequence's once; without it, never."""
         config = tiny_config(tiny_corpus_csv, methods=("nvg", "vrp"), embed_iterations=20)
         by_method, _ = run_generation(config)
         mapped = mapped_prices(monkeypatch)
         _, overlaps = run_evaluation(config, by_method, with_embedding=with_embedding)
-        assert len(mapped) == (72 if with_embedding else 0)
+        assert [args[0].shape for args in mapped] == ([(36, 20)] * 2 if with_embedding else [])
         assert set(overlaps) == ({"nvg", "vrp"} if with_embedding else set())
 
     def test_single_class_test_split_rejected_before_any_fit(self, monkeypatch):
