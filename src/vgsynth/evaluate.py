@@ -362,7 +362,10 @@ def chronological_split(
     windows: list[Window], ratios: tuple[float, float, float] = (0.7, 0.15, 0.15)
 ) -> tuple[list[Window], list[Window], list[Window]]:
     """Per-ticker chronological split: earliest windows train, latest test.
-    Ratios that do not sum to 1, or hold a negative one, raise ValueError."""
+    Ratios that are not three values, do not sum to 1, or hold a negative
+    one, raise ValueError."""
+    if len(ratios) != 3:
+        raise ValueError(f"split ratios must be 3 values, got {len(ratios)}: {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"split ratios must sum to 1, got {ratios}")
     if min(ratios) < 0:

@@ -90,21 +90,15 @@ class Graph:
         # the (u, v, kind) key in uint64, exact for every in-range edge
         key = ((u.astype(np.uint64) * n + v.astype(np.uint64)) * len(EDGE_KINDS)
                + kind.astype(np.uint64))
-        unsorted = np.concatenate(([False], key[1:] <= key[:-1]))
-        first = int(np.argmax(unsorted))
-        repeated = bool(unsorted.any()) and key[first] == key[first - 1]
-        for bad, problem in (
-                ((np.minimum(u, v) < 0) | (np.maximum(u, v) >= n), f"node id not in 0..{n - 1}"),
-                (u == v, "self-loop"), (u > v, "endpoints must be ordered u < v"),
-                ((kind < 0) | (kind >= len(EDGE_KINDS)), "unknown edge kind"),
-                (mult < 1, "multiplicity must be >= 1"),
-                (mult >= 2**31, "multiplicity must fit in int32"),
-                (unsorted, "duplicate edge" if repeated else "edges not sorted by (u, v, kind)")):
-            if bad.any():
-                e = int(np.argmax(bad))
-                name = dict(enumerate(EDGE_KINDS)).get(int(kind[e]), f"kind code {kind[e]}")
-                raise ValueError(f"edge ({u[e]}, {v[e]}, {name}): {problem}")
-        del key, unsorted
+        # one combined test of every check; only edges that fail it, or
+        # fields of unequal lengths, build the per-check masks that name the
+        # first bad edge
+        if not (u.size == v.size == kind.size == mult.size) or u.size and not (
+                u.min() >= 0 and v.max() < n and (u < v).all() and kind.min() >= 0
+                and kind.max() < len(EDGE_KINDS) and mult.min() >= 1 and mult.max() < 2**31
+                and (key[1:] > key[:-1]).all()):
+            _reject_first_bad_edge(u, v, kind, mult, key, n)
+        del key
         self.edge_u, self.edge_v, self.edge_kind, self.edge_mult = u, v, kind, mult = [
             a.astype(t, copy=False) for a, t in zip((u, v, kind, mult), EDGE_DTYPES.values())]
         self.indptr, self.indices, self.cross_indptr, self.cross_indices = _csr(u, v, kind, n)
@@ -211,6 +205,25 @@ def _window_graph(kind: str, windows: list[Window], visibility) -> Graph:
                  value_window=np.repeat(np.arange(count), n), edge_u=row * n + i,
                  edge_v=row * n + j, edge_kind=np.full(row.size, KIND_CODE[VISIBILITY], np.int8),
                  edge_mult=np.ones(row.size, dtype=np.int32))
+
+
+def _reject_first_bad_edge(u, v, kind, mult, key, n: int) -> None:
+    """Raise ``ValueError`` naming the first edge that fails the first of
+    :class:`Graph`'s edge checks, in their order."""
+    unsorted = np.concatenate(([False], key[1:] <= key[:-1]))
+    first = int(np.argmax(unsorted))
+    repeated = bool(unsorted.any()) and key[first] == key[first - 1]
+    for bad, problem in (
+            ((np.minimum(u, v) < 0) | (np.maximum(u, v) >= n), f"node id not in 0..{n - 1}"),
+            (u == v, "self-loop"), (u > v, "endpoints must be ordered u < v"),
+            ((kind < 0) | (kind >= len(EDGE_KINDS)), "unknown edge kind"),
+            (mult < 1, "multiplicity must be >= 1"),
+            (mult >= 2**31, "multiplicity must fit in int32"),
+            (unsorted, "duplicate edge" if repeated else "edges not sorted by (u, v, kind)")):
+        if bad.any():
+            e = int(np.argmax(bad))
+            name = dict(enumerate(EDGE_KINDS)).get(int(kind[e]), f"kind code {kind[e]}")
+            raise ValueError(f"edge ({u[e]}, {v[e]}, {name}): {problem}")
 
 
 def _visibility_edges(values: np.ndarray, horizontal: bool = False) -> tuple[np.ndarray, ...]:

@@ -6,9 +6,9 @@ from scipy.spatial.distance import pdist, squareform
 
 from vgsynth import embedding
 from vgsynth.embedding import (EARLY_EXAGGERATION, EXAGGERATION_ITERS,
-                               MIN_EMBED_POINTS, conditional_affinities,
-                               embed_2d, embedding_overlap, mixing_score,
-                               points_per_side, write_embedding_csv)
+                               MIN_EMBED_POINTS, PERPLEXITY_STEPS, PERPLEXITY_TOL,
+                               conditional_affinities, embed_2d, embedding_overlap,
+                               mixing_score, points_per_side, write_embedding_csv)
 from vgsynth.errors import UndefinedMetricError
 
 from fresh_python import needs_two_cpus, outputs_per_blas_thread_count, run_python
@@ -31,6 +31,30 @@ class TestAffinities:
         D2 = squareform(pdist(X, "sqeuclidean"))
         _, entropies = conditional_affinities(D2, perplexity=20.0)
         np.testing.assert_allclose(entropies, np.log(20.0), atol=1e-5)
+
+    @pytest.mark.parametrize("block_rows", [None, 1, 3], ids=["budget", "one_row", "ragged"])
+    @pytest.mark.parametrize("perplexity", [2.0, 30.0])
+    @pytest.mark.parametrize("n", [4, 97, 400])
+    def test_equals_per_row_reference(self, n, perplexity, block_rows, monkeypatch):
+        """The row-blocked search gives the per-row search's P and entropies
+        bit for bit: at the module's budget (one block below 163 points),
+        and in blocks of one row and of three, the last one ragged. At 4
+        points a perplexity of 30 is out of reach, so every row runs all
+        PERPLEXITY_STEPS."""
+        if block_rows is not None:
+            monkeypatch.setattr(embedding, "_BLOCK_ENTRIES", block_rows * n)
+        D2 = squareform(pdist(two_clouds(31, n), "sqeuclidean"))
+        P, entropies = conditional_affinities(D2, perplexity)
+        P_ref, entropies_ref = reference_conditional_affinities(D2, perplexity)
+        assert P.tobytes() == P_ref.tobytes()
+        assert entropies.tobytes() == entropies_ref.tobytes()
+
+
+@pytest.mark.parametrize("n", [4, 97, 400, 1000, 2000])
+def test_row_blocks_cover_the_rows_within_the_budget(n):
+    blocks = embedding._row_blocks(n)
+    assert [i for b in blocks for i in range(n)[b]] == list(range(n))
+    assert all((b.stop - b.start) * n <= max(n, embedding._BLOCK_ENTRIES) for b in blocks)
 
 
 class TestEmbed2d:
@@ -66,29 +90,66 @@ class TestEmbed2d:
             embed_2d(gaussian_cloud(rng, 10), perplexity=3, iterations=0, seed=0)
 
 
+def reference_conditional_affinities(sq_distances: np.ndarray,
+                                     perplexity: float) -> tuple[np.ndarray, np.ndarray]:
+    """``conditional_affinities`` as first written, one row's binary search
+    at a time, kept verbatim as the reference: the row-blocked search must
+    give the same P and entropies bit for bit."""
+    n = sq_distances.shape[0]
+    target = np.log(perplexity)
+    P = np.zeros((n, n))
+    entropies = np.zeros(n)
+    others = ~np.eye(n, dtype=bool)
+    for i in range(n):
+        d = sq_distances[i][others[i]]
+        shift = d.min()
+        ds = d - shift
+        beta, beta_min, beta_max = 1.0, -np.inf, np.inf
+        for _ in range(PERPLEXITY_STEPS):
+            w = np.exp(-ds * beta)
+            s = w.sum()
+            if s <= 0:
+                s = 1e-300
+            entropy = np.log(s) + beta * float(ds @ w) / s
+            diff = entropy - target
+            if abs(diff) <= PERPLEXITY_TOL:
+                break
+            if diff > 0:
+                beta_min = beta
+                beta = beta * 2.0 if np.isinf(beta_max) else (beta + beta_max) / 2.0
+            else:
+                beta_max = beta
+                beta = beta / 2.0 if np.isinf(beta_min) else (beta + beta_min) / 2.0
+        P[i][others[i]] = w / s
+        entropies[i] = entropy
+    return P, entropies
+
+
 def reference_embed_2d(points, perplexity: float = 30.0, iterations: int = 1000,
-                       seed: int = 0, learning_rate: float = 200.0) -> embedding.Embedding:
+                       seed: int = 0, learning_rate: float = 200.0,
+                       floor: float = np.finfo(float).eps) -> embedding.Embedding:
     """``embed_2d`` as first written, on full n x n matrices every iteration.
 
     Kept verbatim but for the input checks, the subsample branch (the
-    caller picks the rows now) and the returned KL, the last of its
-    per-iteration trace, as the reference: ``embed_2d`` now refills two
-    reused buffers and computes the KL once, and its coordinates must equal
-    these bit for bit, and its final KL within rounding.
+    caller picks the rows now), the returned KL, the last of its
+    per-iteration trace, and ``floor``, the floor under Q, as the reference:
+    ``embed_2d`` now works in row blocks on reused buffers and computes the
+    KL once, and its coordinates must equal these bit for bit, and its final
+    KL within rounding.
     """
     X = np.asarray(points, dtype=float)
     n = X.shape[0]
     rng = np.random.default_rng(seed)
 
     D2 = squareform(pdist(X, "sqeuclidean"))
-    P_cond, _ = conditional_affinities(D2, perplexity)
+    P_cond, _ = reference_conditional_affinities(D2, perplexity)
     P = (P_cond + P_cond.T) / (2.0 * n)
 
     Y = rng.normal(0.0, 1e-4, size=(n, 2))
     update = np.zeros_like(Y)
     gains = np.ones_like(Y)
     kl_trace: list[float] = []
-    eps = np.finfo(float).eps
+    eps = floor
 
     for it in range(1, iterations + 1):
         exag = EARLY_EXAGGERATION if it <= EXAGGERATION_ITERS else 1.0
@@ -176,6 +237,73 @@ class TestEmbed2dMatchesReference:
         ref = embedding_overlap(real, synth, **kwargs)
         assert result.coords.tobytes() == ref.coords.tobytes()
         assert result.mixing == ref.mixing
+
+
+def last_iteration_kl(points, perplexity, iterations, seed, floor):
+    """The final KL as ``embed_2d`` defines it, over the pairs in pdist
+    order, from the reference: the last iteration's kernel comes from the
+    reference's coordinates one iteration before the last."""
+    n = len(points)
+    Y = reference_embed_2d(points, perplexity, iterations - 1, seed, floor=floor).coords
+    P, _ = reference_conditional_affinities(squareform(pdist(points, "sqeuclidean")), perplexity)
+    exag = EARLY_EXAGGERATION if iterations <= EXAGGERATION_ITERS else 1.0
+    pairs = squareform((P + P.T) / (2.0 * n) * exag, checks=False)
+    num = 1.0 / (1.0 + squareform(pdist(Y, "sqeuclidean")))
+    np.fill_diagonal(num, 0.0)
+    Q = np.maximum(squareform(num, checks=False) / num.sum(), floor)
+    positive = pairs[pairs > 0]
+    return 2.0 * (float(np.sum(positive * np.log(positive)))
+                  - float(np.einsum("i,i", pairs, np.log(Q))))
+
+
+class TestDescentBlocksAndFloor:
+    """The descent in row blocks of any size, and with a floor under Q that
+    bites, still follows the full-matrix reference bit for bit."""
+
+    @pytest.mark.parametrize("block_entries", [1, 1000], ids=["one_row", "ragged"])
+    @pytest.mark.parametrize("case", sorted(PINNED_EMBEDDINGS))
+    def test_small_blocks_keep_the_pins(self, case, block_entries, monkeypatch):
+        monkeypatch.setattr(embedding, "_BLOCK_ENTRIES", block_entries)
+        points, kwargs, digest, kl_hex = PINNED_EMBEDDINGS[case]
+        emb = embed_2d(points, **kwargs)
+        assert hashlib.sha256(emb.coords.tobytes()).hexdigest() == digest
+        assert emb.final_kl.hex() == kl_hex
+
+    @pytest.mark.parametrize("block_entries", [None, 1, 1000], ids=["budget", "one_row", "ragged"])
+    @pytest.mark.parametrize("case", ["across_exaggeration_boundary", "odd_n_across_boundary"])
+    def test_biting_floor_matches_reference(self, case, block_entries, monkeypatch):
+        points, kwargs, digest, _ = PINNED_EMBEDDINGS[case]
+        monkeypatch.setattr(embedding, "_Q_FLOOR", 1e-3)
+        if block_entries is not None:
+            monkeypatch.setattr(embedding, "_BLOCK_ENTRIES", block_entries)
+        emb = embed_2d(points, **kwargs)
+        ref = reference_embed_2d(points, **kwargs, floor=1e-3)
+        assert np.isfinite(emb.coords).all()
+        assert hashlib.sha256(emb.coords.tobytes()).hexdigest() != digest  # the floor bit
+        assert emb.coords.tobytes() == ref.coords.tobytes()
+        assert emb.final_kl.hex() == last_iteration_kl(points, **kwargs, floor=1e-3).hex()
+        np.testing.assert_allclose(emb.final_kl, ref.final_kl, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("floor", [None, 1e-3], ids=["eps", "biting"])
+    def test_floor_pass_runs_only_when_it_may_bite(self, floor, monkeypatch):
+        """At the default floor the bound proves the floor a no-op on every
+        iteration, so only the final KL applies it; a floor of 1e-3 exceeds
+        every Q of 60 points, so each iteration floors each block."""
+        if floor is not None:
+            monkeypatch.setattr(embedding, "_Q_FLOOR", floor)
+        points, kwargs, _, _ = PINNED_EMBEDDINGS["across_exaggeration_boundary"]
+        floored = []
+
+        def spy(a, b, *args, _real=np.maximum, **kw):
+            if b is embedding._Q_FLOOR:
+                floored.append(a.shape)
+            return _real(a, b, *args, **kw)
+
+        monkeypatch.setattr(np, "maximum", spy)
+        embed_2d(points, **kwargs)
+        blocks = len(embedding._row_blocks(len(points)))
+        iterations = kwargs["iterations"] if floor is not None else 0
+        assert len(floored) == iterations * blocks + 1
 
 
 def test_no_pair_scatter_per_iteration(monkeypatch):

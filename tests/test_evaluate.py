@@ -210,6 +210,13 @@ class TestChronologicalSplit:
         with pytest.raises(ValueError, match=re.escape(f"split ratios must be >= 0, got {ratios}")):
             chronological_split(windows, ratios)
 
+    @pytest.mark.parametrize("ratios", [(0.4, 0.3, 0.2, 0.1), (0.5, 0.5)])
+    def test_ratio_count_other_than_three_rejected(self, rng, ratios):
+        windows = trending_windows(rng, n_tickers=1, n_windows=20)
+        message = f"split ratios must be 3 values, got {len(ratios)}: {ratios}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            chronological_split(windows, ratios)
+
 
 class TestRunExperiment:
     def test_synthetic_copy_of_real_matches_real_auc(self, rng):

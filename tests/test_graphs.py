@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vgsynth import graphs
 from vgsynth.corpus import make_desk_corpus
 from vgsynth.errors import SegmentMismatchError
 from vgsynth.generate import WalkConfig, generate_sequence, vrp_generate
@@ -315,6 +316,18 @@ class TestGraphConstructor:
     def test_bad_edge_rejected(self, u, v, kind, mult, message):
         with pytest.raises(ValueError, match="^edge " + message):
             make_graph([[0.0], [0.5], [1.0]], u, v, kind, mult)
+
+    def test_valid_edges_pass_one_combined_test(self, monkeypatch):
+        """A valid graph passes one combined test: the per-check masks that
+        name a bad edge are never built for it."""
+        def fail(*args):
+            raise AssertionError("per-check masks built for a valid graph")
+
+        monkeypatch.setattr(graphs, "_reject_first_bad_edge", fail)
+        make_graph([[0.0], [0.3], [0.6], [1.0]], [0, 0, 1, 2], [1, 1, 2, 3],
+                   [self.CO, self.VIS, self.VIS, self.SIM], [2, 1, 1, 2**31 - 1])
+        make_graph([[0.0], [1.0]], [], [])
+        build_nvg(slice_windows(make_desk_corpus(1, 40, seed=3)[0], 20, 5)[:2])
 
     @pytest.mark.parametrize("field, values", [
         ("edge_u", [0.0, 1.2, 2.9]), ("edge_v", [1, 2, 3.5]), ("edge_kind", [2.0, 2.5, 2.0]),
